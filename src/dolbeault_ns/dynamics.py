@@ -5,24 +5,38 @@ gradient, is
 
     du/dt = -mu Lap u - P N(u) + P f,      (dbar^{q-1})* u = 0,
 
-with N(u) = M1(dbar u, u) + dbar M2(u, u).  The diffusion is diagonal in
-Fourier space (multiplier mu |zeta|^2 / 4), so it is integrated exactly by
-the factor E = exp(-mu |zeta|^2 dt / 4) while the projected nonlinear part
-G(u, t) = P(f(t) - N(u)) is advanced with Heun's method on the transformed
-variable (ETD-Heun):
+with N(u) = M1(dbar u, u) + dbar M2(u, u).  P kills every exact form:
+(dbar phi, v) = (phi, dbar* v) = 0 whenever dbar* v = 0.  So the gradient
+part dbar M2 never reaches the velocity and only enters the pressure.  The
+diffusion is diagonal in Fourier space (multiplier mu |zeta|^2 / 4), so it
+is integrated exactly by the factor E = exp(-mu |zeta|^2 dt / 4), while the
+projected source P g, with g(u, t) = f(t) - dealias(M1(dbar u, u)), is
+advanced with Heun's method on the transformed variable (ETD-Heun; the
+exponential time differencing framework of Cox & Matthews, J. Comput.
+Phys. 176 (2002)):
 
-    k1 = G(u_m, t_m)
-    k2 = G(E (u_m + dt k1), t_m + dt)
-    u_{m+1} = P [ E u_m + dt/2 (E k1 + k2) ]
+    k1 = P g(u_m, t_m)
+    u_mid = E (u_m + dt k1)
+    u_{m+1} = P [ E (u_m + dt/2 k1) + dt/2 g(u_mid, t_m + dt) ]
+
+This is u_{m+1} = P [ E u_m + dt/2 (E k1 + k2) ] with k2 = P g(u_mid, .):
+P is linear, idempotent and commutes with E, so one projection serves k2
+and the new state.  A stage reads [u, dbar u] from one inverse FFT, forms
+M1 pointwise and returns with one forward FFT; the first stage reuses the
+samples the diagnostics of u_m already made, so a Lamb step makes 4 FFT
+calls and 2 projections.  A zero source (no M1 term, zero forcing) is
+stepped exactly, u_{m+1} = E u_m, with no transform and no projection.
 
 Second order in dt, exact for the pure heat flow, unconditionally stable in
 the stiff linear part.  Products inside N are formed pointwise in physical
 space and the result is dealiased once (2/3 rule), so the quadratic algebra
 N(w + v) = N(w) + B(w, v) + N(v) survives discretization to rounding, where
-B is the symmetrized bilinear form used by the linearized problem.
+B is the symmetrized bilinear form used by the linearized problem; its
+stages likewise keep only the two M1 products.
 
 Pressure never enters the time stepping; it is reconstructed at output
-strides from the exact part of f - N(u).
+strides from the full f - N(u) through nonlinearity() and
+pressure_recover().
 """
 
 import math
@@ -39,10 +53,10 @@ from .forms import (
     index_of,
     l2_inner,
     l2_norm,
-    multi_indices,
+    num_components,
     random_form,
 )
-from .spectral import FOURIER, SpectralGrid, apply_dealias, heat_multiplier_grid
+from .spectral import FOURIER, PHYSICAL, SpectralGrid, apply_dealias, heat_multiplier_grid
 
 
 class BlowUpError(RuntimeError):
@@ -172,8 +186,12 @@ class SimConfig:
             raise ValueError(f"need n >= 2, got {self.n}")
         if not 1 <= self.q <= self.n - 1:
             raise ValueError(f"bidegree q={self.q} outside 1..{self.n - 1}")
-        if self.mu <= 0 or self.T <= 0 or self.dt <= 0:
-            raise ValueError("mu, T and dt must be positive")
+        for name in ("mu", "T", "dt"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if self.output_stride < 1:
+            raise ValueError(f"output_stride must be at least 1, got {self.output_stride}")
         steps = self.T / self.dt
         if not 1.0 - 1e-9 <= steps <= 1e7:
             raise ValueError(f"T/dt = {steps:.3g} outside 1..1e7")
@@ -391,37 +409,134 @@ def b_continuity_ratio(
 # -- time stepping ---------------------------------------------------------------
 
 
-def _heun_step(u: FormField, t: float, dt: float, E: np.ndarray, rhs) -> FormField:
-    """One ETD-Heun step; u Fourier and solenoidal, result re-projected."""
-    grid = u.grid
-    k1 = rhs(u, t)
-    mid = FormField(grid, u.q, E * (u.data + dt * k1.data), FOURIER)
-    k2 = rhs(mid, t + dt)
-    new = FormField(grid, u.q, E * u.data + 0.5 * dt * (E * k1.data + k2.data), FOURIER)
-    return leray_project(new)
-
-
-def step_etd_heun(u_m: FormField, t_m: float, config: SimConfig) -> FormField:
-    """Advance one step of the configured problem from (u_m, t_m)."""
-    grid = u_m.grid
-    if (grid.n, grid.N) != (config.n, config.N) or u_m.q != config.q:
-        raise ValueError("state does not match the configuration")
-    E = heat_multiplier_grid(grid, config.mu, config.dt)
-    spec = config.nonlinearity
-    forcing = config.forcing
-
-    def rhs(u, t):
-        return leray_project(forcing.evaluate(grid, config.q, t) - nonlinearity(u, spec))
-
-    out = _heun_step(u_m.to_fourier(), t_m, config.dt, E, rhs)
-    if not np.all(np.isfinite(out.data)):
-        raise BlowUpError(t_m + config.dt)
-    return out
-
-
 def _max_abs(u_phys_data: np.ndarray) -> float:
     """Max over grid points of the pointwise modulus of the form."""
     return float(np.sqrt(np.max(np.sum(np.abs(u_phys_data) ** 2, axis=0))))
+
+
+class _EtdHeun:
+    """The ETD-Heun step of one run, as set out in the module docstring.
+
+    The stages use the unprojected source
+
+        g(v, t) = f(t) - dealias(M1(dbar v, v))                  (nonlinear)
+        g(v, t) = f(t) - dealias(M1(dbar w, v) + M1(dbar v, w))  (linearized)
+
+    with base[m] the linearization point w at step m (base None: w = 0).
+    A stage reads v from the samples of [v, dbar v], made by physical() in
+    one inverse FFT.  The run loop stores the samples of the current state
+    in `phys` when it records its diagnostics, and step() takes them over,
+    so the first stage costs no transform.  Without M1 products the stages
+    need no samples at all, and with a zero source a step is exactly
+    u <- E u.  pressure_source() gives the full f - N(v) (or f - B(w, v)),
+    whose exact part is the pressure.
+    """
+
+    def __init__(self, config: SimConfig, grid: SpectralGrid, forcing: ForcingSpec, linearized=False, base=None):
+        spec = config.nonlinearity
+        self.grid = grid
+        self.q = config.q
+        self.spec = spec
+        self.forcing = forcing
+        self.dt_base = config.dt
+        self.linearized = linearized
+        self.base = base
+        self.products = (spec.kind == "lamb" or (spec.kind == "custom" and bool(spec.m1_terms))) and (
+            base is not None or not linearized
+        )
+        self.forced = forcing.kind != "zero"
+        self.phys = None
+        self._base_phys = (None, None)  # (step index, samples of [w, dbar w])
+
+    def physical(self, u: FormField, du: FormField | None = None) -> np.ndarray:
+        """Samples of u (Fourier), stacked over those of dbar u when the
+        stages form products, from one inverse FFT."""
+        if not self.products:
+            return self.grid.ifft(u.data)
+        if du is None:
+            du = dbar(u)
+        return self.grid.ifft(np.concatenate((u.data, du.data)), overwrite=True)
+
+    def _split(self, phys: np.ndarray) -> tuple:
+        a = num_components(self.grid.n, self.q)
+        return (
+            FormField(self.grid, self.q, phys[:a], PHYSICAL),
+            FormField(self.grid, self.q + 1, phys[a:], PHYSICAL),
+        )
+
+    def _base_physical(self, t: float) -> np.ndarray:
+        m = int(round(t / self.dt_base))
+        if self._base_phys[0] != m:
+            self._base_phys = (None, None)  # free the old samples first
+            self._base_phys = (m, self.physical(self.base[m]))
+        return self._base_phys[1]
+
+    def _source(self, phys: np.ndarray | None, t: float) -> np.ndarray:
+        """g(v, t) in Fourier space as a new array, from phys = physical(v)."""
+        grid = self.grid
+        if not self.products:
+            return self.forcing.evaluate(grid, self.q, t).data.copy()
+        v, dv = self._split(phys)
+        if self.linearized:
+            w, dw = self._split(self._base_physical(t))
+            m1 = apply_m1(self.spec, dw, v).data
+            m1 += apply_m1(self.spec, dv, w).data
+        else:
+            m1 = apply_m1(self.spec, dv, v).data
+        g = apply_dealias(grid, grid.fft(m1, overwrite=True))
+        np.negative(g, out=g)
+        if self.forced:
+            g += self.forcing.evaluate(grid, self.q, t).data
+        return g
+
+    def step(self, u: FormField, t: float, dt: float, E: np.ndarray) -> FormField:
+        """Advance u (Fourier, solenoidal) from t by dt; self.phys must hold
+        physical(u) and is consumed."""
+        grid, q = self.grid, self.q
+        phys, self.phys = self.phys, None
+        if not (self.products or self.forced):
+            return FormField(grid, q, E * u.data, FOURIER)
+        k1 = leray_project(FormField(grid, q, self._source(phys, t), FOURIER)).data
+        # each stacked sample buffer is released as soon as it is used: at
+        # n = 3, N = 8 one holds 25 MB
+        phys = None
+        if self.products:
+            mid = dt * k1
+            mid += u.data
+            mid *= E
+            phys = self.physical(FormField(grid, q, mid, FOURIER))
+            mid = None
+        g2 = self._source(phys, t + dt)
+        phys = None
+        k1 *= 0.5 * dt
+        k1 += u.data
+        k1 *= E
+        g2 *= 0.5 * dt
+        k1 += g2
+        return leray_project(FormField(grid, q, k1, FOURIER))
+
+    def pressure_source(self, u: FormField, t: float) -> FormField:
+        """The full f - N(u) (or f - B(w, u)) at time t."""
+        f = self.forcing.evaluate(self.grid, self.q, t)
+        if not self.linearized:
+            return f - nonlinearity(u, self.spec)
+        if self.base is None:
+            return f
+        return f - linearized_b(self.base[int(round(t / self.dt_base))], u, self.spec)
+
+
+def step_etd_heun(u_m: FormField, t_m: float, config: SimConfig) -> FormField:
+    """Advance one step of the configured problem from a solenoidal u_m at t_m."""
+    grid = u_m.grid
+    if (grid.n, grid.N) != (config.n, config.N) or u_m.q != config.q:
+        raise ValueError("state does not match the configuration")
+    kernel = _EtdHeun(config, grid, config.forcing)
+    u = u_m.to_fourier()
+    kernel.phys = kernel.physical(u)
+    out = kernel.step(u, t_m, config.dt, heat_multiplier_grid(grid, config.mu, config.dt))
+    if not np.all(np.isfinite(out.data)):
+        raise BlowUpError(t_m + config.dt)
+    return out
 
 
 def _prepare_initial(config: SimConfig, grid: SpectralGrid, u0: FormField) -> FormField:
@@ -439,20 +554,10 @@ def _prepare_initial(config: SimConfig, grid: SpectralGrid, u0: FormField) -> Fo
     return u
 
 
-def _run_loop(
-    config: SimConfig,
-    grid: SpectralGrid,
-    u0: FormField,
-    rhs,
-    pressure_source,
-    cfl: bool,
-) -> Trajectory:
+def _run_loop(config: SimConfig, grid: SpectralGrid, u0: FormField, kernel: _EtdHeun, cfl: bool) -> Trajectory:
     """Shared integration loop: per-step diagnostics, interval snapshots,
     optional per-interval CFL adaptation (dt refined by an integer factor,
-    output stamps untouched).  pressure_source(t, state) must return the
-    full unprojected right-hand side f - N(u) (or its linearized analogue)
-    whose exact part determines the pressure."""
-    q = config.q
+    output stamps untouched)."""
     r_lps, s_lps = config.lps_exponents
     cell = grid.cell_volume
 
@@ -468,13 +573,16 @@ def _run_loop(
     g_prev = None
 
     def record(t, state):
+        """Append the diagnostics of state; leaves its samples in kernel.phys."""
         nonlocal lps_accum, g_prev
-        phys = state.to_physical()
+        du = dbar(state)
         energy = 0.5 * l2_norm(state) ** 2
-        dbn = l2_norm(dbar(state)) ** 2
-        dbs = l2_norm(dbar_star(state)) if q >= 1 else 0.0
-        mx = _max_abs(phys.data)
-        g = float((cell * np.sum(np.abs(phys.data) ** r_lps)) ** (1.0 / r_lps)) ** s_lps
+        dbn = l2_norm(du) ** 2
+        dbs = l2_norm(dbar_star(state))
+        kernel.phys = kernel.physical(state, du)
+        u_phys = kernel.phys[: state.data.shape[0]]
+        mx = _max_abs(u_phys)
+        g = float((cell * np.sum(np.abs(u_phys) ** r_lps)) ** (1.0 / r_lps)) ** s_lps
         if g_prev is not None:
             lps_accum += 0.5 * (g_prev + g) * (t - diag["t"][-1])
         g_prev = g
@@ -487,10 +595,10 @@ def _run_loop(
         return mx
 
     def snapshot(t, state):
-        F = pressure_source(t, state)
-        F_exact = F - leray_project(F)
-        p = pressure_recover(F_exact, check=False)
-        return state.copy(), p
+        # dbar* annihilates the solenoidal part of F, so recovering p from F
+        # itself equals recovering it from the exact part F - P F
+        p = pressure_recover(kernel.pressure_source(state, t), check=False)
+        return state, p
 
     velocities, pressures = [], []
     umax = record(0.0, u)
@@ -512,7 +620,7 @@ def _run_loop(
                 E = heat_multiplier_grid(grid, config.mu, dt)
         for m in range(stride):
             t = t0 + m * dt
-            u = _heun_step(u, t, dt, E, rhs)
+            u = kernel.step(u, t, dt, E)
             if not np.all(np.isfinite(u.data)):
                 raise BlowUpError(t + dt)
             umax = record(t + dt, u)
@@ -526,34 +634,45 @@ def _run_loop(
     return Trajectory(stamps, velocities, pressures, diagnostics, config)
 
 
+def _pairing_cancels(spec: BilinearSpec, tol: float = 1e-12) -> bool:
+    """Exact sufficient test that (M1(omega, v), v) vanishes pointwise.
+
+    A term c[K][A][B] contributes c omega_A v_B conj(v_K) to the pointwise
+    pairing, or c omega_A conj(v_B) conj(v_K) with conj_u set, which is
+    symmetric in B and K.  When the coefficients of every such monomial sum
+    to zero (relative to sum |c|), the pairing is the zero polynomial.
+    """
+    sums: dict = {}
+    for t in spec.m1_terms:
+        b, k = tuple(t.b), tuple(t.k)
+        key = (tuple(t.a), t.conj_u) + ((min(b, k), max(b, k)) if t.conj_u else (b, k))
+        sums[key] = sums.get(key, 0.0) + complex(t.coeff)
+    total = sum(abs(complex(t.coeff)) for t in spec.m1_terms)
+    return all(abs(s) <= tol * total for s in sums.values())
+
+
 def simulate(config: SimConfig, u0: FormField) -> Trajectory:
     """Integrate the nonlinear problem from u0 to T.
 
     Custom nonlinearities are admitted only if they satisfy the
-    energy-cancellation hypothesis empirically; the built-in kinds satisfy
-    it by construction and are not re-checked.
+    energy-cancellation hypothesis: exactly, when the M1 coefficients of
+    every monomial of the pairing cancel, otherwise empirically through
+    verify_key1.  The built-in kinds satisfy it by construction and are not
+    re-checked.
     """
     grid = u0.grid
     if (grid.n, grid.N) != (config.n, config.N):
         raise ValueError("initial data grid does not match the configuration")
     config.forcing.validate_for(grid, config.q)
     spec = config.nonlinearity
-    if spec.kind == "custom":
+    if spec.kind == "custom" and not _pairing_cancels(spec):
         gate = verify_key1(spec, grid, config.q, trials=20, seed=config.seed)
         if not gate["pass"]:
             raise ValueError(
                 "custom nonlinearity violates the energy-cancellation hypothesis: "
                 f"max normalized pairing {gate['max_normalized_pairing']:.3e}"
             )
-    forcing = config.forcing
-
-    def rhs(u, t):
-        return leray_project(forcing.evaluate(grid, config.q, t) - nonlinearity(u, spec))
-
-    def pressure_source(t, state):
-        return forcing.evaluate(grid, config.q, t) - nonlinearity(state, spec)
-
-    return _run_loop(config, grid, u0, rhs, pressure_source, cfl=True)
+    return _run_loop(config, grid, u0, _EtdHeun(config, grid, config.forcing), cfl=True)
 
 
 def solve_linearized(
@@ -575,7 +694,6 @@ def solve_linearized(
         raise ValueError("initial data grid does not match the configuration")
     frc = forcing if forcing is not None else config.forcing
     frc.validate_for(grid, config.q)
-    spec = config.nonlinearity
 
     if w is None:
         w_fields = None
@@ -589,15 +707,5 @@ def solve_linearized(
             )
         w_fields = [v.to_fourier() for v in w.velocities]
 
-    def b_term(u, t):
-        if w_fields is None:
-            return FormField.zeros(grid, config.q, FOURIER)
-        return linearized_b(w_fields[int(round(t / config.dt))], u, spec)
-
-    def rhs(u, t):
-        return leray_project(frc.evaluate(grid, config.q, t) - b_term(u, t))
-
-    def pressure_source(t, state):
-        return frc.evaluate(grid, config.q, t) - b_term(state, t)
-
-    return _run_loop(replace(config, forcing=frc), grid, u0, rhs, pressure_source, cfl=False)
+    kernel = _EtdHeun(config, grid, frc, linearized=True, base=w_fields)
+    return _run_loop(replace(config, forcing=frc), grid, u0, kernel, cfl=False)

@@ -169,7 +169,8 @@ def save_field(path, field: FormField, sim_time: float = 0.0, seed=None, cfg_has
 
 
 def load_field(path, grid: SpectralGrid | None = None) -> FormField:
-    """Read a field directory back; verifies schema, sizes and checksums."""
+    """Read a field directory back; verifies schema, sizes, checksums and
+    that every value is finite."""
     root = Path(path)
     try:
         manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
@@ -199,6 +200,8 @@ def load_field(path, grid: SpectralGrid | None = None) -> FormField:
         if zlib.crc32(raw) != blob["crc32"]:
             raise FieldFormatError(f"checksum failure in {blob['file']}")
         data[ci] = np.frombuffer(raw, dtype="<c16").reshape(grid.shape)
+        if not np.all(np.isfinite(data[ci])):
+            raise FieldFormatError(f"non-finite values in {blob['file']}")
     return FormField(grid, q, data, manifest["representation"])
 
 

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dolbeault import dbar
+from .dynamics import _max_abs
 from .forms import FormField, l2_inner
 from .spectral import FOURIER, PHYSICAL
 
@@ -187,11 +188,6 @@ def bochner_for(traj, k: int, s: int) -> float:
     return float(np.sqrt(_mixed_norm_sq(stamps, fields, k, s, 1.0)))
 
 
-def _cb_norm(p: FormField) -> float:
-    phys = p.to_physical()
-    return float(np.sqrt(np.max(np.sum(np.abs(phys.data) ** 2, axis=0))))
-
-
 def bochner_pre(traj, k: int, s: int, n: int | None = None) -> float:
     """Pressure-scale norm with the three-case sup-norm augmentation.
 
@@ -206,7 +202,7 @@ def bochner_pre(traj, k: int, s: int, n: int | None = None) -> float:
     threshold = 2 * s + k
     if threshold <= n:
         return base
-    cb = np.array([_cb_norm(p) for p in fields])
+    cb = np.array([_max_abs(p.to_physical().data) for p in fields])
     l2_cb = float(np.sqrt(np.trapezoid(cb**2, stamps)))
     if threshold == n + 1:
         return base + l2_cb

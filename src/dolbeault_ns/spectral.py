@@ -179,13 +179,24 @@ class SpectralGrid:
 
     # -- transforms --------------------------------------------------------
 
-    def fft(self, values: np.ndarray) -> np.ndarray:
-        """Physical samples -> mode amplitudes (1/N^{2n} normalization)."""
-        return scipy.fft.fftn(values, axes=self._axes, workers=self._workers) / self.size
+    def fft(self, values: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Physical samples -> mode amplitudes (1/N^{2n} normalization).
 
-    def ifft(self, coeffs: np.ndarray) -> np.ndarray:
-        """Mode amplitudes -> physical samples."""
-        return scipy.fft.ifftn(coeffs, axes=self._axes, workers=self._workers) * self.size
+        Leading axes are a batch, so a stack of component fields is one
+        call.  The scaling happens inside the transform and is exact, since
+        N^{2n} is a power of two.  With overwrite the transform may work in
+        the memory of `values`, which is then destroyed.
+        """
+        return scipy.fft.fftn(
+            values, axes=self._axes, norm="forward", workers=self._workers, overwrite_x=overwrite
+        )
+
+    def ifft(self, coeffs: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Mode amplitudes -> physical samples (no scaling); batch and
+        overwrite as in fft."""
+        return scipy.fft.ifftn(
+            coeffs, axes=self._axes, norm="forward", workers=self._workers, overwrite_x=overwrite
+        )
 
 
 # -- pointwise symbol/multiplier helpers ------------------------------------

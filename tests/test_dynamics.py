@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import dolbeault_ns.dynamics as dynamics
 from dolbeault_ns import (
     BilinearSpec,
     BlowUpError,
@@ -8,6 +9,7 @@ from dolbeault_ns import (
     ForcingSpec,
     FormField,
     SimConfig,
+    SpectralGrid,
     dbar_star,
     frechet_residual,
     l2_norm,
@@ -62,6 +64,11 @@ def test_config_validation():
         SimConfig(n=3, q=2, N=8, mu=1.0, T=1.0, dt=0.1, nonlinearity=LAMB)
     with pytest.raises(ValueError):
         SimConfig(n=2, q=1, N=8, mu=1.0, T=1.0, dt=1e-8)  # T/dt above the budget
+    nan, inf = float("nan"), float("inf")
+    for bad in ({"mu": nan}, {"mu": inf}, {"T": nan}, {"T": inf}, {"dt": nan}, {"dt": inf},
+                {"output_stride": 0}, {"output_stride": -1}):
+        with pytest.raises(ValueError):
+            SimConfig(**{"n": 2, "q": 1, "N": 8, "mu": 1.0, "T": 1.0, "dt": 0.1, **bad})
     cfg = SimConfig(n=2, q=1, N=8, mu=1.0, T=1.0, dt=0.1, nonlinearity=LAMB)
     assert cfg.steps == 10
 
@@ -386,6 +393,41 @@ def test_simulate_gates_custom_specs(grid8, rng):
     t1 = simulate(cfg_custom, u0)
     t2 = simulate(cfg_lamb, u0)
     assert l2_norm(t1.velocities[-1] - t2.velocities[-1]) < 1e-13
+
+
+def test_exact_gate_admits_cancelling_tensor_without_sampling(grid8, rng, monkeypatch):
+    # the Lamb tensors cancel monomial by monomial, so the gate needs no samples
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("verify_key1 sampled a tensor the exact check settles")
+
+    monkeypatch.setattr(dynamics, "verify_key1", no_sampling)
+    for n, grid in ((2, grid8), (3, SpectralGrid(3, 4))):
+        spec = BilinearSpec.custom(*_scaled_lamb_terms(n, 3.0))
+        u0 = _unit_max(_solenoidal(grid, rng))
+        cfg = SimConfig(n=n, q=1, N=grid.N, mu=0.2, T=0.02, dt=0.01, nonlinearity=spec)
+        assert np.all(np.isfinite(simulate(cfg, u0).diagnostics["energy"]))
+
+
+def test_gate_samples_tensors_that_do_not_cancel(grid8, rng, monkeypatch):
+    calls = []
+    original = dynamics.verify_key1
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "verify_key1", spy)
+    # the conj(v_B) conj(v_K) monomial is symmetric in B and K: c[K][A][B]
+    # and c[B][A][K] must cancel, here they add up
+    bad = BilinearSpec.custom(
+        m1_terms=[CustomTerm(k=(1,), a=(1, 2), b=(2,), coeff=1.0, conj_u=True),
+                  CustomTerm(k=(2,), a=(1, 2), b=(1,), coeff=1.0, conj_u=True)],
+        m2_terms=[],
+    )
+    cfg = SimConfig(n=2, q=1, N=8, mu=1.0, T=0.1, dt=0.01, nonlinearity=bad, seed=4)
+    with pytest.raises(ValueError, match="cancellation"):
+        simulate(cfg, _solenoidal(grid8, rng))
+    assert calls == [{"trials": 20, "seed": 4}]
 
 
 def test_cfl_shrink_respects_step_budget(grid8):

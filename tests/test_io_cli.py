@@ -1,5 +1,6 @@
 import hashlib
 import json
+import zlib
 
 import numpy as np
 import pytest
@@ -82,6 +83,23 @@ def test_field_corruption_detected(grid8, rng, tmp_path):
     raw[100] ^= 0xFF
     blob.write_bytes(bytes(raw))
     with pytest.raises(FieldFormatError, match="checksum"):
+        load_field(tmp_path / "f")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_field_non_finite_data_rejected(grid8, rng, tmp_path, bad):
+    # a blob that is intact (its CRC matches) but holds a non-finite value
+    save_field(tmp_path / "f", random_form(grid8, 1, rng))
+    blob = tmp_path / "f" / "comp_001.bin"
+    values = np.frombuffer(blob.read_bytes(), dtype="<c16").copy()
+    values[7] = complex(0.5, bad)
+    raw = values.tobytes()
+    blob.write_bytes(raw)
+    mpath = tmp_path / "f" / "manifest.json"
+    doc = json.loads(mpath.read_text())
+    doc["blobs"][1]["crc32"] = zlib.crc32(raw)
+    mpath.write_text(json.dumps(doc))
+    with pytest.raises(FieldFormatError, match="non-finite"):
         load_field(tmp_path / "f")
 
 
@@ -333,6 +351,14 @@ def test_cli_linearize(tmp_path, capsys):
 
 def test_cli_missing_config_is_usage_error(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("overrides", [{"output_stride": 0}, {"mu": float("nan")}, {"dt": float("inf")}])
+def test_cli_rejects_bad_config_with_exit_2(tmp_path, capsys, overrides):
+    cfg_path = _write_cfg(tmp_path, **overrides)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert "error" in capsys.readouterr().err.lower()
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_bad_subcommand_exits_2():
