@@ -20,7 +20,6 @@ from .dynamics import (
     frechet_residual,
     linearized_b,
     nonlinearity,
-    projected_rhs,
     simulate,
     solve_linearized,
     step_etd_heun,
@@ -32,10 +31,8 @@ from .forms import (
     FormField,
     apply_m1,
     apply_m2,
-    forward_transform,
     index_of,
     insert_sign,
-    inverse_transform,
     l2_inner,
     l2_norm,
     multi_indices,

@@ -28,15 +28,18 @@ calls and 2 projections.  A zero source (no M1 term, zero forcing) is
 stepped exactly, u_{m+1} = E u_m, with no transform and no projection.
 
 Second order in dt, exact for the pure heat flow, unconditionally stable in
-the stiff linear part.  Products inside N are formed pointwise in physical
-space and the result is dealiased once (2/3 rule), so the quadratic algebra
-N(w + v) = N(w) + B(w, v) + N(v) survives discretization to rounding, where
-B is the symmetrized bilinear form used by the linearized problem; its
-stages likewise keep only the two M1 products.
+the stiff linear part.  N and its linearization share one evaluator of the
+quadratic term Q(a, b) = M1(dbar a, b) + dbar M2(a, b): N(v) = Q(v, v) and
+B(w, v) = Q(w, v) + Q(v, w).  Products are formed pointwise in physical
+space, all of them go through one forward FFT and the result is dealiased
+once (2/3 rule), so the quadratic algebra N(w + v) = N(w) + B(w, v) + N(v)
+survives discretization to rounding.  The stages take the M1 part only.
 
 Pressure never enters the time stepping; it is reconstructed at output
-strides from the full f - N(u) through nonlinearity() and
-pressure_recover().
+strides from the full f - N(u) (or f - B(w, u)) through pressure_recover().
+A snapshot evaluates Q on the samples the diagnostics of u already made
+(and on the cached samples of w), so it makes no inverse FFT and one
+forward FFT.  The CFL bound is checked before every step.
 """
 
 import math
@@ -160,6 +163,8 @@ class ForcingSpec:
             )
         if kind == "file":
             return cls(kind=kind, path=doc.get("path", ""))
+        if kind != "zero":
+            raise ValueError(f"unknown forcing kind {kind!r}")
         return cls(kind="zero")
 
 
@@ -203,6 +208,9 @@ class SimConfig:
             raise ValueError("cfl_safety must lie in (0, 1]")
         if self.cfl_mode not in ("fail", "shrink"):
             raise ValueError(f"cfl_mode must be 'fail' or 'shrink', got {self.cfl_mode!r}")
+        if self.lps_r is not None and not (math.isfinite(self.lps_r) and self.lps_r > 2 * self.n):
+            # the time exponent 2 / (1 - 2n/r) needs r > 2n
+            raise ValueError(f"lps_r must be finite and above 2n = {2 * self.n}, got {self.lps_r!r}")
         self.nonlinearity.validate_for(self.n, self.q)
 
     @property
@@ -279,19 +287,78 @@ class Trajectory:
 # -- nonlinearity and linearization ---------------------------------------------
 
 
+def _has_terms(spec: BilinearSpec) -> tuple:
+    """(M1 is nonzero, M2 is nonzero) for the spec."""
+    if spec.kind == "lamb":
+        return True, True
+    if spec.kind == "custom":
+        return bool(spec.m1_terms), bool(spec.m2_terms)
+    return False, False
+
+
+def _samples(u: FormField, with_dbar: bool, du: FormField | None = None) -> np.ndarray:
+    """Physical samples of u (Fourier), stacked over those of dbar u when
+    with_dbar, from one inverse FFT."""
+    if not with_dbar:
+        return u.grid.ifft(u.data)
+    if du is None:
+        du = dbar(u)
+    return u.grid.ifft(np.concatenate((u.data, du.data)), overwrite=True)
+
+
+def _quadratic(
+    spec: BilinearSpec, grid: SpectralGrid, q: int, v: np.ndarray, w: np.ndarray | None = None, exact: bool = True
+) -> np.ndarray:
+    """The quadratic term Q(a, b) = M1(dbar a, b) + dbar M2(a, b) as
+    dealiased Fourier coefficients, in a new array:
+
+        Q(v, v)           = N(v)        (w None)
+        Q(w, v) + Q(v, w) = B(w, v)
+
+    v and w are physical samples stacked as _samples() makes them; the
+    dbar rows are read only for M1 terms.  Without exact the part dbar M2,
+    which P annihilates, is left out.  All products go through one forward
+    FFT.
+    """
+    has_m1, has_m2 = _has_terms(spec)
+    has_m2 = has_m2 and exact
+    a = num_components(grid.n, q)
+    pairs = ((v, v),) if w is None else ((w, v), (v, w))
+
+    def summed(apply, first_q, first_rows):
+        terms = (
+            apply(spec, FormField(grid, first_q, x[first_rows], PHYSICAL), FormField(grid, q, y[:a], PHYSICAL)).data
+            for x, y in pairs
+        )
+        out = next(terms)
+        for term in terms:
+            out += term
+        return out
+
+    parts = []
+    if has_m1:
+        parts.append(summed(apply_m1, q + 1, slice(a, None)))  # M1(dbar x, y)
+    if has_m2:
+        parts.append(summed(apply_m2, q, slice(None, a)))  # M2(x, y)
+    if not parts:
+        return np.zeros((a,) + grid.shape, dtype=np.complex128)
+    hat = grid.fft(parts[0] if len(parts) == 1 else np.concatenate(parts), overwrite=True)
+    if has_m2:
+        total = dbar(FormField(grid, q - 1, hat[a if has_m1 else 0 :], FOURIER)).data
+        if has_m1:
+            total += hat[:a]
+        hat = total
+    return apply_dealias(grid, hat)
+
+
 def nonlinearity(u: FormField, spec: BilinearSpec) -> FormField:
     """N(u) = M1(dbar u, u) + dbar M2(u, u), dealiased Fourier output."""
     grid = u.grid
     spec.validate_for(grid.n, u.q)
     if spec.kind == "stokes":
         return FormField.zeros(grid, u.q, FOURIER)
-    uf = u.to_fourier()
-    u_phys = uf.to_physical()
-    omega_phys = dbar(uf).to_physical()
-    m1 = apply_m1(spec, omega_phys, u_phys).to_fourier()
-    m2 = apply_m2(spec, u_phys, u_phys).to_fourier()
-    total = m1 + dbar(m2)
-    return FormField(grid, u.q, apply_dealias(grid, total.data), FOURIER)
+    v = _samples(u.to_fourier(), _has_terms(spec)[0])
+    return FormField(grid, u.q, _quadratic(spec, grid, u.q, v), FOURIER)
 
 
 def linearized_b(w: FormField, u: FormField, spec: BilinearSpec) -> FormField:
@@ -302,17 +369,9 @@ def linearized_b(w: FormField, u: FormField, spec: BilinearSpec) -> FormField:
     spec.validate_for(grid.n, u.q)
     if spec.kind == "stokes":
         return FormField.zeros(grid, u.q, FOURIER)
-    wf, uf = w.to_fourier(), u.to_fourier()
-    w_phys, u_phys = wf.to_physical(), uf.to_physical()
-    dw_phys = dbar(wf).to_physical()
-    du_phys = dbar(uf).to_physical()
-    total = (
-        apply_m1(spec, dw_phys, u_phys).to_fourier()
-        + apply_m1(spec, du_phys, w_phys).to_fourier()
-        + dbar(apply_m2(spec, w_phys, u_phys).to_fourier())
-        + dbar(apply_m2(spec, u_phys, w_phys).to_fourier())
-    )
-    return FormField(grid, u.q, apply_dealias(grid, total.data), FOURIER)
+    with_dbar = _has_terms(spec)[0]
+    v = _samples(u.to_fourier(), with_dbar)
+    return FormField(grid, u.q, _quadratic(spec, grid, u.q, v, _samples(w.to_fourier(), with_dbar)), FOURIER)
 
 
 def frechet_residual(w: FormField, v: FormField, eps: float, spec: BilinearSpec) -> float:
@@ -323,28 +382,6 @@ def frechet_residual(w: FormField, v: FormField, eps: float, spec: BilinearSpec)
         return 0.0
     lhs = nonlinearity(w + eps * v, spec) - nonlinearity(w, spec) - eps * linearized_b(w, v, spec)
     return l2_norm(lhs)
-
-
-def projected_rhs(
-    u: FormField,
-    f: FormField,
-    mu: float,
-    spec: BilinearSpec,
-    constraint_tol: float = 1e-8,
-) -> FormField:
-    """P(f - N(u)).  The -mu Lap u part is advanced by the exact exponential
-    in the stepper, so mu does not enter here; it is kept in the signature
-    because this is the full right-hand side data of the projected system."""
-    if f.grid != u.grid or f.q != u.q:
-        raise ValueError("forcing must be a (0,q) form on the state's grid")
-    scale = l2_norm(u)
-    if scale > 0.0 and u.q >= 1:
-        residual = l2_norm(dbar_star(u.to_fourier())) / scale
-        if residual > constraint_tol:
-            raise ValueError(
-                f"state violates the solenoidal constraint: ||dbar* u||/||u|| = {residual:.3e}"
-            )
-    return leray_project(f.to_fourier() - nonlinearity(u, spec))
 
 
 def verify_key1(
@@ -428,22 +465,21 @@ class _EtdHeun:
     in `phys` when it records its diagnostics, and step() takes them over,
     so the first stage costs no transform.  Without M1 products the stages
     need no samples at all, and with a zero source a step is exactly
-    u <- E u.  pressure_source() gives the full f - N(v) (or f - B(w, v)),
-    whose exact part is the pressure.
+    u <- E u.  source(..., exact=True) gives the full f - N(v) (or
+    f - B(w, v)), whose exact part is the pressure.
     """
 
     def __init__(self, config: SimConfig, grid: SpectralGrid, forcing: ForcingSpec, linearized=False, base=None):
-        spec = config.nonlinearity
         self.grid = grid
         self.q = config.q
-        self.spec = spec
+        self.spec = config.nonlinearity
         self.forcing = forcing
         self.dt_base = config.dt
         self.linearized = linearized
         self.base = base
-        self.products = (spec.kind == "lamb" or (spec.kind == "custom" and bool(spec.m1_terms))) and (
-            base is not None or not linearized
-        )
+        live = base is not None or not linearized  # B(0, .) = 0
+        m1, m2 = _has_terms(self.spec)
+        self.m1, self.m2 = live and m1, live and m2
         self.forced = forcing.kind != "zero"
         self.phys = None
         self._base_phys = (None, None)  # (step index, samples of [w, dbar w])
@@ -451,18 +487,7 @@ class _EtdHeun:
     def physical(self, u: FormField, du: FormField | None = None) -> np.ndarray:
         """Samples of u (Fourier), stacked over those of dbar u when the
         stages form products, from one inverse FFT."""
-        if not self.products:
-            return self.grid.ifft(u.data)
-        if du is None:
-            du = dbar(u)
-        return self.grid.ifft(np.concatenate((u.data, du.data)), overwrite=True)
-
-    def _split(self, phys: np.ndarray) -> tuple:
-        a = num_components(self.grid.n, self.q)
-        return (
-            FormField(self.grid, self.q, phys[:a], PHYSICAL),
-            FormField(self.grid, self.q + 1, phys[a:], PHYSICAL),
-        )
+        return _samples(u, self.m1, du)
 
     def _base_physical(self, t: float) -> np.ndarray:
         m = int(round(t / self.dt_base))
@@ -471,19 +496,14 @@ class _EtdHeun:
             self._base_phys = (m, self.physical(self.base[m]))
         return self._base_phys[1]
 
-    def _source(self, phys: np.ndarray | None, t: float) -> np.ndarray:
-        """g(v, t) in Fourier space as a new array, from phys = physical(v)."""
+    def source(self, phys: np.ndarray | None, t: float, exact: bool = False) -> np.ndarray:
+        """g(v, t) in Fourier space as a new array, from phys = physical(v);
+        with exact, the full f - N(v) (or f - B(w, v))."""
         grid = self.grid
-        if not self.products:
+        if not (self.m1 or (exact and self.m2)):
             return self.forcing.evaluate(grid, self.q, t).data.copy()
-        v, dv = self._split(phys)
-        if self.linearized:
-            w, dw = self._split(self._base_physical(t))
-            m1 = apply_m1(self.spec, dw, v).data
-            m1 += apply_m1(self.spec, dv, w).data
-        else:
-            m1 = apply_m1(self.spec, dv, v).data
-        g = apply_dealias(grid, grid.fft(m1, overwrite=True))
+        w = self._base_physical(t) if self.linearized else None
+        g = _quadratic(self.spec, grid, self.q, phys, w, exact)
         np.negative(g, out=g)
         if self.forced:
             g += self.forcing.evaluate(grid, self.q, t).data
@@ -494,19 +514,19 @@ class _EtdHeun:
         physical(u) and is consumed."""
         grid, q = self.grid, self.q
         phys, self.phys = self.phys, None
-        if not (self.products or self.forced):
+        if not (self.m1 or self.forced):
             return FormField(grid, q, E * u.data, FOURIER)
-        k1 = leray_project(FormField(grid, q, self._source(phys, t), FOURIER)).data
+        k1 = leray_project(FormField(grid, q, self.source(phys, t), FOURIER)).data
         # each stacked sample buffer is released as soon as it is used: at
         # n = 3, N = 8 one holds 25 MB
         phys = None
-        if self.products:
+        if self.m1:
             mid = dt * k1
             mid += u.data
             mid *= E
             phys = self.physical(FormField(grid, q, mid, FOURIER))
             mid = None
-        g2 = self._source(phys, t + dt)
+        g2 = self.source(phys, t + dt)
         phys = None
         k1 *= 0.5 * dt
         k1 += u.data
@@ -514,15 +534,6 @@ class _EtdHeun:
         g2 *= 0.5 * dt
         k1 += g2
         return leray_project(FormField(grid, q, k1, FOURIER))
-
-    def pressure_source(self, u: FormField, t: float) -> FormField:
-        """The full f - N(u) (or f - B(w, u)) at time t."""
-        f = self.forcing.evaluate(self.grid, self.q, t)
-        if not self.linearized:
-            return f - nonlinearity(u, self.spec)
-        if self.base is None:
-            return f
-        return f - linearized_b(self.base[int(round(t / self.dt_base))], u, self.spec)
 
 
 def step_etd_heun(u_m: FormField, t_m: float, config: SimConfig) -> FormField:
@@ -556,8 +567,9 @@ def _prepare_initial(config: SimConfig, grid: SpectralGrid, u0: FormField) -> Fo
 
 def _run_loop(config: SimConfig, grid: SpectralGrid, u0: FormField, kernel: _EtdHeun, cfl: bool) -> Trajectory:
     """Shared integration loop: per-step diagnostics, interval snapshots,
-    optional per-interval CFL adaptation (dt refined by an integer factor,
-    output stamps untouched)."""
+    optional CFL check before every step.  In shrink mode a violation
+    refines dt by an integer factor and restarts the current interval from
+    its start state, so output stamps never move."""
     r_lps, s_lps = config.lps_exponents
     cell = grid.cell_volume
 
@@ -594,40 +606,47 @@ def _run_loop(config: SimConfig, grid: SpectralGrid, u0: FormField, kernel: _Etd
         diag["lps_accum"].append(lps_accum)
         return mx
 
-    def snapshot(t, state):
-        # dbar* annihilates the solenoidal part of F, so recovering p from F
-        # itself equals recovering it from the exact part F - P F
-        p = pressure_recover(kernel.pressure_source(state, t), check=False)
-        return state, p
-
     velocities, pressures = [], []
+
+    def snapshot(t, state):
+        # F = f - N(u) (or f - B(w, u)) from the samples record() left in
+        # kernel.phys.  dbar* annihilates the solenoidal part of F, so
+        # recovering p from F itself equals recovering it from F - P F
+        F = FormField(grid, config.q, kernel.source(kernel.phys, t, exact=True), FOURIER)
+        velocities.append(state)
+        pressures.append(pressure_recover(F, check=False))
+
     umax = record(0.0, u)
-    snap_u, snap_p = snapshot(0.0, u)
-    velocities.append(snap_u)
-    pressures.append(snap_p)
+    snapshot(0.0, u)
 
     for k in range(intervals):
         t0 = k * interval_len
-        if cfl:
-            dt_max = config.cfl_safety * grid.dx / max(1.0, umax)
-            if dt > dt_max * (1.0 + 1e-12):
-                factor = math.ceil(dt / dt_max)
-                # honor the T/dt <= 1e7 budget even while refining
-                if config.cfl_mode == "fail" or stride * factor * intervals > 1e7:
-                    raise CFLError(t0, dt, dt_max)
-                dt = dt / factor
-                stride = stride * factor
-                E = heat_multiplier_grid(grid, config.mu, dt)
-        for m in range(stride):
+        start = (u, len(diag["t"]), lps_accum, g_prev)
+        m = 0
+        while m < stride:
             t = t0 + m * dt
+            if cfl:
+                dt_max = config.cfl_safety * grid.dx / max(1.0, umax)
+                if dt > dt_max * (1.0 + 1e-12):
+                    factor = math.ceil(dt / dt_max)
+                    # honor the T/dt <= 1e7 budget even while refining
+                    if config.cfl_mode == "fail" or stride * factor * intervals > 1e7:
+                        raise CFLError(t, dt, dt_max)
+                    dt = dt / factor
+                    stride = stride * factor
+                    E = heat_multiplier_grid(grid, config.mu, dt)
+                    if m > 0:
+                        u, rows, lps_accum, g_prev = start
+                        for column in diag.values():
+                            del column[rows:]
+                        kernel.phys = kernel.physical(u)
+                        m, t = 0, t0
             u = kernel.step(u, t, dt, E)
             if not np.all(np.isfinite(u.data)):
                 raise BlowUpError(t + dt)
             umax = record(t + dt, u)
-        t1 = (k + 1) * interval_len
-        snap_u, snap_p = snapshot(t1, u)
-        velocities.append(snap_u)
-        pressures.append(snap_p)
+            m += 1
+        snapshot((k + 1) * interval_len, u)
 
     stamps = np.arange(intervals + 1) * interval_len
     diagnostics = {name: np.asarray(vals) for name, vals in diag.items()}

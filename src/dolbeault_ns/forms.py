@@ -161,20 +161,6 @@ class FormField:
         return FormField(self.grid, self.q, -self.data, self.rep)
 
 
-def forward_transform(u: FormField) -> FormField:
-    """Physical samples -> Fourier coefficients; rejects Fourier input."""
-    if u.rep != PHYSICAL:
-        raise ValueError("forward_transform expects the physical representation")
-    return u.to_fourier()
-
-
-def inverse_transform(u: FormField) -> FormField:
-    """Fourier coefficients -> physical samples; rejects physical input."""
-    if u.rep != FOURIER:
-        raise ValueError("inverse_transform expects the fourier representation")
-    return u.to_physical()
-
-
 def l2_inner(u: FormField, v: FormField) -> complex:
     """Sesquilinear L^2 pairing (u, v) = sum_J int u_J conj(v_J) dx.
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,6 @@ from dolbeault_ns import (
     leray_project,
     linearized_b,
     nonlinearity,
-    projected_rhs,
     random_form,
     simulate,
     solve_linearized,
@@ -66,7 +67,8 @@ def test_config_validation():
         SimConfig(n=2, q=1, N=8, mu=1.0, T=1.0, dt=1e-8)  # T/dt above the budget
     nan, inf = float("nan"), float("inf")
     for bad in ({"mu": nan}, {"mu": inf}, {"T": nan}, {"T": inf}, {"dt": nan}, {"dt": inf},
-                {"output_stride": 0}, {"output_stride": -1}):
+                {"output_stride": 0}, {"output_stride": -1},
+                {"lps_r": 4.0}, {"lps_r": 3.0}, {"lps_r": nan}, {"lps_r": inf}):
         with pytest.raises(ValueError):
             SimConfig(**{"n": 2, "q": 1, "N": 8, "mu": 1.0, "T": 1.0, "dt": 0.1, **bad})
     cfg = SimConfig(n=2, q=1, N=8, mu=1.0, T=1.0, dt=0.1, nonlinearity=LAMB)
@@ -91,6 +93,8 @@ def test_forcing_validation(grid8):
     frc = ForcingSpec(kind="single_mode", zeta=(1, 0, 0, 0), component=(1, 2), amplitude=1.0)
     with pytest.raises(ValueError):
         frc.validate_for(grid8, 1)
+    with pytest.raises(ValueError, match="singel_mode"):
+        ForcingSpec.from_json({"kind": "singel_mode"})
 
 
 def test_forcing_evaluation(grid8):
@@ -221,32 +225,6 @@ def test_b_continuity_ratio_bounded(grid8):
     assert 0.0 < worst < 1.0
 
 
-# -- projected right-hand side ---------------------------------------------------------
-
-
-def test_projected_rhs_stokes(grid8, rng):
-    u = _solenoidal(grid8, rng)
-    zero = FormField.zeros(grid8, 1, FOURIER)
-    assert l2_norm(projected_rhs(u, zero, 1.0, STOKES)) == 0.0
-
-    f_sol = _solenoidal(grid8, rng)
-    out = projected_rhs(u, f_sol, 1.0, STOKES)
-    assert l2_norm(out - f_sol) < 1e-12 * l2_norm(f_sol)
-
-    from dolbeault_ns import dbar
-
-    f_exact = dbar(random_form(grid8, 0, rng))
-    out = projected_rhs(u, f_exact, 1.0, STOKES)
-    assert l2_norm(out) < 1e-12 * l2_norm(f_exact)
-
-
-def test_projected_rhs_rejects_unconstrained_state(grid8, rng):
-    u = random_form(grid8, 1, rng)  # not projected
-    zero = FormField.zeros(grid8, 1, FOURIER)
-    with pytest.raises(ValueError):
-        projected_rhs(u, zero, 1.0, STOKES)
-
-
 # -- stepping ------------------------------------------------------------------------
 
 
@@ -343,6 +321,28 @@ def test_cfl_fail_and_shrink(grid8, rng):
     # output stamps unchanged; extra inner steps taken
     assert np.allclose(traj.stamps, np.arange(3) * 0.25)
     assert len(traj.diagnostics["t"]) > cfg2.steps + 1
+
+
+@pytest.mark.parametrize("stride", [1, 50])
+def test_cfl_checked_at_every_step(grid8, stride):
+    # a strong solenoidal force drives max |u| = 2e4 t past the bound
+    # 0.5 dx / max |u| ~ 1e-3 at t = 0.02, inside the first output interval
+    frc = ForcingSpec(kind="single_mode", zeta=(0, 1, 0, 0), component=(1,), amplitude=2e4)
+    cfg = SimConfig(n=2, q=1, N=8, mu=0.1, T=0.05, dt=1e-3, forcing=frc, output_stride=stride)
+    u0 = FormField.zeros(grid8, 1, FOURIER)
+    with pytest.raises(CFLError) as err:
+        simulate(cfg, u0)
+    assert err.value.time == pytest.approx(0.02)
+
+    traj = simulate(replace(cfg, cfl_mode="shrink"), u0)
+    assert np.allclose(traj.stamps, np.arange(len(traj.stamps)) * stride * cfg.dt)
+    t, umax = traj.diagnostics["t"], traj.diagnostics["max_abs_u"]
+    assert t[-1] == pytest.approx(cfg.T) and len(t) > cfg.steps + 1
+    # the restarted intervals left no rows behind, and no step broke the bound
+    bound = cfg.cfl_safety * grid8.dx / np.maximum(1.0, umax[:-1])
+    assert np.all(np.diff(t) > 0.0)
+    assert np.all(np.diff(t) <= bound * (1.0 + 1e-9))
+    assert np.all(np.diff(traj.diagnostics["lps_accum"]) > 0.0)
 
 
 def _scaled_lamb_terms(n, factor):

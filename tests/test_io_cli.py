@@ -353,7 +353,11 @@ def test_cli_missing_config_is_usage_error(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("overrides", [{"output_stride": 0}, {"mu": float("nan")}, {"dt": float("inf")}])
+@pytest.mark.parametrize(
+    "overrides",
+    [{"output_stride": 0}, {"mu": float("nan")}, {"dt": float("inf")}, {"lps_r": 4.0},
+     {"forcing": {"kind": "singel_mode"}}],
+)
 def test_cli_rejects_bad_config_with_exit_2(tmp_path, capsys, overrides):
     cfg_path = _write_cfg(tmp_path, **overrides)
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2

@@ -45,21 +45,10 @@ def test_transform_pure_mode(grid8):
 
 
 def test_transform_round_trip(grid8, rng):
-    u = random_form(grid8, 1, rng).to_physical()
-    back = u.to_fourier().to_physical()
-    assert np.max(np.abs(back.data - u.data)) < 1e-12
-
-
-def test_strict_transforms_check_representation(grid8, rng):
-    from dolbeault_ns import forward_transform, inverse_transform
-
     u = random_form(grid8, 1, rng)
-    phys = inverse_transform(u)
-    assert np.max(np.abs(forward_transform(phys).data - u.data)) < 1e-12
-    with pytest.raises(ValueError):
-        forward_transform(u)
-    with pytest.raises(ValueError):
-        inverse_transform(phys)
+    phys = u.to_physical()
+    assert np.max(np.abs(phys.to_fourier().data - u.data)) < 1e-12
+    assert np.max(np.abs(phys.to_fourier().to_physical().data - phys.data)) < 1e-12
 
 
 def test_parseval(grid8, rng):
