@@ -40,6 +40,16 @@ strides from the full f - N(u) (or f - B(w, u)) through pressure_recover().
 A snapshot evaluates Q on the samples the diagnostics of u already made
 (and on the cached samples of w), so it makes no inverse FFT and one
 forward FFT.  The CFL bound is checked before every step.
+
+Every stepped state is band-limited by the 2/3 rule: the initial data is
+dealiased (and rejected if that moves it), forcing and linearization bases
+with a nonzero mode outside the band are rejected, and every source is
+dealiased.  So a run works on the band view of its grid (spectral.py):
+the start gathers u0, the forcing and the base states onto the band,
+stepping, diagnostics and pressures stay there with pruned transforms,
+and only the velocities and pressures stored in the Trajectory are
+scattered back to the full lattice.  The per-mode arithmetic is that of
+the full grid, so the stored fields are those of a full-grid run.
 """
 
 import math
@@ -104,10 +114,13 @@ class ForcingSpec:
     _loaded: FormField | None = field(default=None, repr=False, compare=False)
 
     def validate_for(self, grid: SpectralGrid, q: int):
+        """Check the force against the run; it must be band-limited, since
+        the 2/3 rule dealiases the quadratic term only for band-limited
+        states."""
         if self.kind == "zero":
             return
         if self.kind == "single_mode":
-            grid.mode_index(self.zeta)
+            grid.band.mode_index(self.zeta)
             index_of(grid.n, tuple(self.component))
             if len(tuple(self.component)) != q:
                 raise ValueError(f"forcing component {self.component} is not a (0,{q}) index")
@@ -115,8 +128,20 @@ class ForcingSpec:
         if self.kind == "file":
             if not self.path:
                 raise ValueError("file forcing needs a path")
+            _require_band_limited(grid, self._stored(grid, q).data, "forcing file")
             return
         raise ValueError(f"unknown forcing kind {self.kind!r}")
+
+    def _stored(self, grid: SpectralGrid, q: int) -> FormField:
+        """The file force on the full lattice of grid, loaded once."""
+        if self._loaded is None:
+            from .io import load_field
+
+            self._loaded = load_field(self.path, grid=SpectralGrid(grid.n, grid.N)).to_fourier()
+        f = self._loaded
+        if f.q != q or (f.grid.n, f.grid.N) != (grid.n, grid.N):
+            raise ValueError("forcing file does not match the run's grid/bidegree")
+        return f
 
     def evaluate(self, grid: SpectralGrid, q: int, t: float) -> FormField:
         if self.kind == "zero":
@@ -127,13 +152,8 @@ class ForcingSpec:
             f.data[idx] = complex(self.amplitude) * np.exp(1j * self.omega * t)
             return f
         if self.kind == "file":
-            if self._loaded is None:
-                from .io import load_field
-
-                self._loaded = load_field(self.path, grid=grid).to_fourier()
-            if self._loaded.q != q or self._loaded.grid != grid:
-                raise ValueError("forcing file does not match the run's grid/bidegree")
-            return self._loaded
+            f = self._stored(grid, q)
+            return FormField(grid, q, grid.gather(f.data), FOURIER) if grid.banded else f
         raise ValueError(f"unknown forcing kind {self.kind!r}")
 
     def to_json(self) -> dict:
@@ -341,7 +361,7 @@ def _quadratic(
     if has_m2:
         parts.append(summed(apply_m2, q, slice(None, a)))  # M2(x, y)
     if not parts:
-        return np.zeros((a,) + grid.shape, dtype=np.complex128)
+        return np.zeros((a,) + grid.fourier_shape, dtype=np.complex128)
     hat = grid.fft(parts[0] if len(parts) == 1 else np.concatenate(parts), overwrite=True)
     if has_m2:
         total = dbar(FormField(grid, q - 1, hat[a if has_m1 else 0 :], FOURIER)).data
@@ -467,10 +487,14 @@ class _EtdHeun:
     need no samples at all, and with a zero source a step is exactly
     u <- E u.  source(..., exact=True) gives the full f - N(v) (or
     f - B(w, v)), whose exact part is the pressure.
+
+    The kernel works on the band view of the run's grid: states, sources
+    and multipliers hold the 2/3-rule modes only, and base[m] (full-lattice
+    fields) is gathered onto the band when its samples are made.
     """
 
     def __init__(self, config: SimConfig, grid: SpectralGrid, forcing: ForcingSpec, linearized=False, base=None):
-        self.grid = grid
+        self.grid = grid.band
         self.q = config.q
         self.spec = config.nonlinearity
         self.forcing = forcing
@@ -493,7 +517,8 @@ class _EtdHeun:
         m = int(round(t / self.dt_base))
         if self._base_phys[0] != m:
             self._base_phys = (None, None)  # free the old samples first
-            self._base_phys = (m, self.physical(self.base[m]))
+            w = FormField(self.grid, self.q, self.grid.gather(self.base[m].data), FOURIER)
+            self._base_phys = (m, self.physical(w))
         return self._base_phys[1]
 
     def source(self, phys: np.ndarray | None, t: float, exact: bool = False) -> np.ndarray:
@@ -536,28 +561,43 @@ class _EtdHeun:
         return leray_project(FormField(grid, q, k1, FOURIER))
 
 
+def _require_band_limited(grid: SpectralGrid, coeffs: np.ndarray, what: str):
+    """Reject full-lattice coefficients with a nonzero mode outside the
+    2/3-rule band."""
+    if np.any(coeffs[..., ~grid.dealias_mask]):
+        raise ValueError(
+            f"{what} has nonzero modes outside the 2/3-rule band |zeta_a| <= N/3 = {grid.N // 3}"
+        )
+
+
 def step_etd_heun(u_m: FormField, t_m: float, config: SimConfig) -> FormField:
-    """Advance one step of the configured problem from a solenoidal u_m at t_m."""
+    """Advance one step of the configured problem from a solenoidal,
+    band-limited u_m at t_m."""
     grid = u_m.grid
     if (grid.n, grid.N) != (config.n, config.N) or u_m.q != config.q:
         raise ValueError("state does not match the configuration")
     kernel = _EtdHeun(config, grid, config.forcing)
-    u = u_m.to_fourier()
+    band = kernel.grid
+    uf = u_m.to_fourier()
+    _require_band_limited(grid, uf.data, "state")
+    u = FormField(band, config.q, band.gather(uf.data), FOURIER)
     kernel.phys = kernel.physical(u)
-    out = kernel.step(u, t_m, config.dt, heat_multiplier_grid(grid, config.mu, config.dt))
+    out = kernel.step(u, t_m, config.dt, heat_multiplier_grid(band, config.mu, config.dt))
     if not np.all(np.isfinite(out.data)):
         raise BlowUpError(t_m + config.dt)
-    return out
+    return FormField(grid, config.q, band.scatter(out.data), FOURIER)
 
 
 def _prepare_initial(config: SimConfig, grid: SpectralGrid, u0: FormField) -> FormField:
+    """The dealiased, projected initial state on the band view of grid."""
     if u0.grid != grid or u0.q != config.q:
         raise ValueError("initial data does not match the configuration")
-    uf = FormField(grid, config.q, apply_dealias(grid, u0.to_fourier().data), FOURIER)
-    u = leray_project(uf)
+    band = grid.band
+    u0f = u0.to_fourier()
+    u = leray_project(FormField(band, config.q, band.gather(u0f.data), FOURIER))
     scale = l2_norm(u0)
     if scale > 0.0:
-        moved = l2_norm(u - u0.to_fourier()) / scale
+        moved = l2_norm(FormField(grid, config.q, band.scatter(u.data), FOURIER) - u0f) / scale
         if moved > 1e-6:
             raise ValueError(
                 f"initial data is not solenoidal/band-limited: projection moved it by {moved:.3e}"
@@ -569,16 +609,19 @@ def _run_loop(config: SimConfig, grid: SpectralGrid, u0: FormField, kernel: _Etd
     """Shared integration loop: per-step diagnostics, interval snapshots,
     optional CFL check before every step.  In shrink mode a violation
     refines dt by an integer factor and restarts the current interval from
-    its start state, so output stamps never move."""
+    its start state, so output stamps never move.  Stepping, diagnostics
+    and pressures run on the kernel's band view; snapshots are scattered
+    back to the full lattice of grid."""
     r_lps, s_lps = config.lps_exponents
     cell = grid.cell_volume
+    band = kernel.grid
 
     u = _prepare_initial(config, grid, u0)
     dt = config.dt
     stride = config.output_stride
     intervals = config.steps // stride
     interval_len = stride * config.dt
-    E = heat_multiplier_grid(grid, config.mu, dt)
+    E = heat_multiplier_grid(band, config.mu, dt)
 
     diag = {name: [] for name in DIAGNOSTIC_COLUMNS}
     lps_accum = 0.0
@@ -612,9 +655,10 @@ def _run_loop(config: SimConfig, grid: SpectralGrid, u0: FormField, kernel: _Etd
         # F = f - N(u) (or f - B(w, u)) from the samples record() left in
         # kernel.phys.  dbar* annihilates the solenoidal part of F, so
         # recovering p from F itself equals recovering it from F - P F
-        F = FormField(grid, config.q, kernel.source(kernel.phys, t, exact=True), FOURIER)
-        velocities.append(state)
-        pressures.append(pressure_recover(F, check=False))
+        F = FormField(band, config.q, kernel.source(kernel.phys, t, exact=True), FOURIER)
+        p = pressure_recover(F, check=False)
+        velocities.append(FormField(grid, config.q, band.scatter(state.data), FOURIER))
+        pressures.append(FormField(grid, p.q, band.scatter(p.data), FOURIER))
 
     umax = record(0.0, u)
     snapshot(0.0, u)
@@ -634,7 +678,7 @@ def _run_loop(config: SimConfig, grid: SpectralGrid, u0: FormField, kernel: _Etd
                         raise CFLError(t, dt, dt_max)
                     dt = dt / factor
                     stride = stride * factor
-                    E = heat_multiplier_grid(grid, config.mu, dt)
+                    E = heat_multiplier_grid(band, config.mu, dt)
                     if m > 0:
                         u, rows, lps_accum, g_prev = start
                         for column in diag.values():
@@ -725,6 +769,10 @@ def solve_linearized(
                 "base trajectory must be stored at every step (stamp spacing == dt)"
             )
         w_fields = [v.to_fourier() for v in w.velocities]
+        for m, v in enumerate(w_fields):
+            if v.grid != grid or v.q != config.q:
+                raise ValueError("base trajectory does not match the configuration")
+            _require_band_limited(grid, v.data, f"base state {m}")
 
     kernel = _EtdHeun(config, grid, frc, linearized=True, base=w_fields)
     return _run_loop(replace(config, forcing=frc), grid, u0, kernel, cfl=False)

@@ -80,12 +80,18 @@ def insert_sign(j: int, J: tuple) -> tuple:
 # -- form fields ---------------------------------------------------------------
 
 
+def _rep_shape(grid: SpectralGrid, rep: str) -> tuple:
+    return grid.fourier_shape if rep == FOURIER else grid.shape
+
+
 @dataclass
 class FormField:
     """A (0,q)-form on the grid: stacked component fields plus a rep flag.
 
-    data has shape (binom(n,q),) + grid.shape, complex128.  Instances are
-    treated as immutable; arithmetic returns new fields.
+    data has shape (binom(n,q),) + grid.shape in the physical and
+    (binom(n,q),) + grid.fourier_shape in the Fourier representation,
+    complex128.  Instances are treated as immutable; arithmetic returns new
+    fields.
     """
 
     grid: SpectralGrid
@@ -98,7 +104,7 @@ class FormField:
             raise ValueError(f"bidegree q={self.q} outside 0..{self.grid.n}")
         if self.rep not in (PHYSICAL, FOURIER):
             raise ValueError(f"unknown representation flag {self.rep!r}")
-        want = (num_components(self.grid.n, self.q),) + self.grid.shape
+        want = (num_components(self.grid.n, self.q),) + _rep_shape(self.grid, self.rep)
         if self.data.shape != want:
             raise ValueError(f"component stack has shape {self.data.shape}, expected {want}")
         if self.data.dtype != np.complex128:
@@ -106,7 +112,7 @@ class FormField:
 
     @classmethod
     def zeros(cls, grid: SpectralGrid, q: int, rep: str = FOURIER) -> "FormField":
-        shape = (num_components(grid.n, q),) + grid.shape
+        shape = (num_components(grid.n, q),) + _rep_shape(grid, rep)
         return cls(grid, q, np.zeros(shape, dtype=np.complex128), rep)
 
     @property
@@ -189,7 +195,7 @@ def random_form(
     mean_zero: bool = True,
 ) -> FormField:
     """Random band-limited Fourier field with |zeta|^{-decay} mode amplitudes."""
-    shape = (num_components(grid.n, q),) + grid.shape
+    shape = (num_components(grid.n, q),) + grid.fourier_shape
     coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
     zsq = grid.zeta_sq.copy()
     zsq.flat[0] = 1.0

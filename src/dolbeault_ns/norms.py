@@ -27,6 +27,7 @@ regularity certificate for a run.
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,9 +60,9 @@ def lr_norm(u: FormField, r: float) -> float:
 
 
 def lps_exponent(n: int, r: float) -> float:
-    """The time exponent s with 2/s + 2n/r = 1 (requires r > 2n)."""
-    if r <= 2 * n:
-        raise ValueError(f"strong-solution monitor needs r > 2n = {2 * n}, got r = {r}")
+    """The time exponent s with 2/s + 2n/r = 1 (requires finite r > 2n)."""
+    if not (math.isfinite(r) and r > 2 * n):
+        raise ValueError(f"strong-solution monitor needs finite r > 2n = {2 * n}, got r = {r}")
     return 2.0 / (1.0 - 2.0 * n / r)
 
 

@@ -12,6 +12,21 @@ Transforms are forward-normalized: the coefficient of e^{i zeta.x} equals
 the analytic mode amplitude, so a constant field has coefficient c at
 zeta = 0 and round trips are exact to machine precision.
 
+Every state the solver steps is band-limited by the 2/3 rule (Orszag,
+J. Atmos. Sci. 28 (1971)): only modes with |zeta_a| <= N/3 on every axis
+are nonzero.  SpectralGrid.band is a view of the grid with the same
+samples whose Fourier axes hold just those M = 2 (N // 3) + 1 frequencies,
+zero mode first, then 1..N//3, then -(N//3)..-1.  Its transforms are
+pruned: the inverse places the band in the corner of the sample array and
+transforms axis by axis, moving each axis's negative frequencies to the
+top of the axis just before its turn and transforming only the lines whose
+untransformed axes are in the band (the others are all zero); the forward
+transform works the other way round and keeps, after each axis, only the
+band.  The axes go in the order fftn takes them, so each line sees the
+same arithmetic: a band inverse equals the full inverse of the zero-padded
+coefficients, and a band forward equals the full forward transform
+followed by apply_dealias, bit for bit.
+
 All derivative action is diagonal here.  The one-dimensional Cauchy-Riemann
 operator along the j-th complex direction,
 
@@ -48,18 +63,21 @@ def _fft_workers() -> int:
 class SpectralGrid:
     """Uniform periodic grid on [0, 2*pi)^{2n} with N samples per axis.
 
-    Caches the frequency lattice, derivative symbols, the 2/3-rule dealias
-    mask and the inverse-Laplacian multiplier; all cached arrays are stored
-    in broadcast-friendly shapes and must be treated as read-only.
+    shape is that of the physical samples, fourier_shape that of the mode
+    amplitudes; the two differ only on a band view (see band).  Caches the
+    frequency lattice, derivative symbols, the 2/3-rule dealias mask and
+    the inverse-Laplacian multiplier; all cached arrays are stored in
+    broadcast-friendly shapes and must be treated as read-only.
     """
 
-    def __init__(self, n: int, N: int):
+    def __init__(self, n: int, N: int, banded: bool = False):
         if n < 1:
             raise ValueError(f"complex dimension must be >= 1, got {n}")
         if N < 4 or (N & (N - 1)) != 0:
             raise ValueError(f"N must be a power of two >= 4, got {N}")
         self.n = n
         self.N = N
+        self.banded = banded
         self.dim = 2 * n
         self.shape = (N,) * self.dim
         self.size = N**self.dim
@@ -67,11 +85,15 @@ class SpectralGrid:
         self.cell_volume = self.volume / self.size
         self.dx = 2.0 * np.pi / N
 
-        # integer frequencies in FFT layout, Nyquist assigned to +N/2
+        # integer frequencies in FFT layout, Nyquist assigned to +N/2; a band
+        # view keeps |zeta_a| <= N/3 in the same order
         freq = np.fft.fftfreq(N, 1.0 / N).astype(np.int64)
         freq[N // 2] = N // 2
+        if banded:
+            freq = freq[3 * np.abs(freq) <= N]
         self.freq = freq
         self.freq.setflags(write=False)
+        self.fourier_shape = (len(freq),) * self.dim
 
         self._axes = tuple(range(-self.dim, 0))
         self._workers = _fft_workers()
@@ -80,26 +102,49 @@ class SpectralGrid:
         self._zeta_sq: np.ndarray | None = None
         self._dealias: np.ndarray | None = None
         self._inv_lap: np.ndarray | None = None
+        self._band: SpectralGrid | None = self if banded else None
 
     def __repr__(self):
-        return f"SpectralGrid(n={self.n}, N={self.N})"
+        return f"SpectralGrid(n={self.n}, N={self.N}{', banded=True' if self.banded else ''})"
 
     def __eq__(self, other):
         return (
             isinstance(other, SpectralGrid)
             and self.n == other.n
             and self.N == other.N
+            and self.banded == other.banded
         )
 
     def __hash__(self):
-        return hash((self.n, self.N))
+        return hash((self.n, self.N, self.banded))
+
+    @property
+    def band(self) -> "SpectralGrid":
+        """The band view: same n, N and samples, Fourier axes on the 2/3-rule
+        modes only.  It inherits this grid's FFT worker count."""
+        if self._band is None:
+            self._band = SpectralGrid(self.n, self.N, banded=True)
+            self._band._workers = self._workers
+        return self._band
+
+    def gather(self, coeffs: np.ndarray) -> np.ndarray:
+        """This grid's modes of full-lattice coefficients, as a new array
+        (leading axes are a batch)."""
+        return coeffs[(Ellipsis,) + np.ix_(*(self.freq % self.N,) * self.dim)]
+
+    def scatter(self, coeffs: np.ndarray) -> np.ndarray:
+        """Coefficients on this grid's modes laid out on the full lattice,
+        zero elsewhere (leading axes are a batch)."""
+        out = np.zeros(coeffs.shape[: coeffs.ndim - self.dim] + self.shape, dtype=np.complex128)
+        out[(Ellipsis,) + np.ix_(*(self.freq % self.N,) * self.dim)] = coeffs
+        return out
 
     # -- lattice geometry -------------------------------------------------
 
     def axis_frequency(self, axis: int) -> np.ndarray:
         """Integer frequencies along a real axis (0-based), broadcastable."""
         shape = [1] * self.dim
-        shape[axis] = self.N
+        shape[axis] = len(self.freq)
         return self.freq.reshape(shape)
 
     def coordinate(self, axis: int) -> np.ndarray:
@@ -110,9 +155,9 @@ class SpectralGrid:
 
     @property
     def zeta_sq(self) -> np.ndarray:
-        """|zeta|^2 over the full lattice."""
+        """|zeta|^2 over the lattice."""
         if self._zeta_sq is None:
-            acc = np.zeros(self.shape, dtype=np.float64)
+            acc = np.zeros(self.fourier_shape, dtype=np.float64)
             for a in range(self.dim):
                 acc = acc + self.axis_frequency(a).astype(np.float64) ** 2
             acc.setflags(write=False)
@@ -123,7 +168,7 @@ class SpectralGrid:
     def dealias_mask(self) -> np.ndarray:
         """Boolean mask keeping modes with |zeta_a| <= N/3 on every axis."""
         if self._dealias is None:
-            keep = np.ones(self.shape, dtype=bool)
+            keep = np.ones(self.fourier_shape, dtype=bool)
             for a in range(self.dim):
                 keep = keep & (3 * np.abs(self.axis_frequency(a)) <= self.N)
             keep.setflags(write=False)
@@ -171,11 +216,12 @@ class SpectralGrid:
         zeta = tuple(int(z) for z in zeta)
         if len(zeta) != self.dim:
             raise ValueError(f"expected {self.dim} frequencies, got {len(zeta)}")
-        half = self.N // 2
+        lo, hi = int(self.freq.min()), int(self.freq.max())
         for z in zeta:
-            if not -half + 1 <= z <= half:
-                raise ValueError(f"frequency {z} outside lattice of N={self.N}")
-        return tuple(z % self.N for z in zeta)
+            if not lo <= z <= hi:
+                where = "the 2/3-rule band |zeta_a| <= N/3" if self.banded else "the lattice"
+                raise ValueError(f"frequency {z} outside {where} of N={self.N}")
+        return tuple(z % len(self.freq) for z in zeta)
 
     # -- transforms --------------------------------------------------------
 
@@ -185,18 +231,58 @@ class SpectralGrid:
         Leading axes are a batch, so a stack of component fields is one
         call.  The scaling happens inside the transform and is exact, since
         N^{2n} is a power of two.  With overwrite the transform may work in
-        the memory of `values`, which is then destroyed.
+        the memory of `values`, which is then destroyed.  On a band view
+        only the band is returned, equal to apply_dealias of the full
+        transform.
         """
-        return scipy.fft.fftn(
-            values, axes=self._axes, norm="forward", workers=self._workers, overwrite_x=overwrite
-        )
+        if not self.banded:
+            return scipy.fft.fftn(
+                values, axes=self._axes, norm="forward", workers=self._workers, overwrite_x=overwrite
+            )
+        N, M, K = self.N, len(self.freq), self.N // 3
+        first = values.ndim - self.dim
+        lead = (slice(None),) * first
+        work = scipy.fft.fft(values, axis=first, norm="forward", workers=self._workers, overwrite_x=overwrite)
+        for a in range(self.dim):
+            # axes before a already hold their band in the first M places
+            lines = work[lead + (slice(0, M),) * a]
+            if a:
+                self._in_place(scipy.fft.fft, lines, first + a)
+            at = lead + (slice(None),) * a
+            lines[at + (slice(K + 1, M),)] = lines[at + (slice(N - K, N),)]
+        return work[lead + (slice(0, M),) * self.dim].copy()
 
     def ifft(self, coeffs: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Mode amplitudes -> physical samples (no scaling); batch and
-        overwrite as in fft."""
-        return scipy.fft.ifftn(
-            coeffs, axes=self._axes, norm="forward", workers=self._workers, overwrite_x=overwrite
-        )
+        overwrite as in fft.  On a band view the input holds the band and
+        is never written."""
+        if not self.banded:
+            return scipy.fft.ifftn(
+                coeffs, axes=self._axes, norm="forward", workers=self._workers, overwrite_x=overwrite
+            )
+        N, M, K = self.N, len(self.freq), self.N // 3
+        first = coeffs.ndim - self.dim
+        lead = (slice(None),) * first
+        work = np.empty(coeffs.shape[:first] + self.shape, dtype=np.complex128)
+        work[lead + (slice(0, M),) * self.dim] = coeffs
+        for a in range(self.dim):
+            # axes after a still hold their band in the first M places; the
+            # places after those stand for zero modes, whose lines would
+            # transform to zero, and are left alone until their axis's turn
+            lines = work[lead + (slice(None),) * (a + 1) + (slice(0, M),) * (self.dim - a - 1)]
+            at = lead + (slice(None),) * a
+            lines[at + (slice(N - K, N),)] = lines[at + (slice(K + 1, M),)]
+            lines[at + (slice(K + 1, N - K),)] = 0.0
+            self._in_place(scipy.fft.ifft, lines, first + a)
+        return work
+
+    def _in_place(self, transform, lines: np.ndarray, axis: int):
+        """One-axis transform of the lines of a strided view, left in the
+        view's memory (overwrite_x permits an in-place result but does not
+        promise one)."""
+        out = transform(lines, axis=axis, norm="forward", workers=self._workers, overwrite_x=True)
+        if not np.may_share_memory(out, lines):
+            lines[...] = out
 
 
 # -- pointwise symbol/multiplier helpers ------------------------------------

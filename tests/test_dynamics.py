@@ -95,6 +95,23 @@ def test_forcing_validation(grid8):
         frc.validate_for(grid8, 1)
     with pytest.raises(ValueError, match="singel_mode"):
         ForcingSpec.from_json({"kind": "singel_mode"})
+    # on the lattice but outside the 2/3-rule band |zeta_a| <= 8/3: its
+    # products would alias
+    for zeta in ((3, 0, 0, 0), (0, 0, 0, -3), (0, 4, 0, 0)):
+        frc = ForcingSpec(kind="single_mode", zeta=zeta, component=(1,), amplitude=1.0)
+        with pytest.raises(ValueError, match="2/3-rule band"):
+            frc.validate_for(grid8, 1)
+    ForcingSpec(kind="single_mode", zeta=(2, 0, -2, 0), component=(1,), amplitude=1.0).validate_for(grid8, 1)
+
+
+def test_file_forcing_must_be_band_limited(grid8, rng, tmp_path):
+    from dolbeault_ns import save_field
+
+    f = random_form(grid8, 1, rng)
+    f.data[(1,) + grid8.mode_index((0, 0, 3, 0))] = 1e-300
+    save_field(tmp_path / "force", f)
+    with pytest.raises(ValueError, match="forcing file has nonzero modes outside"):
+        ForcingSpec(kind="file", path=str(tmp_path / "force")).validate_for(grid8, 1)
 
 
 def test_forcing_evaluation(grid8):
@@ -489,6 +506,27 @@ def test_linearized_requires_dense_base(grid8, rng):
     base = simulate(coarse, u0)
     with pytest.raises(ValueError):
         solve_linearized(base, coarse, u0=u0)
+
+
+def test_linearized_requires_band_limited_base(grid8, rng):
+    u0 = _unit_max(_solenoidal(grid8, rng))
+    cfg = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.02, dt=0.005, nonlinearity=LAMB, output_stride=1)
+    base = simulate(cfg, u0)
+    solve_linearized(base, cfg, u0=u0)
+    aliased = base.velocities[2].copy()
+    aliased.data[(0,) + grid8.mode_index((4, 1, 0, 0))] = 1e-12
+    base.velocities[2] = aliased
+    with pytest.raises(ValueError, match="base state 2 has nonzero modes outside"):
+        solve_linearized(base, cfg, u0=u0)
+
+
+def test_step_requires_band_limited_state(grid8, rng):
+    cfg = SimConfig(n=2, q=1, N=8, mu=1.0, T=0.1, dt=0.01, nonlinearity=LAMB)
+    u = _solenoidal(grid8, rng)
+    step_etd_heun(u, 0.0, cfg)
+    u.data[(1,) + grid8.mode_index((0, -3, 0, 0))] = 1.0
+    with pytest.raises(ValueError, match="2/3-rule band"):
+        step_etd_heun(u, 0.0, cfg)
 
 
 def test_forced_stokes_second_order_against_closed_form(grid8):

@@ -273,6 +273,13 @@ def test_cli_simulate_and_norms(tmp_path, capsys):
     assert "lps_integral" in report["values"]
     assert np.isfinite(report["values"]["bochner_vel"])
 
+    # a non-finite LPS exponent is an input error, not a NaN report
+    for r in ("nan", "inf"):
+        assert main(["norms", "--traj", str(out), "--k", "0", "--s", "1", "--lps-r", r]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err.lower()
+
 
 def test_cli_norms_matches_analytic_heat_trajectory(tmp_path, capsys):
     # single decaying mode: the velocity-scale norm at (k, s) = (0, 1) has a
@@ -356,9 +363,18 @@ def test_cli_missing_config_is_usage_error(tmp_path):
 @pytest.mark.parametrize(
     "overrides",
     [{"output_stride": 0}, {"mu": float("nan")}, {"dt": float("inf")}, {"lps_r": 4.0},
-     {"forcing": {"kind": "singel_mode"}}],
+     {"forcing": {"kind": "singel_mode"}},
+     # |zeta_1| = 3 > N/3: on the lattice of N = 8, outside the 2/3-rule band
+     {"forcing": {"kind": "single_mode", "zeta": [3, 0, 0, 0], "component": [1], "amplitude": [1.0, 0.0]}},
+     {"forcing": {"kind": "file", "path": "aliased-force"}}],
 )
 def test_cli_rejects_bad_config_with_exit_2(tmp_path, capsys, overrides):
+    if overrides.get("forcing", {}).get("kind") == "file":
+        # a force with one mode outside the band
+        force = FormField.zeros(SpectralGrid(2, 8), 1)
+        force.data[(0,) + force.grid.mode_index((0, 0, 4, 0))] = 1.0
+        save_field(tmp_path / "aliased-force", force)
+        overrides = {"forcing": {"kind": "file", "path": str(tmp_path / "aliased-force")}}
     cfg_path = _write_cfg(tmp_path, **overrides)
     assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert "error" in capsys.readouterr().err.lower()

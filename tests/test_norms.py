@@ -90,8 +90,9 @@ def test_lps_exponent_relation():
     for n, r in ((2, 5.0), (2, 8.0), (3, 7.0)):
         s = lps_exponent(n, r)
         assert 2.0 / s + 2.0 * n / r == pytest.approx(1.0, rel=1e-13)
-    with pytest.raises(ValueError):
-        lps_exponent(2, 4.0)
+    for r in (4.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            lps_exponent(2, r)
 
 
 def test_lps_integral_zero_and_scaling(grid8):
