@@ -468,7 +468,12 @@ def b_continuity_ratio(
 
 def _max_abs(u_phys_data: np.ndarray) -> float:
     """Max over grid points of the pointwise modulus of the form."""
-    return float(np.sqrt(np.max(np.sum(np.abs(u_phys_data) ** 2, axis=0))))
+    return _max_modulus(np.abs(u_phys_data))
+
+
+def _max_modulus(component_moduli: np.ndarray) -> float:
+    """_max_abs from the componentwise moduli |u_J| of the samples."""
+    return float(np.sqrt(np.max(np.sum(component_moduli**2, axis=0))))
 
 
 class _EtdHeun:
@@ -636,8 +641,9 @@ def _run_loop(config: SimConfig, grid: SpectralGrid, u0: FormField, kernel: _Etd
         dbs = l2_norm(dbar_star(state))
         kernel.phys = kernel.physical(state, du)
         u_phys = kernel.phys[: state.data.shape[0]]
-        mx = _max_abs(u_phys)
-        g = float((cell * np.sum(np.abs(u_phys) ** r_lps)) ** (1.0 / r_lps)) ** s_lps
+        moduli = np.abs(u_phys)
+        mx = _max_modulus(moduli)
+        g = float((cell * np.sum(moduli**r_lps)) ** (1.0 / r_lps)) ** s_lps
         if g_prev is not None:
             lps_accum += 0.5 * (g_prev + g) * (t - diag["t"][-1])
         g_prev = g

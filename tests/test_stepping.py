@@ -268,6 +268,16 @@ def test_fft_workers_do_not_change_results():
         assert np.array_equal(one.diagnostics[c], two.diagnostics[c])
 
 
+def test_max_abs_column_matches_stored_velocities():
+    # record() takes max |u| from the band samples it makes for the next
+    # step; at a snapshot row that is _max_abs of the stored full-lattice field
+    frc = ForcingSpec(kind="single_mode", zeta=(0, 1, 0, 0), component=(1,), amplitude=0.5)
+    cfg = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.05, dt=0.01, nonlinearity=LAMB, forcing=frc, output_stride=5)
+    traj = simulate(cfg, _initial(SpectralGrid(2, 8), 1, seed=3))
+    for m, u in enumerate(traj.velocities):
+        assert traj.diagnostics["max_abs_u"][m * cfg.output_stride] == dynamics._max_abs(u.to_physical().data)
+
+
 @pytest.mark.parametrize("case", ["lamb-forced", "m2-only-custom", "linearized"])
 def test_snapshot_pressure_matches_recovery_from_scratch(case):
     # a snapshot evaluates the quadratic term on the diagnostics' samples;
