@@ -156,6 +156,8 @@ def _check_frechet(n, q, N, rng):
 def _cmd_verify(args) -> int:
     if not 1 <= args.q <= args.n - 1:
         raise ValueError(f"q={args.q} outside 1..{args.n - 1}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     ops = {}
     selected = args.op

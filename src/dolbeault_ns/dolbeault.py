@@ -22,8 +22,8 @@ normalizations by the torus mean-zero convention.
 
 import numpy as np
 
-from .forms import FormField, index_of, insert_sign, l2_norm, multi_indices, num_components
-from .spectral import FOURIER, PHYSICAL, SpectralGrid, apply_inv_laplacian
+from .forms import FormField, index_of, insert_sign, l2_norm, multi_indices
+from .spectral import FOURIER, PHYSICAL, apply_inv_laplacian
 
 
 class PressureConsistencyError(RuntimeError):
@@ -134,39 +134,6 @@ def hodge_split(u: FormField) -> tuple:
         raise ValueError(f"hodge_split needs 1 <= q <= n, got q={u.q}")
     sol = leray_project(u)
     return sol, u - sol
-
-
-def fiber_matrix(grid: SpectralGrid, q: int, zeta) -> np.ndarray:
-    """Matrix of the projection on the component vector at one lattice point.
-
-    Materialized on demand for oracle checks; the projection itself is
-    applied through the operator composition, never through these matrices.
-    """
-    if not 1 <= q <= grid.n:
-        raise ValueError(f"fiber matrix needs 1 <= q <= n, got q={q}")
-    zeta = tuple(int(z) for z in zeta)
-    ncomp = num_components(grid.n, q)
-    zsq = sum(z * z for z in zeta)
-    if zsq == 0:
-        return np.eye(ncomp, dtype=np.complex128)
-    S = dbar_component_matrix(grid.n, q, zeta)
-    return (4.0 / zsq) * (S.conj().T @ S)
-
-
-def dbar_component_matrix(n: int, q: int, zeta) -> np.ndarray:
-    """Component matrix of dbar at a single mode (rows: level q+1)."""
-    from .spectral import dbar_symbol
-
-    rows = multi_indices(n, q + 1)
-    cols = multi_indices(n, q)
-    S = np.zeros((len(rows), len(cols)), dtype=np.complex128)
-    for ci, J in enumerate(cols):
-        for j in range(1, n + 1):
-            if j in J:
-                continue
-            sign, K = insert_sign(j, J)
-            S[index_of(n, K), ci] += sign * dbar_symbol(j, zeta)
-    return S
 
 
 def pressure_recover(F: FormField, check: bool = True, tol: float = 1e-8) -> FormField:

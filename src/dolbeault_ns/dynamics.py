@@ -307,15 +307,6 @@ class Trajectory:
 # -- nonlinearity and linearization ---------------------------------------------
 
 
-def _has_terms(spec: BilinearSpec) -> tuple:
-    """(M1 is nonzero, M2 is nonzero) for the spec."""
-    if spec.kind == "lamb":
-        return True, True
-    if spec.kind == "custom":
-        return bool(spec.m1_terms), bool(spec.m2_terms)
-    return False, False
-
-
 def _samples(u: FormField, with_dbar: bool, du: FormField | None = None) -> np.ndarray:
     """Physical samples of u (Fourier), stacked over those of dbar u when
     with_dbar, from one inverse FFT."""
@@ -340,8 +331,8 @@ def _quadratic(
     which P annihilates, is left out.  All products go through one forward
     FFT.
     """
-    has_m1, has_m2 = _has_terms(spec)
-    has_m2 = has_m2 and exact
+    m1_terms, m2_terms = spec.tables(grid.n, q)
+    has_m1, has_m2 = bool(m1_terms), bool(m2_terms) and exact
     a = num_components(grid.n, q)
     pairs = ((v, v),) if w is None else ((w, v), (v, w))
 
@@ -374,10 +365,7 @@ def _quadratic(
 def nonlinearity(u: FormField, spec: BilinearSpec) -> FormField:
     """N(u) = M1(dbar u, u) + dbar M2(u, u), dealiased Fourier output."""
     grid = u.grid
-    spec.validate_for(grid.n, u.q)
-    if spec.kind == "stokes":
-        return FormField.zeros(grid, u.q, FOURIER)
-    v = _samples(u.to_fourier(), _has_terms(spec)[0])
+    v = _samples(u.to_fourier(), bool(spec.tables(grid.n, u.q)[0]))
     return FormField(grid, u.q, _quadratic(spec, grid, u.q, v), FOURIER)
 
 
@@ -386,10 +374,7 @@ def linearized_b(w: FormField, u: FormField, spec: BilinearSpec) -> FormField:
     if w.grid != u.grid or w.q != u.q:
         raise ValueError("B needs two (0,q) forms on one grid")
     grid = u.grid
-    spec.validate_for(grid.n, u.q)
-    if spec.kind == "stokes":
-        return FormField.zeros(grid, u.q, FOURIER)
-    with_dbar = _has_terms(spec)[0]
+    with_dbar = bool(spec.tables(grid.n, u.q)[0])
     v = _samples(u.to_fourier(), with_dbar)
     return FormField(grid, u.q, _quadratic(spec, grid, u.q, v, _samples(w.to_fourier(), with_dbar)), FOURIER)
 
@@ -422,7 +407,6 @@ def verify_key1(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    spec.validate_for(grid.n, q)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -439,28 +423,6 @@ def verify_key1(
         "tol": tol,
         "pass": worst < tol,
     }
-
-
-def b_continuity_ratio(
-    spec: BilinearSpec,
-    grid: SpectralGrid,
-    q: int,
-    trials: int = 100,
-    seed: int = 0,
-) -> float:
-    """Max of ||B(w, u)|| / (||w||_{H^2} ||u||_{H^2}) over random smooth pairs."""
-    from .norms import sobolev_hs
-
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        w = random_form(grid, q, rng, decay=3.0)
-        u = random_form(grid, q, rng, decay=3.0)
-        num = l2_norm(linearized_b(w, u, spec))
-        den = sobolev_hs(w, 2) * sobolev_hs(u, 2)
-        if den > 0.0:
-            worst = max(worst, num / den)
-    return worst
 
 
 # -- time stepping ---------------------------------------------------------------
@@ -507,8 +469,8 @@ class _EtdHeun:
         self.linearized = linearized
         self.base = base
         live = base is not None or not linearized  # B(0, .) = 0
-        m1, m2 = _has_terms(self.spec)
-        self.m1, self.m2 = live and m1, live and m2
+        m1, m2 = self.spec.tables(self.grid.n, self.q)
+        self.m1, self.m2 = live and bool(m1), live and bool(m2)
         self.forced = forcing.kind != "zero"
         self.phys = None
         self._base_phys = (None, None)  # (step index, samples of [w, dbar w])
@@ -703,7 +665,7 @@ def _run_loop(config: SimConfig, grid: SpectralGrid, u0: FormField, kernel: _Etd
     return Trajectory(stamps, velocities, pressures, diagnostics, config)
 
 
-def _pairing_cancels(spec: BilinearSpec, tol: float = 1e-12) -> bool:
+def _pairing_cancels(m1_terms: tuple, tol: float = 1e-12) -> bool:
     """Exact sufficient test that (M1(omega, v), v) vanishes pointwise.
 
     A term c[K][A][B] contributes c omega_A v_B conj(v_K) to the pointwise
@@ -712,33 +674,32 @@ def _pairing_cancels(spec: BilinearSpec, tol: float = 1e-12) -> bool:
     to zero (relative to sum |c|), the pairing is the zero polynomial.
     """
     sums: dict = {}
-    for t in spec.m1_terms:
+    for t in m1_terms:
         b, k = tuple(t.b), tuple(t.k)
         key = (tuple(t.a), t.conj_u) + ((min(b, k), max(b, k)) if t.conj_u else (b, k))
         sums[key] = sums.get(key, 0.0) + complex(t.coeff)
-    total = sum(abs(complex(t.coeff)) for t in spec.m1_terms)
+    total = sum(abs(complex(t.coeff)) for t in m1_terms)
     return all(abs(s) <= tol * total for s in sums.values())
 
 
 def simulate(config: SimConfig, u0: FormField) -> Trajectory:
     """Integrate the nonlinear problem from u0 to T.
 
-    Custom nonlinearities are admitted only if they satisfy the
+    The nonlinearity is admitted only if it satisfies the
     energy-cancellation hypothesis: exactly, when the M1 coefficients of
-    every monomial of the pairing cancel, otherwise empirically through
-    verify_key1.  The built-in kinds satisfy it by construction and are not
-    re-checked.
+    every monomial of the pairing cancel (as they do for the Lamb and
+    Stokes tables), otherwise empirically through verify_key1.
     """
     grid = u0.grid
     if (grid.n, grid.N) != (config.n, config.N):
         raise ValueError("initial data grid does not match the configuration")
     config.forcing.validate_for(grid, config.q)
     spec = config.nonlinearity
-    if spec.kind == "custom" and not _pairing_cancels(spec):
+    if not _pairing_cancels(spec.tables(config.n, config.q)[0]):
         gate = verify_key1(spec, grid, config.q, trials=20, seed=config.seed)
         if not gate["pass"]:
             raise ValueError(
-                "custom nonlinearity violates the energy-cancellation hypothesis: "
+                "nonlinearity violates the energy-cancellation hypothesis: "
                 f"max normalized pairing {gate['max_normalized_pairing']:.3e}"
             )
     return _run_loop(config, grid, u0, _EtdHeun(config, grid, config.forcing), cfl=True)

@@ -9,18 +9,21 @@ The two zero-order bilinear maps are
 
     M1 : (0,q+1) x (0,q) -> (0,q)      M2 : (0,q) x (0,q) -> (0,q-1)
 
-with constant coefficients.  The built-in "lamb" choice (q = 1 only)
+with constant coefficients: each is a sparse tensor table of entries
+c[K][A][B] (CustomTerm), and every table is evaluated by the same term
+loop.  The built-in "lamb" choice (q = 1 only) is the constant table of
 
     M1(w, u)_k = sum_{j != k} eps(j,k) w_{sort(j,k)} conj(u_j),
     M2(u, w)   = sum_j u_j conj(w_j),
 
-is the complex-torus counterpart of writing the advection term of the
+the complex-torus counterpart of writing the advection term of the
 incompressible equations in Lamb form (vorticity x velocity plus a
-gradient).  Because the antisymmetric extension of w is contracted against
-the symmetric tensor conj(v_j) conj(v_k), the pairing (M1(dbar w, v), v)
-vanishes at every grid point, which is exactly the cancellation that
-removes the nonlinearity from the energy balance.  Conjugation of the
-second argument makes both maps R-bilinear rather than C-bilinear.
+gradient); "stokes" is the empty table.  Because the antisymmetric
+extension of w is contracted against the symmetric tensor
+conj(v_j) conj(v_k), the pairing (M1(dbar w, v), v) vanishes at every grid
+point, which is exactly the cancellation that removes the nonlinearity from
+the energy balance.  Conjugation of the second argument makes both maps
+R-bilinear rather than C-bilinear.
 """
 
 import functools
@@ -118,9 +121,6 @@ class FormField:
     @property
     def components(self) -> tuple:
         return multi_indices(self.grid.n, self.q)
-
-    def component(self, J) -> np.ndarray:
-        return self.data[index_of(self.grid.n, tuple(J))]
 
     def copy(self) -> "FormField":
         return FormField(self.grid, self.q, self.data.copy(), self.rep)
@@ -236,6 +236,7 @@ class BilinearSpec:
     kind: str
     m1_terms: tuple = ()
     m2_terms: tuple = ()
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def stokes(cls) -> "BilinearSpec":
@@ -248,6 +249,26 @@ class BilinearSpec:
     @classmethod
     def custom(cls, m1_terms, m2_terms) -> "BilinearSpec":
         return cls(KIND_CUSTOM, tuple(m1_terms), tuple(m2_terms))
+
+    def tables(self, n: int, q: int) -> tuple:
+        """The (M1, M2) tensor entries at (n, q), validated on first use:
+        none for stokes, the q = 1 tensor of the module docstring for lamb
+        (k ascending, then j != k ascending), the given entries for custom."""
+        return self._compile(n, q)[0]
+
+    def _compile(self, n: int, q: int) -> tuple:
+        """(tables, rows): rows hold each entry as the component indices
+        and coefficient (k, a, b, coeff, conj_u) that _contract reads."""
+        entry = self._cache.get((n, q))
+        if entry is None:
+            self.validate_for(n, q)
+            tables = _lamb_tables(n) if self.kind == KIND_LAMB else (self.m1_terms, self.m2_terms)
+            rows = tuple(
+                tuple((index_of(n, t.k), index_of(n, t.a), index_of(n, t.b), t.coeff, t.conj_u) for t in terms)
+                for terms in tables
+            )
+            entry = self._cache[(n, q)] = (tables, rows)
+        return entry
 
     def validate_for(self, n: int, q: int):
         if self.kind not in (KIND_STOKES, KIND_LAMB, KIND_CUSTOM):
@@ -311,6 +332,30 @@ def _term_from_json(e: dict) -> CustomTerm:
     )
 
 
+def _lamb_tables(n: int) -> tuple:
+    """The q = 1 Lamb pair of the module docstring as tensor entries."""
+    m1 = tuple(
+        CustomTerm(k=(k,), a=(min(j, k), max(j, k)), b=(j,), coeff=complex(1.0 if j < k else -1.0), conj_u=True)
+        for k in range(1, n + 1)
+        for j in range(1, n + 1)
+        if j != k
+    )
+    m2 = tuple(CustomTerm(k=(), a=(j,), b=(j,), coeff=1 + 0j, conj_u=True) for j in range(1, n + 1))
+    return m1, m2
+
+
+def _contract(rows: tuple, first: np.ndarray, second: np.ndarray, out: np.ndarray):
+    """out[k] += coeff * first[a] * second[b] over the rows, with second[b]
+    conjugated when conj_u is set (once per component and call).  A
+    coefficient of +-1 becomes the sign of the accumulation, which rounds
+    the same."""
+    conj = {b: np.conj(second[b]) for b in {b for _, _, b, _, conj_u in rows if conj_u}}
+    tmp = np.empty(out.shape[1:], dtype=out.dtype)
+    for k, a, b, coeff, conj_u in rows:
+        np.multiply(first[a] if coeff in (1, -1) else coeff * first[a], conj[b] if conj_u else second[b], out=tmp)
+        (np.subtract if coeff == -1 else np.add)(out[k], tmp, out=out[k])
+
+
 def apply_m1(spec: BilinearSpec, omega: FormField, u: FormField) -> FormField:
     """Pointwise M1(omega, u): (0,q+1) x (0,q) -> (0,q)."""
     if omega.grid != u.grid:
@@ -319,28 +364,8 @@ def apply_m1(spec: BilinearSpec, omega: FormField, u: FormField) -> FormField:
         raise ValueError(f"M1 needs bidegrees (q+1, q), got ({omega.q}, {u.q})")
     if omega.rep != PHYSICAL or u.rep != PHYSICAL:
         raise ValueError("apply_m1 requires physical representation")
-    spec.validate_for(u.grid.n, u.q)
-
     out = FormField.zeros(u.grid, u.q, PHYSICAL)
-    if spec.kind == KIND_STOKES:
-        return out
-    n = u.grid.n
-    if spec.kind == KIND_LAMB:
-        uc = np.conj(u.data)
-        for k in range(1, n + 1):
-            acc = out.data[index_of(n, (k,))]
-            for j in range(1, n + 1):
-                if j == k:
-                    continue
-                eps = 1.0 if j < k else -1.0
-                pair = (j, k) if j < k else (k, j)
-                acc += eps * omega.component(pair) * uc[index_of(n, (j,))]
-        return out
-    for t in spec.m1_terms:
-        second = u.component(t.b)
-        if t.conj_u:
-            second = np.conj(second)
-        out.data[index_of(n, t.k)] += t.coeff * omega.component(t.a) * second
+    _contract(spec._compile(u.grid.n, u.q)[1][0], omega.data, u.data, out.data)
     return out
 
 
@@ -351,18 +376,6 @@ def apply_m2(spec: BilinearSpec, u: FormField, w: FormField) -> FormField:
         raise ValueError("M2 requires bidegree q >= 1")
     if u.rep != PHYSICAL:
         raise ValueError("apply_m2 requires physical representation")
-    spec.validate_for(u.grid.n, u.q)
-
     out = FormField.zeros(u.grid, u.q - 1, PHYSICAL)
-    if spec.kind == KIND_STOKES:
-        return out
-    n = u.grid.n
-    if spec.kind == KIND_LAMB:
-        out.data[0] = np.sum(u.data * np.conj(w.data), axis=0)
-        return out
-    for t in spec.m2_terms:
-        second = w.component(t.b)
-        if t.conj_u:
-            second = np.conj(second)
-        out.data[index_of(n, t.k)] += t.coeff * u.component(t.a) * second
+    _contract(spec._compile(u.grid.n, u.q)[1][1], u.data, w.data, out.data)
     return out

@@ -15,6 +15,9 @@ classical cotangent differentiation matrix
 which differentiates trigonometric interpolants exactly below the Nyquist
 mode and never touches the FFT path; agreement is therefore a genuine
 two-route check on band-limited (dealiased) fields.
+
+The single-mode matrices of dbar and the projection and a sampled bound of
+B serve the same checks; the solver never uses them.
 """
 
 import functools
@@ -23,8 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dolbeault
-from .forms import FormField, insert_sign, index_of, multi_indices, num_components
-from .spectral import PHYSICAL, SpectralGrid
+from .dynamics import linearized_b
+from .forms import BilinearSpec, FormField, insert_sign, index_of, l2_norm, multi_indices, num_components, random_form
+from .norms import sobolev_hs
+from .spectral import PHYSICAL, SpectralGrid, dbar_symbol
 
 SIZE_LIMIT = 100_000
 
@@ -191,3 +196,54 @@ def oracle_compare(tag: str, u: FormField) -> float:
     if scale == 0.0:
         return 0.0
     return float(np.linalg.norm(via_dense - via_spectral) / scale)
+
+
+def fiber_matrix(grid: SpectralGrid, q: int, zeta) -> np.ndarray:
+    """Matrix of the projection on the component vector at one lattice point.
+
+    Materialized on demand for oracle checks; the projection itself is
+    applied through the operator composition, never through these matrices.
+    """
+    if not 1 <= q <= grid.n:
+        raise ValueError(f"fiber matrix needs 1 <= q <= n, got q={q}")
+    zeta = tuple(int(z) for z in zeta)
+    ncomp = num_components(grid.n, q)
+    zsq = sum(z * z for z in zeta)
+    if zsq == 0:
+        return np.eye(ncomp, dtype=np.complex128)
+    S = dbar_component_matrix(grid.n, q, zeta)
+    return (4.0 / zsq) * (S.conj().T @ S)
+
+
+def dbar_component_matrix(n: int, q: int, zeta) -> np.ndarray:
+    """Component matrix of dbar at a single mode (rows: level q+1)."""
+    rows = multi_indices(n, q + 1)
+    cols = multi_indices(n, q)
+    S = np.zeros((len(rows), len(cols)), dtype=np.complex128)
+    for ci, J in enumerate(cols):
+        for j in range(1, n + 1):
+            if j in J:
+                continue
+            sign, K = insert_sign(j, J)
+            S[index_of(n, K), ci] += sign * dbar_symbol(j, zeta)
+    return S
+
+
+def b_continuity_ratio(
+    spec: BilinearSpec,
+    grid: SpectralGrid,
+    q: int,
+    trials: int = 100,
+    seed: int = 0,
+) -> float:
+    """Max of ||B(w, u)|| / (||w||_{H^2} ||u||_{H^2}) over random smooth pairs."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        w = random_form(grid, q, rng, decay=3.0)
+        u = random_form(grid, q, rng, decay=3.0)
+        num = l2_norm(linearized_b(w, u, spec))
+        den = sobolev_hs(w, 2) * sobolev_hs(u, 2)
+        if den > 0.0:
+            worst = max(worst, num / den)
+    return worst

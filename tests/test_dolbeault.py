@@ -18,7 +18,7 @@ from dolbeault_ns import (
     random_form,
 )
 from dolbeault_ns import SpectralGrid
-from dolbeault_ns.dolbeault import dbar_component_matrix, fiber_matrix
+from dolbeault_ns.reference import dbar_component_matrix, fiber_matrix
 from dolbeault_ns.spectral import FOURIER, PHYSICAL
 
 

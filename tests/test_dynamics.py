@@ -24,7 +24,7 @@ from dolbeault_ns import (
     step_etd_heun,
     verify_key1,
 )
-from dolbeault_ns.dynamics import b_continuity_ratio
+from dolbeault_ns.reference import b_continuity_ratio
 from dolbeault_ns.forms import CustomTerm
 from dolbeault_ns.spectral import FOURIER
 
@@ -362,26 +362,19 @@ def test_cfl_checked_at_every_step(grid8, stride):
     assert np.all(np.diff(traj.diagnostics["lps_accum"]) > 0.0)
 
 
-def _scaled_lamb_terms(n, factor):
-    """The lamb contraction as explicit tensors, scaled by `factor`; the
-    antisymmetry (and hence the cancellation hypothesis) is preserved."""
-    m1 = []
-    for k in range(1, n + 1):
-        for j in range(1, n + 1):
-            if j == k:
-                continue
-            eps = factor if j < k else -factor
-            pair = (j, k) if j < k else (k, j)
-            m1.append(CustomTerm(k=(k,), a=pair, b=(j,), coeff=eps, conj_u=True))
-    m2 = [CustomTerm(k=(), a=(j,), b=(j,), coeff=factor, conj_u=True) for j in range(1, n + 1)]
-    return m1, m2
+def _scaled_lamb(n, factor):
+    """The Lamb table as a custom spec, scaled by `factor`; the antisymmetry
+    (and hence the cancellation hypothesis) is preserved."""
+    return BilinearSpec.custom(
+        *([replace(t, coeff=factor * t.coeff) for t in terms] for terms in LAMB.tables(n, 1))
+    )
 
 
 def test_blow_up_detection(grid8):
     # a hypothesis-respecting quadratic term with an absurd coefficient
     # overflows the explicit stages within a step; the stepper must catch
     # the lost finiteness and stamp the failure time
-    explosive = BilinearSpec.custom(*_scaled_lamb_terms(2, 1e160))
+    explosive = _scaled_lamb(2, 1e160)
     u0 = leray_project(_mode_field(grid8, 1, 0, (0, 1, 0, 0), amp=1.0))
     cfg = SimConfig(n=2, q=1, N=8, mu=1.0, T=1.0, dt=0.1, nonlinearity=explosive)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -403,7 +396,7 @@ def test_simulate_gates_custom_specs(grid8, rng):
 
     # a healthy custom tensor (lamb written out) passes the gate and matches
     # the built-in evolution exactly
-    custom = BilinearSpec.custom(*_scaled_lamb_terms(2, 1.0))
+    custom = _scaled_lamb(2, 1.0)
     u0 = _unit_max(u0)
     cfg_custom = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.05, dt=0.01, nonlinearity=custom, output_stride=5)
     cfg_lamb = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.05, dt=0.01, nonlinearity=LAMB, output_stride=5)
@@ -413,16 +406,17 @@ def test_simulate_gates_custom_specs(grid8, rng):
 
 
 def test_exact_gate_admits_cancelling_tensor_without_sampling(grid8, rng, monkeypatch):
-    # the Lamb tensors cancel monomial by monomial, so the gate needs no samples
+    # the Lamb tensors (built in or scaled custom) cancel monomial by
+    # monomial and Stokes has none, so the gate needs no samples
     def no_sampling(*args, **kwargs):
         raise AssertionError("verify_key1 sampled a tensor the exact check settles")
 
     monkeypatch.setattr(dynamics, "verify_key1", no_sampling)
-    for n, grid in ((2, grid8), (3, SpectralGrid(3, 4))):
-        spec = BilinearSpec.custom(*_scaled_lamb_terms(n, 3.0))
+    for n, grid in ((2, grid8), (3, SpectralGrid(3, 4)), (4, SpectralGrid(4, 4))):
         u0 = _unit_max(_solenoidal(grid, rng))
-        cfg = SimConfig(n=n, q=1, N=grid.N, mu=0.2, T=0.02, dt=0.01, nonlinearity=spec)
-        assert np.all(np.isfinite(simulate(cfg, u0).diagnostics["energy"]))
+        for spec in (_scaled_lamb(n, 3.0), LAMB, STOKES):
+            cfg = SimConfig(n=n, q=1, N=grid.N, mu=0.2, T=0.02, dt=0.01, nonlinearity=spec)
+            assert np.all(np.isfinite(simulate(cfg, u0).diagnostics["energy"]))
 
 
 def test_gate_samples_tensors_that_do_not_cancel(grid8, rng, monkeypatch):

@@ -7,6 +7,7 @@ from dolbeault_ns import (
     BilinearSpec,
     CustomTerm,
     FormField,
+    SpectralGrid,
     apply_m1,
     apply_m2,
     dbar,
@@ -71,8 +72,6 @@ def test_form_field_shape_validation(grid8):
 
 
 def test_l2_inner_constant_field_gives_volume():
-    from dolbeault_ns import SpectralGrid
-
     g = SpectralGrid(2, 4)
     u = FormField(g, 0, np.ones((1,) + g.shape, complex), PHYSICAL)
     val = l2_inner(u, u)
@@ -118,6 +117,7 @@ def test_apply_m1_m2_stokes_are_zero(grid8, rng):
     u = random_form(grid8, 1, rng).to_physical()
     assert l2_norm(apply_m1(spec, omega, u)) == 0.0
     assert l2_norm(apply_m2(spec, u, u)) == 0.0
+    assert spec.tables(2, 1) == ((), ())
 
 
 def test_apply_m1_lamb_hand_oracle(grid8):
@@ -214,30 +214,34 @@ def test_custom_spec_json_round_trip():
         BilinearSpec.from_json({"kind": "mystery"})
 
 
-def test_custom_spec_matches_lamb(grid8, rng):
-    # encode the lamb contraction as sparse tensors; must agree with built-in
-    n = grid8.n
-    m1 = []
-    for k in range(1, n + 1):
-        for j in range(1, n + 1):
-            if j == k:
-                continue
-            eps = 1.0 if j < k else -1.0
-            pair = (j, k) if j < k else (k, j)
-            m1.append(CustomTerm(k=(k,), a=pair, b=(j,), coeff=eps, conj_u=True))
-    m2 = [CustomTerm(k=(), a=(j,), b=(j,), coeff=1.0, conj_u=True) for j in range(1, n + 1)]
-    custom = BilinearSpec.custom(m1, m2)
+def test_custom_spec_matches_lamb(rng):
+    # the Lamb table, built in and as custom entries, against the
+    # module-docstring formula: with W the antisymmetric extension of omega,
+    # M1(omega, u)_k = sum_j W[j, k] conj(u_j) and M2(u, w) = sum_j u_j conj(w_j)
     lamb = BilinearSpec.lamb()
+    for n, N in ((2, 8), (3, 4), (4, 4)):
+        grid = SpectralGrid(n, N)
+        omega, u, w = (random_form(grid, q, rng).to_physical() for q in (2, 1, 1))
+        W = np.zeros((n, n) + grid.shape, complex)
+        for m, (j, k) in enumerate(multi_indices(n, 2)):
+            W[j - 1, k - 1], W[k - 1, j - 1] = omega.data[m], -omega.data[m]
+        want_m1 = np.einsum("jk...,j...->k...", W, np.conj(u.data))
+        want_m2 = np.einsum("j...,j...->...", u.data, np.conj(w.data))
+        for spec in (lamb, BilinearSpec.custom(*lamb.tables(n, 1))):
+            m1, m2 = apply_m1(spec, omega, u).data, apply_m2(spec, u, w).data[0]
+            assert np.linalg.norm(m1 - want_m1) <= 1e-14 * np.linalg.norm(want_m1)
+            assert np.linalg.norm(m2 - want_m2) <= 1e-14 * np.linalg.norm(want_m2)
 
-    omega = random_form(grid8, 2, rng).to_physical()
-    u = random_form(grid8, 1, rng).to_physical()
-    assert l2_norm(apply_m1(custom, omega, u) - apply_m1(lamb, omega, u)) < 1e-12
-    assert l2_norm(apply_m2(custom, u, u) - apply_m2(lamb, u, u)) < 1e-12
 
-
-def test_custom_spec_validates_index_shapes():
+def test_custom_spec_validates_index_shapes(grid8, rng):
     bad = BilinearSpec.custom(
         m1_terms=[CustomTerm(k=(1,), a=(1,), b=(2,), coeff=1.0)], m2_terms=[]
     )
     with pytest.raises(ValueError):
         bad.validate_for(2, 1)
+    # the tables are cached once valid, so a malformed one fails on every use
+    omega = random_form(grid8, 2, rng).to_physical()
+    u = random_form(grid8, 1, rng).to_physical()
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            apply_m1(bad, omega, u)

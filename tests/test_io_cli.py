@@ -353,6 +353,11 @@ def test_cli_verify_single_op(capsys):
 
 def test_cli_verify_usage_error(capsys):
     assert main(["verify", "--op", "key1", "--n", "3", "--q", "2", "--N", "8"]) == 2
+    # no trial would pass every check vacuously
+    for op, trials in (("dbar", "0"), ("leray", "-1")):
+        assert main(["verify", "--op", op, "--n", "2", "--q", "1", "--N", "4", "--trials", trials]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--trials" in captured.err
 
 
 def test_cli_simulate_and_norms(tmp_path, capsys):

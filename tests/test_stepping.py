@@ -132,19 +132,6 @@ def test_linearized_kernel_matches_reference():
     _assert_matches(lin, _reference(cfg, v0, source))
 
 
-def _lamb_m1(n):
-    """The M1 half of the q = 1 Lamb pair as tensor entries, with the
-    coefficients and the order in which apply_m1 accumulates the built-in
-    kind; the kernel's stages use this half only."""
-    terms = [
-        CustomTerm(k=(k,), a=(min(j, k), max(j, k)), b=(j,), coeff=1.0 if j < k else -1.0, conj_u=True)
-        for k in range(1, n + 1)
-        for j in range(1, n + 1)
-        if j != k
-    ]
-    return BilinearSpec.custom(terms, [])
-
-
 @pytest.mark.parametrize("case", ["simulate", "linearized"])
 def test_band_kernel_equals_full_grid_etd_heun(case):
     # the kernel steps on the band view; this reference repeats its
@@ -154,7 +141,7 @@ def test_band_kernel_equals_full_grid_etd_heun(case):
     forcing = ForcingSpec(kind="single_mode", zeta=(1, 0, -2, 1), component=(1,), amplitude=0.4 + 0.2j, omega=3.0)
     cfg = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.06, dt=0.01, nonlinearity=LAMB, forcing=forcing, output_stride=1)
     u0 = _initial(grid, 1, seed=21)
-    stages = _lamb_m1(2)
+    stages = BilinearSpec.custom(LAMB.tables(2, 1)[0], [])  # the M1 half, which the stages use
     if case == "simulate":
         traj = simulate(cfg, u0)
 
