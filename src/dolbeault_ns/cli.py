@@ -1,7 +1,7 @@
 """Command-line entry points.
 
     dolbeault-ns simulate  --config cfg.json --out run/ [--u0 DIR | --initial JSON]
-    dolbeault-ns verify    [--op all|dbar|adjoint|leray|key1|frechet] --n 2 --q 1 --N 8
+    dolbeault-ns verify    [--op all|dbar|adjoint|leray|key1|frechet] --n 2 --q 1 --N 8 [--trials T]
     dolbeault-ns norms     --traj run/ --k 0 --s 1 [--lps-r 5]
     dolbeault-ns pressure  --forces F/ --out p/
     dolbeault-ns linearize --base-traj run/ --config cfg.json --out lin/ [--u0 DIR | --initial JSON]
@@ -25,6 +25,10 @@ from .io import FieldFormatError, InitialSpec
 from .spectral import FOURIER, SpectralGrid
 
 
+# default --trials of verify; key1 samples a cancellation, so it draws more
+VERIFY_TRIALS, KEY1_TRIALS = 20, 100
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dolbeault-ns", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -44,7 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--n", type=int, required=True)
     ver.add_argument("--q", type=int, required=True)
     ver.add_argument("--N", type=int, required=True)
-    ver.add_argument("--trials", type=int, default=20)
+    ver.add_argument(
+        "--trials", type=int, default=None, help=f"trials per check (default {VERIFY_TRIALS}, key1 {KEY1_TRIALS})"
+    )
     ver.add_argument("--seed", type=int, default=0)
 
     nrm = sub.add_parser("norms", help="evaluate trajectory norms")
@@ -156,25 +162,27 @@ def _check_frechet(n, q, N, rng):
 def _cmd_verify(args) -> int:
     if not 1 <= args.q <= args.n - 1:
         raise ValueError(f"q={args.q} outside 1..{args.n - 1}")
-    if args.trials < 1:
+    if args.trials is not None and args.trials < 1:
         raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    trials = VERIFY_TRIALS if args.trials is None else args.trials
     rng = np.random.default_rng(args.seed)
     ops = {}
     selected = args.op
     if selected in ("all", "dbar"):
-        ops["dbar"] = _check_dbar(args.n, args.N, args.trials, rng)
+        ops["dbar"] = _check_dbar(args.n, args.N, trials, rng)
     if selected in ("all", "adjoint"):
-        ops["adjoint"] = _check_adjoint(args.n, args.q, args.N, args.trials, rng)
+        ops["adjoint"] = _check_adjoint(args.n, args.q, args.N, trials, rng)
     if selected == "all":
-        ops["laplacian"] = _check_laplacian(args.n, args.q, args.N, args.trials, rng)
+        ops["laplacian"] = _check_laplacian(args.n, args.q, args.N, trials, rng)
     if selected in ("all", "leray"):
-        ops["leray"] = _check_leray(args.n, args.q, args.N, args.trials, rng)
+        ops["leray"] = _check_leray(args.n, args.q, args.N, trials, rng)
     if selected == "all":
-        ops["pressure"] = _check_pressure(args.n, args.q, args.N, args.trials, rng)
+        ops["pressure"] = _check_pressure(args.n, args.q, args.N, trials, rng)
     if selected in ("all", "key1"):
         if args.q != 1:
             raise ValueError("key1 uses the built-in lamb nonlinearity (q = 1)")
-        ops["key1"] = _check_key1(args.n, args.q, args.N, max(args.trials, 100), args.seed)
+        key1_trials = KEY1_TRIALS if args.trials is None else args.trials
+        ops["key1"] = _check_key1(args.n, args.q, args.N, key1_trials, args.seed)
     if selected in ("all", "frechet"):
         if args.q != 1:
             raise ValueError("frechet uses the built-in lamb nonlinearity (q = 1)")

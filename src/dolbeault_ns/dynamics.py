@@ -39,7 +39,9 @@ Pressure never enters the time stepping; it is reconstructed at output
 strides from the full f - N(u) (or f - B(w, u)) through pressure_recover().
 A snapshot evaluates Q on the samples the diagnostics of u already made
 (and on the cached samples of w), so it makes no inverse FFT and one
-forward FFT.  The CFL bound is checked before every step.
+forward FFT.  The M1 block of that transform is the next step's stage-1
+source, so that stage forms no products and makes no transform.  The CFL
+bound is checked before every step.
 
 Every stepped state is band-limited by the 2/3 rule: the initial data is
 dealiased (and rejected if that moves it), forcing and linearization bases
@@ -329,7 +331,10 @@ def _quadratic(
     v and w are physical samples stacked as _samples() makes them; the
     dbar rows are read only for M1 terms.  Without exact the part dbar M2,
     which P annihilates, is left out.  All products go through one forward
-    FFT.
+    FFT.  Returns (Q, Q1), where Q1 is the dealiased M1 part alone, taken
+    from the same transform: Q itself when there is no M2 part, None when
+    there are no M1 terms.  Each field of a batch transforms on its own, so
+    Q1 is bit for bit what a call without exact gives.
     """
     m1_terms, m2_terms = spec.tables(grid.n, q)
     has_m1, has_m2 = bool(m1_terms), bool(m2_terms) and exact
@@ -352,21 +357,22 @@ def _quadratic(
     if has_m2:
         parts.append(summed(apply_m2, q, slice(None, a)))  # M2(x, y)
     if not parts:
-        return np.zeros((a,) + grid.fourier_shape, dtype=np.complex128)
+        return np.zeros((a,) + grid.fourier_shape, dtype=np.complex128), None
     hat = grid.fft(parts[0] if len(parts) == 1 else np.concatenate(parts), overwrite=True)
-    if has_m2:
-        total = dbar(FormField(grid, q - 1, hat[a if has_m1 else 0 :], FOURIER)).data
-        if has_m1:
-            total += hat[:a]
-        hat = total
-    return apply_dealias(grid, hat)
+    if not has_m2:
+        total = apply_dealias(grid, hat)
+        return total, total
+    total = dbar(FormField(grid, q - 1, hat[a if has_m1 else 0 :], FOURIER)).data
+    if has_m1:
+        total += hat[:a]
+    return apply_dealias(grid, total), apply_dealias(grid, hat[:a]) if has_m1 else None
 
 
 def nonlinearity(u: FormField, spec: BilinearSpec) -> FormField:
     """N(u) = M1(dbar u, u) + dbar M2(u, u), dealiased Fourier output."""
     grid = u.grid
     v = _samples(u.to_fourier(), bool(spec.tables(grid.n, u.q)[0]))
-    return FormField(grid, u.q, _quadratic(spec, grid, u.q, v), FOURIER)
+    return FormField(grid, u.q, _quadratic(spec, grid, u.q, v)[0], FOURIER)
 
 
 def linearized_b(w: FormField, u: FormField, spec: BilinearSpec) -> FormField:
@@ -376,7 +382,7 @@ def linearized_b(w: FormField, u: FormField, spec: BilinearSpec) -> FormField:
     grid = u.grid
     with_dbar = bool(spec.tables(grid.n, u.q)[0])
     v = _samples(u.to_fourier(), with_dbar)
-    return FormField(grid, u.q, _quadratic(spec, grid, u.q, v, _samples(w.to_fourier(), with_dbar)), FOURIER)
+    return FormField(grid, u.q, _quadratic(spec, grid, u.q, v, _samples(w.to_fourier(), with_dbar))[0], FOURIER)
 
 
 def frechet_residual(w: FormField, v: FormField, eps: float, spec: BilinearSpec) -> float:
@@ -449,11 +455,13 @@ class _EtdHeun:
     with base[m] the linearization point w at step m (base None: w = 0).
     A stage reads v from the samples of [v, dbar v], made by physical() in
     one inverse FFT.  The run loop stores the samples of the current state
-    in `phys` when it records its diagnostics, and step() takes them over,
-    so the first stage costs no transform.  Without M1 products the stages
-    need no samples at all, and with a zero source a step is exactly
-    u <- E u.  source(..., exact=True) gives the full f - N(v) (or
-    f - B(w, v)), whose exact part is the pressure.
+    in `phys` (load()) when it records its diagnostics, and step() takes
+    them over, so the first stage costs no transform.  Without M1 products
+    the stages need no samples at all, and with a zero source a step is
+    exactly u <- E u.  source(..., exact=True) gives the full f - N(v) (or
+    f - B(w, v)), whose exact part is the pressure; the M1 part of its
+    transform is g(v, t), which it keeps in `g1`, and step() takes that over
+    too, so after a snapshot the first stage forms no products at all.
 
     The kernel works on the band view of the run's grid: states, sources
     and multipliers hold the 2/3-rule modes only, and base[m] (full-lattice
@@ -473,12 +481,19 @@ class _EtdHeun:
         self.m1, self.m2 = live and bool(m1), live and bool(m2)
         self.forced = forcing.kind != "zero"
         self.phys = None
+        self.g1 = None
         self._base_phys = (None, None)  # (step index, samples of [w, dbar w])
 
     def physical(self, u: FormField, du: FormField | None = None) -> np.ndarray:
         """Samples of u (Fourier), stacked over those of dbar u when the
         stages form products, from one inverse FFT."""
         return _samples(u, self.m1, du)
+
+    def load(self, u: FormField, du: FormField | None = None):
+        """Hand the samples of u to the next step, dropping a stage source
+        kept for an earlier state."""
+        self.g1 = None
+        self.phys = self.physical(u, du)
 
     def _base_physical(self, t: float) -> np.ndarray:
         m = int(round(t / self.dt_base))
@@ -490,25 +505,31 @@ class _EtdHeun:
 
     def source(self, phys: np.ndarray | None, t: float, exact: bool = False) -> np.ndarray:
         """g(v, t) in Fourier space as a new array, from phys = physical(v);
-        with exact, the full f - N(v) (or f - B(w, v))."""
+        with exact, the full f - N(v) (or f - B(w, v)), and g(v, t) from
+        the same transform is kept in self.g1 when the stages need it."""
         grid = self.grid
         if not (self.m1 or (exact and self.m2)):
             return self.forcing.evaluate(grid, self.q, t).data.copy()
         w = self._base_physical(t) if self.linearized else None
-        g = _quadratic(self.spec, grid, self.q, phys, w, exact)
-        np.negative(g, out=g)
-        if self.forced:
-            g += self.forcing.evaluate(grid, self.q, t).data
+        g, g1 = _quadratic(self.spec, grid, self.q, phys, w, exact)
+        f = self.forcing.evaluate(grid, self.q, t).data if self.forced else None
+        for part in (g,) if g1 is None or g1 is g else (g, g1):
+            np.negative(part, out=part)
+            if f is not None:
+                part += f
+        if exact:
+            self.g1 = g1
         return g
 
     def step(self, u: FormField, t: float, dt: float, E: np.ndarray) -> FormField:
         """Advance u (Fourier, solenoidal) from t by dt; self.phys must hold
-        physical(u) and is consumed."""
+        physical(u) and is consumed, as is self.g1, g(u, t) if kept."""
         grid, q = self.grid, self.q
         phys, self.phys = self.phys, None
+        g1, self.g1 = self.g1, None
         if not (self.m1 or self.forced):
             return FormField(grid, q, E * u.data, FOURIER)
-        k1 = leray_project(FormField(grid, q, self.source(phys, t), FOURIER)).data
+        k1 = leray_project(FormField(grid, q, self.source(phys, t) if g1 is None else g1, FOURIER)).data
         # each stacked sample buffer is released as soon as it is used: at
         # n = 3, N = 8 one holds 25 MB
         phys = None
@@ -548,7 +569,7 @@ def step_etd_heun(u_m: FormField, t_m: float, config: SimConfig) -> FormField:
     uf = u_m.to_fourier()
     _require_band_limited(grid, uf.data, "state")
     u = FormField(band, config.q, band.gather(uf.data), FOURIER)
-    kernel.phys = kernel.physical(u)
+    kernel.load(u)
     out = kernel.step(u, t_m, config.dt, heat_multiplier_grid(band, config.mu, config.dt))
     if not np.all(np.isfinite(out.data)):
         raise BlowUpError(t_m + config.dt)
@@ -601,7 +622,7 @@ def _run_loop(config: SimConfig, grid: SpectralGrid, u0: FormField, kernel: _Etd
         energy = 0.5 * l2_norm(state) ** 2
         dbn = l2_norm(du) ** 2
         dbs = l2_norm(dbar_star(state))
-        kernel.phys = kernel.physical(state, du)
+        kernel.load(state, du)
         u_phys = kernel.phys[: state.data.shape[0]]
         moduli = np.abs(u_phys)
         mx = _max_modulus(moduli)
@@ -621,8 +642,9 @@ def _run_loop(config: SimConfig, grid: SpectralGrid, u0: FormField, kernel: _Etd
 
     def snapshot(t, state):
         # F = f - N(u) (or f - B(w, u)) from the samples record() left in
-        # kernel.phys.  dbar* annihilates the solenoidal part of F, so
-        # recovering p from F itself equals recovering it from F - P F
+        # kernel.phys; the next step takes over its M1 part.  dbar*
+        # annihilates the solenoidal part of F, so recovering p from F
+        # itself equals recovering it from F - P F
         F = FormField(band, config.q, kernel.source(kernel.phys, t, exact=True), FOURIER)
         p = pressure_recover(F, check=False)
         velocities.append(FormField(grid, config.q, band.scatter(state.data), FOURIER))
@@ -651,7 +673,7 @@ def _run_loop(config: SimConfig, grid: SpectralGrid, u0: FormField, kernel: _Etd
                         u, rows, lps_accum, g_prev = start
                         for column in diag.values():
                             del column[rows:]
-                        kernel.phys = kernel.physical(u)
+                        kernel.load(u)
                         m, t = 0, t0
             u = kernel.step(u, t, dt, E)
             if not np.all(np.isfinite(u.data)):

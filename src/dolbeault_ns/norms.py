@@ -35,6 +35,14 @@ a larger support.
 The strong-solution monitor integrates ||u(t)||_{L^r}^s over time with
 2/s + 2n/r = 1, r > 2n; finiteness of that integral is the discrete
 regularity certificate for a run.
+
+The energy report integrates the per-step dissipation with a local
+Simpson rule (_simpson): the composite rule for irregular spacing, with
+Cartwright's correction for the last interval when the point count is
+even and the trapezoid for two points.  It follows scipy.integrate.simpson
+(scipy >= 1.11) operation for operation, so the figures are the same bits
+without importing scipy.integrate, whose import pulls in scipy.linalg,
+sparse, optimize and spatial.
 """
 
 import itertools
@@ -242,6 +250,50 @@ def bochner_pre(traj, k: int, s: int, n: int | None = None) -> float:
 # -- reports ----------------------------------------------------------------------
 
 
+def _divide(num, den: np.ndarray) -> np.ndarray:
+    """num / den, and 0 where den == 0."""
+    return np.true_divide(num, den, out=np.zeros_like(den), where=den != 0)
+
+
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Simpson's rule for samples y at increasing stamps x (both 1-D).
+
+    Composite rule on the pairs of intervals, for irregular spacing; with
+    an even number of points the last interval gets Cartwright's
+    correction (J. Chem. Educ. 94 (2017)), with two points it is the
+    trapezoid.  The formulas and their operation order are those of
+    scipy.integrate.simpson, so the two agree bit for bit.
+    """
+    y, x = np.asarray(y), np.asarray(x)
+    h = np.diff(x)
+    # scipy adds the even-count results to 0.0, which turns -0.0 into 0.0
+    if len(y) == 2:
+        return float(0.5 * h[-1] * (y[-1] + y[-2]) + 0.0)
+    # Simpson on the first `pairs` intervals
+    pairs = 2 * ((len(y) - 1) // 2)
+    h0, h1 = h[0:pairs:2], h[1:pairs:2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = _divide(h0, h1)
+    result = np.sum(
+        hsum / 6.0
+        * (
+            y[0:pairs:2] * (2.0 - _divide(1.0, h0divh1))
+            + y[1:pairs:2] * (hsum * _divide(hsum, hprod))
+            + y[2 : pairs + 1 : 2] * (2.0 - h0divh1)
+        )
+    )
+    if len(y) % 2:
+        return float(result)
+    # Cartwright's correction for the last interval
+    h0, h1 = h[-2:-1].squeeze(), h[-1:].squeeze()
+    alpha = _divide(2 * h1**2 + 3 * h0 * h1, 6 * (h1 + h0))
+    beta = _divide(h1**2 + 3.0 * h0 * h1, 6 * h0)
+    eta = _divide(h1**3, 6 * h0 * (h0 + h1))
+    result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return float(result + 0.0)
+
+
 @dataclass
 class NormReport:
     """Labeled norm values plus the parameters they were evaluated with."""
@@ -273,9 +325,13 @@ def energy_report(traj, forcing=None) -> NormReport:
     whose residual is reported for the whole run and for the worst output
     interval.  Dissipation integrals use Simpson quadrature on the per-step
     diagnostics so that the reported numbers see the time-stepping error
-    rather than the bookkeeping quadrature; a nonzero forcing's work
-    integral is recomputed from the stored snapshots, so it additionally
-    carries the output-stride quadrature error.
+    rather than the bookkeeping quadrature.  The rule is this module's own
+    _simpson: the irregular-spacing composite rule, which handles the
+    refined steps of a cfl_mode="shrink" run, with Cartwright's correction
+    of the last interval for an even point count; it gives the bits of
+    scipy.integrate.simpson without importing it.  A nonzero forcing's
+    work integral is recomputed from the stored snapshots, so it
+    additionally carries the output-stride quadrature error.
 
     u_norm_0qT is the energy-functional norm
 
@@ -285,15 +341,13 @@ def energy_report(traj, forcing=None) -> NormReport:
     initial datum up to the balance residual.  The sup-in-time L^2 norm is
     reported alongside; the C(I, L^2)-based velocity scale is bochner_vel.
     """
-    from scipy.integrate import simpson
-
     cfg = traj.config
     d = traj.diagnostics
     t = d["t"]
     energy = d["energy"]
     dissipation = d["dbar_norm_sq"] + d["dbar_star_residual"] ** 2
 
-    u_norm = float(np.sqrt(2.0 * energy[-1] + 2.0 * cfg.mu * simpson(dissipation, x=t)))
+    u_norm = float(np.sqrt(2.0 * energy[-1] + 2.0 * cfg.mu * _simpson(dissipation, t)))
     u_sup = float(np.sqrt(2.0 * np.max(energy)))
 
     frc = forcing if forcing is not None else cfg.forcing
@@ -320,7 +374,7 @@ def energy_report(traj, forcing=None) -> NormReport:
     residuals = []
     for a, b in zip(boundaries[:-1], boundaries[1:]):
         de = energy[b] - energy[a]
-        diss = cfg.mu * simpson(dissipation[a : b + 1], x=t[a : b + 1])
+        diss = cfg.mu * _simpson(dissipation[a : b + 1], t[a : b + 1])
         residuals.append(de + diss)
     residuals = np.asarray(residuals)
     interval_work = 0.5 * (work[:-1] + work[1:]) * np.diff(traj.stamps)

@@ -309,6 +309,63 @@ def test_simulate_deterministic(grid8, rng):
         assert np.array_equal(t1.diagnostics[c], t2.diagnostics[c])
 
 
+def _same_run(a, b):
+    assert np.array_equal(a.diagnostics["t"], b.diagnostics["t"])
+    for x, y in zip(a.velocities + a.pressures, b.velocities + b.pressures):
+        assert np.array_equal(x.data, y.data)
+    for c in a.diagnostics:
+        assert np.array_equal(a.diagnostics[c], b.diagnostics[c])
+
+
+def test_snapshot_source_feeds_next_stage_bit_for_bit(grid8, rng, monkeypatch):
+    # a snapshot's f - N(u) transform also gives the next step's stage-1
+    # source; recomputing that source instead must change no bit, and the
+    # handover saves one stage-1 evaluation per output interval
+    frc = ForcingSpec(kind="single_mode", zeta=(0, 1, 0, 0), component=(1,), amplitude=0.3, omega=2.0)
+    m1_only = BilinearSpec.custom(m1_terms=LAMB.tables(2, 1)[0], m2_terms=[])
+    u0 = _unit_max(_solenoidal(grid8, rng))
+    lamb = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.05, dt=0.005, nonlinearity=LAMB, forcing=frc, output_stride=1)
+    # the force drives max |u| past the CFL bound at t = 0.02, inside the
+    # one output interval: the interval restarts at a refined dt
+    strong = ForcingSpec(kind="single_mode", zeta=(0, 1, 0, 0), component=(1,), amplitude=2e4)
+    shrink = SimConfig(n=2, q=1, N=8, mu=0.1, T=0.05, dt=1e-3, nonlinearity=LAMB, forcing=strong,
+                       output_stride=50, cfl_mode="shrink")
+    base = simulate(lamb, u0)
+    # (run, apply_m1 calls per stage-1 evaluation times the output intervals)
+    runs = {
+        "lamb": (lambda: simulate(lamb, u0), 10),
+        "m1 only": (lambda: simulate(replace(lamb, nonlinearity=m1_only), u0), 10),
+        "shrink": (lambda: simulate(shrink, 1e-3 * u0), 1),
+        "linearized": (lambda: solve_linearized(base, lamb, u0=0.5 * u0), 2 * 10),
+    }
+    m1_calls = [0]
+    apply_m1 = dynamics.apply_m1
+
+    def counted(*args):
+        m1_calls[0] += 1
+        return apply_m1(*args)
+
+    def with_calls(run):
+        m1_calls[0] = 0
+        return run(), m1_calls[0]
+
+    monkeypatch.setattr(dynamics, "apply_m1", counted)
+    kept = {name: with_calls(run) for name, (run, _) in runs.items()}
+    assert len(kept["shrink"][0].diagnostics["t"]) > shrink.steps + 1
+    step = dynamics._EtdHeun.step
+
+    def recompute(self, *args):
+        self.g1 = None
+        return step(self, *args)
+
+    monkeypatch.setattr(dynamics._EtdHeun, "step", recompute)
+    for name, (run, saved) in runs.items():
+        traj, calls = kept[name]
+        again, more_calls = with_calls(run)
+        _same_run(traj, again)
+        assert more_calls - calls == saved, name
+
+
 def test_simulate_initial_condition_honored(grid8, rng):
     u0 = _solenoidal(grid8, rng)
     cfg = SimConfig(n=2, q=1, N=8, mu=1.0, T=0.05, dt=0.01, nonlinearity=STOKES, output_stride=5)

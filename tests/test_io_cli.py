@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import zlib
 from pathlib import Path
@@ -358,6 +361,60 @@ def test_cli_verify_usage_error(capsys):
         assert main(["verify", "--op", op, "--n", "2", "--q", "1", "--N", "4", "--trials", trials]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--trials" in captured.err
+
+
+@pytest.mark.parametrize("flag, want", [([], 100), (["--trials", "5"], 5)])
+def test_cli_verify_key1_honors_trials(monkeypatch, capsys, flag, want):
+    import dolbeault_ns.cli as cli
+
+    seen = []
+
+    def fake_key1(spec, grid, q, trials, seed):
+        seen.append(trials)
+        return {"max_normalized_pairing": 0.0, "tol": 1e-10}
+
+    monkeypatch.setattr(cli, "verify_key1", fake_key1)
+    assert main(["verify", "--op", "key1", "--n", "2", "--q", "1", "--N", "4"] + flag) == 0
+    assert seen == [want]
+
+
+def test_cli_chain_loads_only_scipy_fft(tmp_path):
+    # every command in a fresh interpreter; scipy serves only the FFT, so
+    # the scipy modules loaded are those `import scipy.fft` loads
+    chain = f"""
+import json, sys
+import numpy as np
+from dolbeault_ns import SpectralGrid, dbar, random_form, save_field
+from dolbeault_ns.cli import main
+tmp = {str(tmp_path)!r}
+cfg = tmp + "/cfg.json"
+with open(cfg, "w") as f:
+    json.dump({{"n": 2, "q": 1, "N": 4, "mu": 0.2, "T": 0.03, "dt": 0.01,
+               "nonlinearity": {{"kind": "lamb"}}, "output_stride": 1, "seed": 3}}, f)
+save_field(tmp + "/F", dbar(random_form(SpectralGrid(2, 4), 0, np.random.default_rng(0))))
+for argv in (["simulate", "--config", cfg, "--out", tmp + "/run"],
+             ["norms", "--traj", tmp + "/run", "--k", "0", "--s", "1", "--lps-r", "5"],
+             ["linearize", "--base-traj", tmp + "/run", "--config", cfg, "--out", tmp + "/lin"],
+             ["pressure", "--forces", tmp + "/F", "--out", tmp + "/p"],
+             ["verify", "--op", "all", "--n", "2", "--q", "1", "--N", "4", "--trials", "3"]):
+    assert main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")), file=sys.stderr)
+"""
+    fft_only = "import json, sys, scipy.fft\n" + chain.splitlines()[-1].strip()
+
+    import dolbeault_ns
+
+    src = str(Path(dolbeault_ns.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+    def scipy_modules(code):
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300, env=env)
+        assert done.returncode == 0, done.stderr
+        return set(json.loads(done.stderr.splitlines()[-1]))
+
+    loaded, allowed = scipy_modules(chain), scipy_modules(fft_only)
+    assert "scipy.fft" in loaded
+    assert loaded <= allowed, sorted(loaded - allowed)
 
 
 def test_cli_simulate_and_norms(tmp_path, capsys):

@@ -10,6 +10,7 @@ import dolbeault_ns.norms as norms
 from dolbeault_ns import (
     BilinearSpec,
     FormField,
+    ForcingSpec,
     SimConfig,
     SpectralGrid,
     l2_norm,
@@ -20,6 +21,7 @@ from dolbeault_ns import (
 from dolbeault_ns.norms import (
     NormReport,
     _alpha_indices,
+    _simpson,
     _time_derivative,
     _uniform_spacing,
     bochner_for,
@@ -475,6 +477,50 @@ def test_energy_report_with_forcing_work_term(grid8, rng):
     e0 = traj.diagnostics["energy"][0]
     # work term recomputed at snapshot resolution: residual small but not zero
     assert abs(rep.values["energy_balance_residual"]) < 1e-4 * max(e0, 1.0)
+
+
+def _stamps(spacing, size, rng):
+    """Increasing stamps: uniform, jittered, or uniform and then refined by
+    an integer factor from some step on, as a cfl_mode="shrink" run writes
+    its diagnostics column t."""
+    dt = float(rng.uniform(1e-4, 1e-1))
+    if spacing == "uniform":
+        return np.arange(size) * dt
+    if spacing == "jittered":
+        return np.cumsum(dt * rng.uniform(0.1, 2.0, size))
+    coarse = int(rng.integers(1, size))
+    fine = dt / int(rng.integers(2, 40))
+    t0 = (coarse - 1) * dt
+    return np.concatenate((np.arange(coarse) * dt, [t0 + m * fine + fine for m in range(size - coarse)]))
+
+
+@pytest.mark.parametrize("size", range(2, 42))
+@pytest.mark.parametrize("spacing", ["uniform", "jittered", "refined"])
+@settings(derandomize=True, deadline=None, max_examples=4, phases=(Phase.explicit, Phase.generate))
+@given(seed=st.integers(0, 2**32 - 1))
+def test_simpson_equals_scipy_bitwise(size, spacing, seed):
+    from scipy.integrate import simpson
+
+    rng = np.random.default_rng(seed)
+    x = _stamps(spacing, size, rng)
+    y = rng.standard_normal(size) * 10.0 ** rng.integers(-12, 6)
+    assert np.array_equal(_simpson(y, x), simpson(y, x=x))
+
+
+def test_energy_report_of_shrink_run_equals_scipy_simpson(grid8):
+    # the force drives max |u| past the CFL bound at t = 0.02: from there
+    # on the step is refined, so the diagnostics stamps are not uniform
+    from scipy.integrate import simpson
+
+    frc = ForcingSpec(kind="single_mode", zeta=(0, 1, 0, 0), component=(1,), amplitude=2e4)
+    cfg = SimConfig(n=2, q=1, N=8, mu=0.1, T=0.05, dt=1e-3, forcing=frc, output_stride=5, cfl_mode="shrink")
+    traj = simulate(cfg, FormField.zeros(grid8, 1, FOURIER))
+    spacing = np.diff(traj.diagnostics["t"])
+    assert spacing.max() > 1.5 * spacing.min()
+    got = energy_report(traj).values
+    with mock.patch.object(norms, "_simpson", lambda y, x: simpson(y, x=x)):
+        want = energy_report(traj).values
+    assert got == want
 
 
 def test_norm_report_serialization():
