@@ -1,24 +1,40 @@
 """Field and trajectory persistence, initial-data generation, config files.
 
-A field on disk is a directory with a JSON manifest plus one raw binary
-blob per component: little-endian IEEE-754 double pairs (re, im), row-major
-over the grid axes, components in canonical multi-index order.  Every blob
-carries a CRC-32 in the manifest; loads verify schema version, byte counts
-and checksums before any field is constructed.  The manifest's time stamp
-is the simulation time of the snapshot (never the wall clock), so rerunning
-the same configuration and seed reproduces output directories bit for bit.
+A stored component is a raw blob of little-endian IEEE-754 double pairs
+(re, im), row-major over the grid axes, with its CRC-32 in a JSON manifest.
+Loads verify the schema version, the manifest keys, byte counts, checksums
+and that every value is finite before any field is constructed.  Time
+stamps are simulation time (never the wall clock), so rerunning the same
+configuration and seed reproduces output directories bit for bit.
 
-A trajectory directory is
+A field directory (schema dolbeault-ns.field/1: --u0, forcing files and the
+pressure tool) is manifest.json plus one blob comp_NNN.bin per component,
+components in canonical multi-index order.
 
-    manifest.json        config echo, config hash, stamps
+A trajectory directory (schema dolbeault-ns.trajectory/2) is three files,
+written in this order:
+
+    fields.bin           one record per field in snapshot order u_0, p_0,
+                         u_1, p_1, ...; a record is the field's component
+                         blobs laid end to end
     diagnostics.csv      t, energy, dbar_norm_sq, dbar_star_residual,
                          max_abs_u, lps_accum (one row per time step)
-    u_000000/ ...        velocity snapshots
-    p_000000/ ...        pressure snapshots
+    manifest.json        config echo, config hash, stamps, snapshot count,
+                         the total byte count of fields.bin and its index:
+                         per record kind, snapshot, q, representation, byte
+                         offset and one CRC-32 per component
+
+The manifest is written last, to a temporary file renamed into place, so a
+directory with a manifest holds a complete trajectory; what a power loss
+could leave behind fails the size or checksum checks.  Loads also check the
+config echo against its hash.  Trajectories of schema
+dolbeault-ns.trajectory/1, with one field directory per snapshot
+(u_000000/, p_000000/, ...), are still read.
 """
 
 import hashlib
 import json
+import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,10 +44,14 @@ import numpy as np
 from .dolbeault import leray_project
 from .dynamics import DIAGNOSTIC_COLUMNS, SimConfig, Trajectory
 from .forms import FormField, index_of, multi_indices, num_components, random_form
-from .spectral import FOURIER, SpectralGrid, apply_dealias
+from .spectral import FOURIER, PHYSICAL, SpectralGrid, apply_dealias
 
 FIELD_SCHEMA = "dolbeault-ns.field/1"
-TRAJECTORY_SCHEMA = "dolbeault-ns.trajectory/1"
+TRAJECTORY_SCHEMA = "dolbeault-ns.trajectory/2"
+TRAJECTORY_SCHEMA_V1 = "dolbeault-ns.trajectory/1"
+FIELDS_FILE = "fields.bin"
+# the records of one snapshot in fields.bin; kind k has bidegree config.q - k
+KINDS = ("u", "p")
 
 
 class FieldFormatError(RuntimeError):
@@ -119,9 +139,13 @@ def gen_initial(spec: InitialSpec, config: SimConfig, grid: SpectralGrid | None 
 # -- config files --------------------------------------------------------------------
 
 
-def config_hash(config: SimConfig) -> str:
-    canonical = json.dumps(config.to_json(), sort_keys=True, separators=(",", ":"))
+def _doc_hash(doc: dict) -> str:
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def config_hash(config: SimConfig) -> str:
+    return _doc_hash(config.to_json())
 
 
 def load_config(path) -> SimConfig:
@@ -136,8 +160,49 @@ def save_config(path, config: SimConfig):
 # -- field persistence ----------------------------------------------------------------
 
 
-def _component_bytes(field: FormField, ci: int) -> bytes:
-    return np.ascontiguousarray(field.data[ci]).astype("<c16", copy=False).tobytes()
+def _read_manifest(path: Path, what: str) -> dict:
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError as exc:
+        raise FieldFormatError(f"no {what} manifest under {path.parent}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FieldFormatError(f"{what} manifest {path} is not JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FieldFormatError(f"{what} manifest {path} is not a JSON object")
+    return doc
+
+
+def _key(doc, key: str, kind: type, where: str):
+    """doc[key], checked to exist and to be a kind (int excludes bool)."""
+    if not isinstance(doc, dict):
+        raise FieldFormatError(f"{where} is not a JSON object")
+    if key not in doc:
+        raise FieldFormatError(f"{where} lacks the key {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise FieldFormatError(f"{where} key {key!r} is not of type {kind.__name__}: {value!r:.40}")
+    return value
+
+
+def _write_component(fh, component: np.ndarray) -> int:
+    """Append one component's blob to fh, without a copy of a contiguous
+    little-endian component; returns the blob's CRC-32."""
+    raw = np.ascontiguousarray(component, dtype="<c16").reshape(-1).view(np.uint8)
+    fh.write(raw)
+    return zlib.crc32(raw)
+
+
+def _read_component(fh, dest: np.ndarray, crc, what: str):
+    """Read one blob from fh straight into dest (a C-contiguous "<c16"
+    component), then verify its CRC-32 and that every value is finite."""
+    raw = dest.reshape(-1).view(np.uint8)
+    got = fh.readinto(raw)
+    if got != raw.nbytes:
+        raise FieldFormatError(f"{what} is truncated ({got} of {raw.nbytes} bytes)")
+    if zlib.crc32(raw) != crc:
+        raise FieldFormatError(f"checksum failure in {what}")
+    if not np.isfinite(dest).all():
+        raise FieldFormatError(f"non-finite values in {what}")
 
 
 def save_field(path, field: FormField, sim_time: float = 0.0, seed=None, cfg_hash=None):
@@ -145,11 +210,10 @@ def save_field(path, field: FormField, sim_time: float = 0.0, seed=None, cfg_has
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     blobs = []
-    for ci in range(field.data.shape[0]):
-        raw = _component_bytes(field, ci)
+    for ci, component in enumerate(field.data):
         name = f"comp_{ci:03d}.bin"
-        (out / name).write_bytes(raw)
-        blobs.append({"file": name, "crc32": zlib.crc32(raw)})
+        with open(out / name, "wb") as fh:
+            blobs.append({"file": name, "crc32": _write_component(fh, component)})
     manifest = {
         "schema": FIELD_SCHEMA,
         "n": field.grid.n,
@@ -169,91 +233,160 @@ def save_field(path, field: FormField, sim_time: float = 0.0, seed=None, cfg_has
 
 
 def load_field(path, grid: SpectralGrid | None = None) -> FormField:
-    """Read a field directory back; verifies schema, sizes, checksums and
-    that every value is finite."""
+    """Read a field directory back; verifies schema, manifest keys, sizes,
+    checksums and that every value is finite."""
     root = Path(path)
-    try:
-        manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise FieldFormatError(f"no field manifest under {root}") from exc
+    where = f"field manifest {root / 'manifest.json'}"
+    manifest = _read_manifest(root / "manifest.json", "field")
     if manifest.get("schema") != FIELD_SCHEMA:
         raise FieldFormatError(
             f"unsupported field schema {manifest.get('schema')!r}, expected {FIELD_SCHEMA}"
         )
-    n, N, q = int(manifest["n"]), int(manifest["N"]), int(manifest["q"])
+    n, N, q = (_key(manifest, key, int, where) for key in ("n", "N", "q"))
     if grid is None:
         grid = SpectralGrid(n, N)
     elif (grid.n, grid.N) != (n, N):
         raise FieldFormatError(f"stored grid (n={n}, N={N}) does not match {grid}")
     expected = [list(J) for J in multi_indices(n, q)]
-    if manifest["components"] != expected:
+    if _key(manifest, "components", list, where) != expected:
         raise FieldFormatError("component list does not match the canonical enumeration")
-    nbytes = int(manifest["bytes_per_component"])
+    nbytes = _key(manifest, "bytes_per_component", int, where)
     if nbytes != grid.size * 16:
         raise FieldFormatError("byte layout does not match the grid size")
+    blobs = _key(manifest, "blobs", list, where)
+    if len(blobs) != len(expected):
+        raise FieldFormatError(f"{where} lists {len(blobs)} blobs for {len(expected)} components")
+    rep = _key(manifest, "representation", str, where)
 
-    data = np.empty((num_components(n, q),) + grid.shape, dtype=np.complex128)
-    for ci, blob in enumerate(manifest["blobs"]):
-        raw = (root / blob["file"]).read_bytes()
-        if len(raw) != nbytes:
-            raise FieldFormatError(f"blob {blob['file']} is truncated ({len(raw)} of {nbytes} bytes)")
-        if zlib.crc32(raw) != blob["crc32"]:
-            raise FieldFormatError(f"checksum failure in {blob['file']}")
-        data[ci] = np.frombuffer(raw, dtype="<c16").reshape(grid.shape)
-        if not np.all(np.isfinite(data[ci])):
-            raise FieldFormatError(f"non-finite values in {blob['file']}")
-    return FormField(grid, q, data, manifest["representation"])
+    data = np.empty((len(expected),) + grid.shape, dtype="<c16")
+    for ci, blob in enumerate(blobs):
+        name = _key(blob, "file", str, f"{where} blob {ci}")
+        crc = _key(blob, "crc32", int, f"{where} blob {ci}")
+        with open(root / name, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != nbytes:
+                state = "truncated" if size < nbytes else "overlong"
+                raise FieldFormatError(f"blob {name} is {state} ({size} of {nbytes} bytes)")
+            _read_component(fh, data[ci], crc, f"blob {name}")
+    return FormField(grid, q, data, rep)
 
 
 # -- trajectory persistence --------------------------------------------------------------
 
 
 def save_trajectory(path, traj: Trajectory):
+    """Write a trajectory directory of schema /2: fields.bin, diagnostics.csv,
+    then manifest.json through a temporary file and an atomic rename.  A
+    manifest already in the directory is removed first, so an interrupted
+    write never leaves one beside partial data."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
+    manifest_path = out / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     cfg = traj.config
-    h = config_hash(cfg)
-    manifest = {
-        "schema": TRAJECTORY_SCHEMA,
-        "config": cfg.to_json(),
-        "config_hash": h,
-        "stamps": [float(t) for t in traj.stamps],
-        "snapshots": len(traj.velocities),
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    index = []
+    with open(out / FIELDS_FILE, "wb") as fh:
+        for m, snapshot in enumerate(zip(traj.velocities, traj.pressures)):
+            for kind, field in zip(KINDS, snapshot):
+                offset = fh.tell()
+                crcs = [_write_component(fh, component) for component in field.data]
+                index.append(
+                    {"kind": kind, "snapshot": m, "q": field.q, "representation": field.rep,
+                     "offset": offset, "crc32": crcs}
+                )
+        total = fh.tell()
     lines = [",".join(DIAGNOSTIC_COLUMNS)]
     for row in range(len(traj.diagnostics["t"])):
         lines.append(",".join(repr(float(traj.diagnostics[c][row])) for c in DIAGNOSTIC_COLUMNS))
     (out / "diagnostics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    for m, (u, p) in enumerate(zip(traj.velocities, traj.pressures)):
-        t = float(traj.stamps[m])
-        save_field(out / f"u_{m:06d}", u, sim_time=t, seed=cfg.seed, cfg_hash=h)
-        save_field(out / f"p_{m:06d}", p, sim_time=t, seed=cfg.seed, cfg_hash=h)
+    manifest = {
+        "schema": TRAJECTORY_SCHEMA,
+        "config": cfg.to_json(),
+        "config_hash": config_hash(cfg),
+        "stamps": [float(t) for t in traj.stamps],
+        "snapshots": len(traj.velocities),
+        "bytes": total,
+        "fields": index,
+    }
+    staged = out / "manifest.json.tmp"
+    staged.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+    os.replace(staged, manifest_path)
+
+
+def _load_packed(root: Path, manifest: dict, cfg: SimConfig, count: int, where: str) -> tuple:
+    """The velocities and pressures of a /2 trajectory, checked against its
+    fields index, read from fields.bin in one pass."""
+    index = _key(manifest, "fields", list, where)
+    total = _key(manifest, "bytes", int, where)
+    if len(index) != len(KINDS) * count:
+        raise FieldFormatError(f"{where} indexes {len(index)} fields for {count} snapshots")
+    grid = cfg.make_grid()
+    fields = tuple([] for _ in KINDS)
+    with open(root / FIELDS_FILE, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != total:
+            raise FieldFormatError(f"{FIELDS_FILE} size mismatch: {size} bytes, the manifest says {total}")
+        for i, record in enumerate(index):
+            m, k = divmod(i, len(KINDS))
+            at = f"{where} fields[{i}]"
+            q = cfg.q - k
+            for key, want in (("kind", KINDS[k]), ("snapshot", m), ("q", q), ("offset", fh.tell())):
+                got = _key(record, key, type(want), at)
+                if got != want:
+                    raise FieldFormatError(f"{at} has {key} {got!r}, expected {want!r}")
+            rep = _key(record, "representation", str, at)
+            if rep not in (FOURIER, PHYSICAL):
+                raise FieldFormatError(f"{at} has unknown representation {rep!r}")
+            crcs = _key(record, "crc32", list, at)
+            data = np.empty((num_components(grid.n, q),) + grid.shape, dtype="<c16")
+            if len(crcs) != len(data):
+                raise FieldFormatError(f"{at} lists {len(crcs)} checksums for {len(data)} components")
+            for ci, crc in enumerate(crcs):
+                _read_component(fh, data[ci], crc, f"{FIELDS_FILE} record {i} ({KINDS[k]}_{m}) component {ci}")
+            fields[k].append(FormField(grid, q, data, rep))
+        if fh.tell() != total:
+            raise FieldFormatError(f"{FIELDS_FILE} size mismatch: records end at byte {fh.tell()} of {total}")
+    return fields
 
 
 def load_trajectory(path) -> Trajectory:
+    """Read a trajectory directory of schema /2 (or /1); verifies the
+    manifest keys, the config hash and every stored field."""
     root = Path(path)
-    try:
-        manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise FieldFormatError(f"no trajectory manifest under {root}") from exc
-    if manifest.get("schema") != TRAJECTORY_SCHEMA:
+    where = f"trajectory manifest {root / 'manifest.json'}"
+    manifest = _read_manifest(root / "manifest.json", "trajectory")
+    schema = manifest.get("schema")
+    if schema not in (TRAJECTORY_SCHEMA, TRAJECTORY_SCHEMA_V1):
         raise FieldFormatError(
-            f"unsupported trajectory schema {manifest.get('schema')!r}, expected {TRAJECTORY_SCHEMA}"
+            f"unsupported trajectory schema {schema!r}, expected {TRAJECTORY_SCHEMA} or {TRAJECTORY_SCHEMA_V1}"
         )
-    cfg = SimConfig.from_json(manifest["config"])
-    grid = cfg.make_grid()
-    stamps = np.asarray(manifest["stamps"], dtype=float)
-    count = int(manifest["snapshots"])
-    velocities = [load_field(root / f"u_{m:06d}", grid=grid) for m in range(count)]
-    pressures = [load_field(root / f"p_{m:06d}", grid=grid) for m in range(count)]
+    echo = _key(manifest, "config", dict, where)
+    if _doc_hash(echo) != _key(manifest, "config_hash", str, where):
+        raise FieldFormatError(f"{where}: the config does not match its config_hash")
+    try:
+        cfg = SimConfig.from_json(echo)
+    except (KeyError, TypeError) as exc:
+        raise FieldFormatError(f"{where}: config lacks or mistypes {exc}") from exc
+    try:
+        stamps = np.asarray(_key(manifest, "stamps", list, where), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FieldFormatError(f"{where} key 'stamps' is not a list of numbers") from exc
+    count = _key(manifest, "snapshots", int, where)
+    if stamps.shape != (count,):
+        raise FieldFormatError(f"{where} has {stamps.size} stamps for {count} snapshots")
+    if schema == TRAJECTORY_SCHEMA:
+        velocities, pressures = _load_packed(root, manifest, cfg, count, where)
+    else:
+        grid = cfg.make_grid()
+        velocities = [load_field(root / f"u_{m:06d}", grid=grid) for m in range(count)]
+        pressures = [load_field(root / f"p_{m:06d}", grid=grid) for m in range(count)]
 
-    text = (root / "diagnostics.csv").read_text(encoding="utf-8").strip().splitlines()
-    header = text[0].split(",")
-    if tuple(header) != DIAGNOSTIC_COLUMNS:
-        raise FieldFormatError(f"unexpected diagnostics columns {header}")
-    rows = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
+    text = (root / "diagnostics.csv").read_text(encoding="utf-8").strip()
+    table = [line.split(",") for line in text.splitlines()]
+    if not table or tuple(table[0]) != DIAGNOSTIC_COLUMNS:
+        raise FieldFormatError(f"unexpected diagnostics columns {table[0] if table else []}")
+    if len(table) < 2 or any(len(row) != len(DIAGNOSTIC_COLUMNS) for row in table[1:]):
+        raise FieldFormatError(f"diagnostics.csv needs one or more rows of {len(DIAGNOSTIC_COLUMNS)} values")
+    rows = np.array([[float(v) for v in row] for row in table[1:]])
     diagnostics = {c: rows[:, i] for i, c in enumerate(DIAGNOSTIC_COLUMNS)}
     return Trajectory(stamps, velocities, pressures, diagnostics, cfg)

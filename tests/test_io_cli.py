@@ -308,13 +308,27 @@ def test_trajectory_layout_and_columns(tmp_path):
     _, traj = _small_run()
     save_trajectory(tmp_path / "run", traj)
     root = tmp_path / "run"
-    assert (root / "manifest.json").exists()
-    assert (root / "u_000000" / "manifest.json").exists()
-    assert (root / "p_000002" / "comp_000.bin").exists()
+    assert sorted(f.name for f in root.iterdir()) == ["diagnostics.csv", "fields.bin", "manifest.json"]
     header = (root / "diagnostics.csv").read_text().splitlines()[0]
     assert header == "t,energy,dbar_norm_sq,dbar_star_residual,max_abs_u,lps_accum"
     doc = json.loads((root / "manifest.json").read_text())
+    assert doc["schema"] == "dolbeault-ns.trajectory/2"
     assert doc["config_hash"] == config_hash(traj.config)
+    # one record per field, u_0, p_0, u_1, ...: the field's /1 blobs end to end
+    raw = (root / "fields.bin").read_bytes()
+    assert doc["bytes"] == len(raw)
+    snapshots = list(zip(traj.velocities, traj.pressures))
+    assert doc["snapshots"] == len(snapshots) == 3
+    records = [(m, kind, field) for m, pair in enumerate(snapshots) for kind, field in zip("up", pair)]
+    assert len(doc["fields"]) == len(records)
+    offset = 0
+    for entry, (m, kind, field) in zip(doc["fields"], records):
+        blobs = [component.astype("<c16").tobytes() for component in field.data]
+        assert entry == {"kind": kind, "snapshot": m, "q": field.q, "representation": field.rep,
+                         "offset": offset, "crc32": [zlib.crc32(b) for b in blobs]}
+        assert raw[offset:offset + field.data.nbytes] == b"".join(blobs)
+        offset += field.data.nbytes
+    assert offset == len(raw)
 
 
 def test_reproducible_trajectory_directories(tmp_path):
@@ -323,6 +337,163 @@ def test_reproducible_trajectory_directories(tmp_path):
     save_trajectory(tmp_path / "a", t1)
     save_trajectory(tmp_path / "b", t2)
     assert _tree_digest(tmp_path / "a") == _tree_digest(tmp_path / "b")
+
+
+def _save_v1(root, traj):
+    """Write traj in the dolbeault-ns.trajectory/1 layout: the /1 manifest
+    keys and one field directory per snapshot."""
+    save_trajectory(root, traj)
+    (root / "fields.bin").unlink()
+    doc = json.loads((root / "manifest.json").read_text())
+    del doc["fields"], doc["bytes"]
+    doc["schema"] = "dolbeault-ns.trajectory/1"
+    (root / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
+    for m, (u, p) in enumerate(zip(traj.velocities, traj.pressures)):
+        t = float(traj.stamps[m])
+        save_field(root / f"u_{m:06d}", u, sim_time=t, seed=traj.config.seed, cfg_hash=doc["config_hash"])
+        save_field(root / f"p_{m:06d}", p, sim_time=t, seed=traj.config.seed, cfg_hash=doc["config_hash"])
+
+
+def _edit_json(path, change):
+    doc = json.loads(path.read_text())
+    change(doc)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True))
+
+
+def test_v1_trajectory_still_loads(tmp_path):
+    cfg, traj = _small_run()
+    _save_v1(tmp_path / "run", traj)
+    back = load_trajectory(tmp_path / "run")
+    assert back.config == cfg
+    assert np.array_equal(back.stamps, traj.stamps)
+    for a, b in zip(back.velocities + back.pressures, traj.velocities + traj.pressures, strict=True):
+        assert np.array_equal(a.data, b.data) and (a.q, a.rep) == (b.q, b.rep)
+    assert back.diagnostics.keys() == traj.diagnostics.keys()
+    for c in traj.diagnostics:
+        assert np.array_equal(back.diagnostics[c], traj.diagnostics[c])
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_interrupted_trajectory_save_leaves_no_manifest(tmp_path, monkeypatch, existing):
+    import dolbeault_ns.io as dio
+
+    _, traj = _small_run()
+    run = tmp_path / "run"
+    if existing:  # a complete trajectory from an earlier save in the same directory
+        save_trajectory(run, traj)
+    write, written = dio._write_component, []
+
+    def failing(fh, component):
+        if len(written) == 5:
+            raise OSError("no space left on device")
+        written.append(component)
+        return write(fh, component)
+
+    monkeypatch.setattr(dio, "_write_component", failing)
+    with pytest.raises(OSError, match="no space"):
+        save_trajectory(run, traj)
+    assert (run / "fields.bin").exists()
+    assert not (run / "manifest.json").exists()
+    with pytest.raises(FieldFormatError, match="no trajectory manifest"):
+        load_trajectory(run)
+
+
+@pytest.mark.parametrize(
+    "damage, word",
+    [("flip", "checksum"), ("truncate", "size"), ("append", "size"), ("append-and-count", "size")],
+)
+def test_packed_trajectory_damage_detected(tmp_path, damage, word):
+    _, traj = _small_run()
+    save_trajectory(tmp_path / "run", traj)
+    blob = tmp_path / "run" / "fields.bin"
+    raw = bytearray(blob.read_bytes())
+    if damage == "flip":
+        raw[len(raw) // 2 + 3] ^= 0x10
+    elif damage == "truncate":
+        del raw[-16:]
+    else:
+        raw += bytes(16)
+    if damage == "append-and-count":  # bytes past the last record, counted in the manifest
+        _edit_json(tmp_path / "run" / "manifest.json", lambda d: d.update(bytes=len(raw)))
+    blob.write_bytes(bytes(raw))
+    with pytest.raises(FieldFormatError, match=word):
+        load_trajectory(tmp_path / "run")
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda d: d.update(snapshots=2, stamps=d["stamps"][:2]),
+        lambda d: d["fields"].pop(),
+        lambda d: d["fields"][2].update(kind="p"),
+        lambda d: d["fields"][4].update(snapshot=1),
+        lambda d: d["fields"][1].update(q=1),
+        lambda d: d["fields"][3].update(offset=0),
+        lambda d: d["fields"][0].update(representation="spectral"),
+        lambda d: d["fields"][0]["crc32"].pop(),
+        lambda d: d.update(bytes=d["bytes"] - 16),
+    ],
+    ids=["count", "records", "kind", "snapshot", "q", "offset", "representation", "checksums", "bytes"],
+)
+def test_packed_index_disagreement_detected(tmp_path, change):
+    _, traj = _small_run()
+    save_trajectory(tmp_path / "run", traj)
+    _edit_json(tmp_path / "run" / "manifest.json", change)
+    with pytest.raises(FieldFormatError):
+        load_trajectory(tmp_path / "run")
+
+
+@pytest.mark.parametrize(
+    "layout, name, change, word",
+    [
+        ("v2", "manifest.json", lambda d: d.pop("stamps"), "'stamps'"),
+        ("v1", "manifest.json", lambda d: d.pop("stamps"), "'stamps'"),
+        ("v2", "manifest.json", lambda d: d.update(snapshots="3"), "'snapshots'"),
+        ("v2", "manifest.json", lambda d: d["fields"][3].pop("crc32"), "'crc32'"),
+        ("v1", "u_000001/manifest.json", lambda d: d.pop("blobs"), "'blobs'"),
+        ("v1", "p_000000/manifest.json", lambda d: d.update(n=2.5), "'n'"),
+        ("v2", "manifest.json", lambda d: d["config"].update(mu=0.3), "config_hash"),
+        ("v1", "manifest.json", lambda d: d["config"].update(mu=0.3), "config_hash"),
+        ("v2", "diagnostics.csv", lambda text: text.splitlines()[0], "rows"),
+        ("v2", "diagnostics.csv", lambda text: text.replace(",", ";", 1), "columns"),
+    ],
+    ids=["v2-stamps", "v1-stamps", "v2-snapshots", "v2-crc32", "v1-blobs", "v1-field-n",
+         "v2-config-hash", "v1-config-hash", "header-only", "bad-header"],
+)
+def test_cli_malformed_trajectory_exits_2(tmp_path, capsys, layout, name, change, word):
+    _, traj = _small_run()
+    run = tmp_path / "run"
+    (_save_v1 if layout == "v1" else save_trajectory)(run, traj)
+    if name.endswith(".csv"):
+        (run / name).write_text(change((run / name).read_text()))
+    else:
+        _edit_json(run / name, change)
+    assert main(["norms", "--traj", str(run), "--k", "0", "--s", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and word in lines[0], captured.err
+    with pytest.raises(FieldFormatError, match=word):
+        load_trajectory(run)
+
+
+@pytest.mark.parametrize(
+    "change, word",
+    [(lambda d: d.pop("blobs"), "'blobs'"),
+     (lambda d: d["blobs"].pop(), "1 blobs for 2 components"),
+     (lambda d: d["blobs"][0].pop("crc32"), "'crc32'")],
+    ids=["no-blobs", "short-blobs", "no-crc32"],
+)
+def test_cli_malformed_field_manifest_exits_2(tmp_path, capsys, grid8, rng, change, word):
+    from dolbeault_ns import dbar
+
+    save_field(tmp_path / "F", dbar(random_form(grid8, 0, rng)))
+    _edit_json(tmp_path / "F" / "manifest.json", change)
+    assert main(["pressure", "--forces", str(tmp_path / "F"), "--out", str(tmp_path / "p")]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and word in lines[0], captured.err
+    assert not (tmp_path / "p").exists()
 
 
 # -- command line -----------------------------------------------------------------------
