@@ -266,6 +266,11 @@ class SimConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SimConfig":
+        if not isinstance(doc, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(doc).__name__}")
+        for key in ("n", "q", "N", "mu", "T", "dt"):
+            if key not in doc:
+                raise ValueError(f"config lacks the required key {key!r}")
         return cls(
             n=int(doc["n"]),
             q=int(doc["q"]),

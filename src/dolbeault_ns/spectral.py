@@ -16,14 +16,25 @@ Every state the solver steps is band-limited by the 2/3 rule (Orszag,
 J. Atmos. Sci. 28 (1971)): only modes with |zeta_a| <= N/3 on every axis
 are nonzero.  SpectralGrid.band is a view of the grid with the same
 samples whose Fourier axes hold just those M = 2 (N // 3) + 1 frequencies,
-zero mode first, then 1..N//3, then -(N//3)..-1.  Its transforms are
-pruned: the inverse places the band in the corner of the sample array and
-transforms axis by axis, moving each axis's negative frequencies to the
-top of the axis just before its turn and transforming only the lines whose
-untransformed axes are in the band (the others are all zero); the forward
-transform works the other way round and keeps, after each axis, only the
-band.  The axes go in the order fftn takes them, so each line sees the
-same arithmetic: a band inverse equals the full inverse of the zero-padded
+zero mode first, then 1..N//3, then -(N//3)..-1.
+
+The FFT backend is numpy.fft: every transform is one in-place 1-D
+np.fft.fft or np.fft.ifft per grid axis, and the full grid runs the band
+view's loops with M = N, so nothing is pruned.  The forward transform goes
+axis 0 first, the order scipy.fft.fftn uses; on a band view it moves each
+axis's band to the first M places right after that axis's transform, and
+later axes transform only the lines whose earlier axes are in the band.
+The inverse goes last axis first, the order np.fft.ifftn uses, in one
+padded array: the band sits in the corner, each axis's negative
+frequencies move to the top of the axis just before its turn, and only
+the lines whose untransformed (outer) axes are in the band are
+transformed; the others are all zero.  The inverse goes last axis first
+because numpy's FFT loop looks up its plan once per run of evenly spaced
+lines: pruning the outer axes keeps the runs of the inner axes whole,
+while axis 0 first made the band inverse at n = 3, N = 8 about 2.5 times
+slower.  Lines whose runs are still short go through a contiguous copy
+with their axis last (see _along).  Each line sees the same arithmetic in
+both views, so a band inverse equals the full inverse of the zero-padded
 coefficients, and a band forward equals the full forward transform
 followed by apply_dealias, bit for bit.
 
@@ -39,25 +50,16 @@ delta_j(zeta) = (i/2)(zeta_j - i zeta_{j+n}).  Summing, 4 sum_j |sigma_j|^2
 multiplier |zeta|^2 / 4 (see dolbeault.py).
 """
 
-import os
+import math
 
 import numpy as np
-import scipy.fft
 
 PHYSICAL = "physical"
 FOURIER = "fourier"
 
-_WORKERS_ENV = "DOLBEAULT_NS_THREADS"
-
-
-def _fft_workers() -> int:
-    """Worker count for scipy.fft, overridable via DOLBEAULT_NS_THREADS."""
-    raw = os.environ.get(_WORKERS_ENV, "")
-    try:
-        workers = int(raw)
-    except ValueError:
-        return 1
-    return workers if workers >= 1 else 1
+# fewest samples per run of lines for which numpy's FFT loop beats a
+# transposed copy (measured for N = 4, 8, 16 on a 2-vCPU host)
+_SHORT_RUN = 256
 
 
 class SpectralGrid:
@@ -95,8 +97,6 @@ class SpectralGrid:
         self.freq.setflags(write=False)
         self.fourier_shape = (len(freq),) * self.dim
 
-        self._axes = tuple(range(-self.dim, 0))
-        self._workers = _fft_workers()
         self._sigma: dict[int, np.ndarray] = {}
         self._delta: dict[int, np.ndarray] = {}
         self._zeta_sq: np.ndarray | None = None
@@ -121,10 +121,9 @@ class SpectralGrid:
     @property
     def band(self) -> "SpectralGrid":
         """The band view: same n, N and samples, Fourier axes on the 2/3-rule
-        modes only.  It inherits this grid's FFT worker count."""
+        modes only."""
         if self._band is None:
             self._band = SpectralGrid(self.n, self.N, banded=True)
-            self._band._workers = self._workers
         return self._band
 
     def gather(self, coeffs: np.ndarray) -> np.ndarray:
@@ -235,54 +234,66 @@ class SpectralGrid:
         only the band is returned, equal to apply_dealias of the full
         transform.
         """
-        if not self.banded:
-            return scipy.fft.fftn(
-                values, axes=self._axes, norm="forward", workers=self._workers, overwrite_x=overwrite
-            )
         N, M, K = self.N, len(self.freq), self.N // 3
         first = values.ndim - self.dim
         lead = (slice(None),) * first
-        work = scipy.fft.fft(values, axis=first, norm="forward", workers=self._workers, overwrite_x=overwrite)
+        own = overwrite and values.dtype == np.complex128
+        work = np.fft.fft(values, axis=first, norm="forward", out=values if own else None)
         for a in range(self.dim):
             # axes before a already hold their band in the first M places
             lines = work[lead + (slice(0, M),) * a]
             if a:
-                self._in_place(scipy.fft.fft, lines, first + a)
-            at = lead + (slice(None),) * a
-            lines[at + (slice(K + 1, M),)] = lines[at + (slice(N - K, N),)]
-        return work[lead + (slice(0, M),) * self.dim].copy()
+                _along(np.fft.fft, lines, first + a)
+            if self.banded:
+                at = lead + (slice(None),) * a
+                lines[at + (slice(K + 1, M),)] = lines[at + (slice(N - K, N),)]
+        return work[lead + (slice(0, M),) * self.dim].copy() if self.banded else work
 
     def ifft(self, coeffs: np.ndarray, overwrite: bool = False) -> np.ndarray:
         """Mode amplitudes -> physical samples (no scaling); batch and
         overwrite as in fft.  On a band view the input holds the band and
         is never written."""
-        if not self.banded:
-            return scipy.fft.ifftn(
-                coeffs, axes=self._axes, norm="forward", workers=self._workers, overwrite_x=overwrite
-            )
         N, M, K = self.N, len(self.freq), self.N // 3
         first = coeffs.ndim - self.dim
         lead = (slice(None),) * first
-        work = np.empty(coeffs.shape[:first] + self.shape, dtype=np.complex128)
-        work[lead + (slice(0, M),) * self.dim] = coeffs
-        for a in range(self.dim):
-            # axes after a still hold their band in the first M places; the
+        if self.banded:
+            work = np.empty(coeffs.shape[:first] + self.shape, dtype=np.complex128)
+            work[lead + (slice(0, M),) * self.dim] = coeffs
+        else:
+            own = overwrite and coeffs.dtype == np.complex128
+            work = np.fft.ifft(coeffs, axis=-1, norm="forward", out=coeffs if own else None)
+        for a in reversed(range(self.dim)):
+            # axes before a still hold their band in the first M places; the
             # places after those stand for zero modes, whose lines would
             # transform to zero, and are left alone until their axis's turn
-            lines = work[lead + (slice(None),) * (a + 1) + (slice(0, M),) * (self.dim - a - 1)]
-            at = lead + (slice(None),) * a
-            lines[at + (slice(N - K, N),)] = lines[at + (slice(K + 1, M),)]
-            lines[at + (slice(K + 1, N - K),)] = 0.0
-            self._in_place(scipy.fft.ifft, lines, first + a)
+            lines = work[lead + (slice(0, M),) * a]
+            if self.banded:
+                at = lead + (slice(None),) * a
+                lines[at + (slice(N - K, N),)] = lines[at + (slice(K + 1, M),)]
+                lines[at + (slice(K + 1, N - K),)] = 0.0
+            if self.banded or a < self.dim - 1:
+                _along(np.fft.ifft, lines, first + a)
         return work
 
-    def _in_place(self, transform, lines: np.ndarray, axis: int):
-        """One-axis transform of the lines of a strided view, left in the
-        view's memory (overwrite_x permits an in-place result but does not
-        promise one)."""
-        out = transform(lines, axis=axis, norm="forward", workers=self._workers, overwrite_x=True)
-        if not np.may_share_memory(out, lines):
-            lines[...] = out
+
+def _along(transform, x: np.ndarray, axis: int):
+    """One-axis transform of x (forward-normalized), left in x's memory.
+
+    numpy's FFT loop looks up its plan once per run of evenly spaced lines.
+    Lines along an inner axis run over the axes after it, so a run holds
+    N times their size in samples; lines along the last axis of a
+    contiguous array are one run.  Runs of fewer than _SHORT_RUN samples,
+    and the last-axis lines of a strided view, cost more in lookups than a
+    copy does, so they go through a contiguous copy with the axis last.
+    """
+    run = x.shape[axis] * math.prod(x.shape[axis + 1 :])
+    if (x.flags.c_contiguous and axis == x.ndim - 1) or (axis < x.ndim - 1 and run >= _SHORT_RUN):
+        transform(x, axis=axis, norm="forward", out=x)
+        return
+    lines = x.swapaxes(axis, -1)
+    tmp = lines.copy()
+    transform(tmp, axis=-1, norm="forward", out=tmp)
+    lines[...] = tmp
 
 
 # -- pointwise symbol/multiplier helpers ------------------------------------

@@ -139,14 +139,20 @@ def test_heat_multiplier_grid_matches_pointwise(grid8):
         assert E[grid8.mode_index(zeta)] == pytest.approx(heat_multiplier(0.7, 0.02, zeta), rel=1e-14)
 
 
-def test_fft_worker_env_override(monkeypatch):
-    monkeypatch.setenv("DOLBEAULT_NS_THREADS", "2")
-    g = SpectralGrid(2, 8)
-    assert g._workers == 2
-    monkeypatch.setenv("DOLBEAULT_NS_THREADS", "garbage")
-    assert SpectralGrid(2, 8)._workers == 1
-    monkeypatch.delenv("DOLBEAULT_NS_THREADS")
-    assert SpectralGrid(2, 8)._workers == 1
+@pytest.mark.parametrize("n, N", [(2, 8), (2, 16), (3, 4), (3, 8), (4, 4)])
+def test_full_transforms_follow_numpy_axis_orders(n, N, rng):
+    # forward axis 0 first, inverse last axis first (the order of
+    # np.fft.ifftn), bit for bit, whichever lines go through a transposed copy
+    g = SpectralGrid(n, N)
+    x = rng.standard_normal((2,) + g.shape) + 1j * rng.standard_normal((2,) + g.shape)
+    want = x
+    for axis in range(1, x.ndim):
+        want = np.fft.fft(want, axis=axis, norm="forward")
+    assert np.array_equal(g.fft(x), want)
+    assert np.array_equal(g.fft(x.copy(), overwrite=True), want)
+    want = np.fft.ifftn(x, axes=range(1, x.ndim), norm="forward")
+    assert np.array_equal(g.ifft(x), want)
+    assert np.array_equal(g.ifft(x.copy(), overwrite=True), want)
 
 
 def test_mode_index_bounds(grid8):

@@ -242,20 +242,6 @@ def test_lamb_step_makes_four_fft_calls(monkeypatch):
     assert counts["fft"] == 2 * cfg.steps + 2 - 1
 
 
-def test_fft_workers_do_not_change_results():
-    cfg = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.05, dt=0.01, nonlinearity=LAMB, output_stride=5)
-    runs = []
-    for workers in (1, 2):
-        grid = SpectralGrid(2, 8)
-        grid._workers = workers
-        runs.append(simulate(cfg, _initial(grid, 1, seed=9)))
-    one, two = runs
-    for a, b in zip(one.velocities + one.pressures, two.velocities + two.pressures):
-        assert np.array_equal(a.data, b.data)
-    for c in one.diagnostics:
-        assert np.array_equal(one.diagnostics[c], two.diagnostics[c])
-
-
 def test_max_abs_column_matches_stored_velocities():
     # record() takes max |u| from the band samples it makes for the next
     # step; at a snapshot row that is _max_abs of the stored full-lattice field
