@@ -31,9 +31,9 @@ Second order in dt, exact for the pure heat flow, unconditionally stable in
 the stiff linear part.  N and its linearization share one evaluator of the
 quadratic term Q(a, b) = M1(dbar a, b) + dbar M2(a, b): N(v) = Q(v, v) and
 B(w, v) = Q(w, v) + Q(v, w).  Products are formed pointwise in physical
-space, all of them go through one forward FFT and the result is dealiased
-once (2/3 rule), so the quadratic algebra N(w + v) = N(w) + B(w, v) + N(v)
-survives discretization to rounding.  The stages take the M1 part only.
+space and all of them go through one forward FFT onto the band, which
+dealiases them (2/3 rule), so the quadratic algebra N(w + v) = N(w) +
+B(w, v) + N(v) survives discretization to rounding.  Stages take M1 only.
 
 Pressure never enters the time stepping; it is reconstructed at output
 strides from the full f - N(u) (or f - B(w, u)) through pressure_recover().
@@ -43,15 +43,15 @@ forward FFT.  The M1 block of that transform is the next step's stage-1
 source, so that stage forms no products and makes no transform.  The CFL
 bound is checked before every step.
 
-Every stepped state is band-limited by the 2/3 rule: the initial data is
-dealiased (and rejected if that moves it), forcing and linearization bases
-with a nonzero mode outside the band are rejected, and every source is
-dealiased.  So a run works on the band view of its grid (spectral.py):
-the start gathers u0, the forcing and the base states onto the band,
-stepping, diagnostics and pressures stay there with pruned transforms,
-and only the velocities and pressures stored in the Trajectory are
-scattered back to the full lattice.  The per-mode arithmetic is that of
-the full grid, so the stored fields are those of a full-grid run.
+Every stepped state is band-limited by the 2/3 rule, and the quadratic
+term is only evaluated on the band view of the grid (spectral.py).  The
+initial data is dealiased (and rejected if that moves it); every other
+field enters the band through _band_coeffs, which rejects a nonzero mode
+outside it: forcing files, linearization bases (once, at entry), the
+state of step_etd_heun and the arguments of the public N and B.  A run
+steps, records diagnostics and forms pressures on the band, and only the
+stored velocities and pressures are scattered back to the full lattice,
+with the per-mode arithmetic of a full-grid run.
 """
 
 import math
@@ -71,7 +71,7 @@ from .forms import (
     num_components,
     random_form,
 )
-from .spectral import FOURIER, PHYSICAL, SpectralGrid, apply_dealias, heat_multiplier_grid
+from .spectral import FOURIER, PHYSICAL, SpectralGrid, heat_multiplier_grid
 
 
 class BlowUpError(RuntimeError):
@@ -130,7 +130,7 @@ class ForcingSpec:
         if self.kind == "file":
             if not self.path:
                 raise ValueError("file forcing needs a path")
-            _require_band_limited(grid, self._stored(grid, q).data, "forcing file")
+            _band_coeffs(self._stored(grid, q), "forcing file")
             return
         raise ValueError(f"unknown forcing kind {self.kind!r}")
 
@@ -317,26 +317,24 @@ class Trajectory:
 def _samples(u: FormField, with_dbar: bool, du: FormField | None = None) -> np.ndarray:
     """Physical samples of u (Fourier), stacked over those of dbar u when
     with_dbar, from one inverse FFT."""
-    if not with_dbar:
-        return u.grid.ifft(u.data)
-    if du is None:
-        du = dbar(u)
-    return u.grid.ifft(np.concatenate((u.data, du.data)), overwrite=True)
+    if with_dbar:
+        return u.grid.ifft(np.concatenate((u.data, (dbar(u) if du is None else du).data)))
+    return u.grid.ifft(u.data)
 
 
 def _quadratic(
     spec: BilinearSpec, grid: SpectralGrid, q: int, v: np.ndarray, w: np.ndarray | None = None, exact: bool = True
 ) -> np.ndarray:
     """The quadratic term Q(a, b) = M1(dbar a, b) + dbar M2(a, b) as
-    dealiased Fourier coefficients, in a new array:
+    Fourier coefficients on the band view `grid`, in a new array:
 
         Q(v, v)           = N(v)        (w None)
         Q(w, v) + Q(v, w) = B(w, v)
 
     v and w are physical samples stacked as _samples() makes them; the
     dbar rows are read only for M1 terms.  Without exact the part dbar M2,
-    which P annihilates, is left out.  All products go through one forward
-    FFT.  Returns (Q, Q1), where Q1 is the dealiased M1 part alone, taken
+    which P annihilates, is left out.  All products go through one band
+    forward FFT.  Returns (Q, Q1), where Q1 is the M1 part alone, taken
     from the same transform: Q itself when there is no M2 part, None when
     there are no M1 terms.  Each field of a batch transforms on its own, so
     Q1 is bit for bit what a call without exact gives.
@@ -365,29 +363,36 @@ def _quadratic(
         return np.zeros((a,) + grid.fourier_shape, dtype=np.complex128), None
     hat = grid.fft(parts[0] if len(parts) == 1 else np.concatenate(parts), overwrite=True)
     if not has_m2:
-        total = apply_dealias(grid, hat)
-        return total, total
+        return hat, hat
     total = dbar(FormField(grid, q - 1, hat[a if has_m1 else 0 :], FOURIER)).data
     if has_m1:
         total += hat[:a]
-    return apply_dealias(grid, total), apply_dealias(grid, hat[:a]) if has_m1 else None
+    return total, hat[:a] if has_m1 else None
+
+
+def _band_quadratic(spec: BilinearSpec, u: FormField, w: FormField | None = None) -> FormField:
+    """N(u) (w None) or B(w, u) from _quadratic on the band view, as a
+    Fourier field on u's grid."""
+    grid, band = u.grid, u.grid.band
+    with_dbar = bool(spec.tables(band.n, u.q)[0])
+
+    def samples(x, what):
+        return _samples(FormField(band, x.q, _band_coeffs(x, what), FOURIER), with_dbar)
+
+    out = _quadratic(spec, band, u.q, samples(u, "u"), None if w is None else samples(w, "w"))[0]
+    return FormField(grid, u.q, out if grid.banded else band.scatter(out), FOURIER)
 
 
 def nonlinearity(u: FormField, spec: BilinearSpec) -> FormField:
-    """N(u) = M1(dbar u, u) + dbar M2(u, u), dealiased Fourier output."""
-    grid = u.grid
-    v = _samples(u.to_fourier(), bool(spec.tables(grid.n, u.q)[0]))
-    return FormField(grid, u.q, _quadratic(spec, grid, u.q, v)[0], FOURIER)
+    """N(u) = M1(dbar u, u) + dbar M2(u, u) of a band-limited u, dealiased Fourier output."""
+    return _band_quadratic(spec, u)
 
 
 def linearized_b(w: FormField, u: FormField, spec: BilinearSpec) -> FormField:
-    """Symmetrized bilinear form B(w, u); N(w + v) = N(w) + B(w, v) + N(v)."""
+    """Symmetrized B(w, u) of band-limited w, u; N(w + v) = N(w) + B(w, v) + N(v)."""
     if w.grid != u.grid or w.q != u.q:
         raise ValueError("B needs two (0,q) forms on one grid")
-    grid = u.grid
-    with_dbar = bool(spec.tables(grid.n, u.q)[0])
-    v = _samples(u.to_fourier(), with_dbar)
-    return FormField(grid, u.q, _quadratic(spec, grid, u.q, v, _samples(w.to_fourier(), with_dbar))[0], FOURIER)
+    return _band_quadratic(spec, u, w)
 
 
 def frechet_residual(w: FormField, v: FormField, eps: float, spec: BilinearSpec) -> float:
@@ -469,22 +474,19 @@ class _EtdHeun:
     too, so after a snapshot the first stage forms no products at all.
 
     The kernel works on the band view of the run's grid: states, sources
-    and multipliers hold the 2/3-rule modes only, and base[m] (full-lattice
-    fields) is gathered onto the band when its samples are made.
+    and multipliers hold the 2/3-rule modes only, and so does base[m],
+    which solve_linearized gathers onto the band once, at entry.
     """
 
-    def __init__(self, config: SimConfig, grid: SpectralGrid, forcing: ForcingSpec, linearized=False, base=None):
+    def __init__(self, config: SimConfig, grid: SpectralGrid, base=None):
         self.grid = grid.band
         self.q = config.q
         self.spec = config.nonlinearity
-        self.forcing = forcing
+        self.forcing = config.forcing
         self.dt_base = config.dt
-        self.linearized = linearized
         self.base = base
-        live = base is not None or not linearized  # B(0, .) = 0
-        m1, m2 = self.spec.tables(self.grid.n, self.q)
-        self.m1, self.m2 = live and bool(m1), live and bool(m2)
-        self.forced = forcing.kind != "zero"
+        self.m1, self.m2 = (bool(terms) for terms in self.spec.tables(self.grid.n, self.q))
+        self.forced = self.forcing.kind != "zero"
         self.phys = None
         self.g1 = None
         self._base_phys = (None, None)  # (step index, samples of [w, dbar w])
@@ -504,8 +506,7 @@ class _EtdHeun:
         m = int(round(t / self.dt_base))
         if self._base_phys[0] != m:
             self._base_phys = (None, None)  # free the old samples first
-            w = FormField(self.grid, self.q, self.grid.gather(self.base[m].data), FOURIER)
-            self._base_phys = (m, self.physical(w))
+            self._base_phys = (m, self.physical(self.base[m]))
         return self._base_phys[1]
 
     def source(self, phys: np.ndarray | None, t: float, exact: bool = False) -> np.ndarray:
@@ -515,7 +516,7 @@ class _EtdHeun:
         grid = self.grid
         if not (self.m1 or (exact and self.m2)):
             return self.forcing.evaluate(grid, self.q, t).data.copy()
-        w = self._base_physical(t) if self.linearized else None
+        w = None if self.base is None else self._base_physical(t)
         g, g1 = _quadratic(self.spec, grid, self.q, phys, w, exact)
         f = self.forcing.evaluate(grid, self.q, t).data if self.forced else None
         for part in (g,) if g1 is None or g1 is g else (g, g1):
@@ -554,13 +555,17 @@ class _EtdHeun:
         return leray_project(FormField(grid, q, k1, FOURIER))
 
 
-def _require_band_limited(grid: SpectralGrid, coeffs: np.ndarray, what: str):
-    """Reject full-lattice coefficients with a nonzero mode outside the
-    2/3-rule band."""
-    if np.any(coeffs[..., ~grid.dealias_mask]):
+def _band_coeffs(field: FormField, what: str) -> np.ndarray:
+    """The coefficients of field on the band view of its grid, as a new
+    array: the one way into the band.  The 2/3 rule dealiases only
+    band-limited fields, so one with a mode outside the band is rejected."""
+    f = field.to_fourier()
+    grid = f.grid
+    if np.any(f.data[..., ~grid.dealias_mask]):
         raise ValueError(
             f"{what} has nonzero modes outside the 2/3-rule band |zeta_a| <= N/3 = {grid.N // 3}"
         )
+    return f.data.copy() if grid.banded else grid.band.gather(f.data)
 
 
 def step_etd_heun(u_m: FormField, t_m: float, config: SimConfig) -> FormField:
@@ -569,11 +574,9 @@ def step_etd_heun(u_m: FormField, t_m: float, config: SimConfig) -> FormField:
     grid = u_m.grid
     if (grid.n, grid.N) != (config.n, config.N) or u_m.q != config.q:
         raise ValueError("state does not match the configuration")
-    kernel = _EtdHeun(config, grid, config.forcing)
+    kernel = _EtdHeun(config, grid)
     band = kernel.grid
-    uf = u_m.to_fourier()
-    _require_band_limited(grid, uf.data, "state")
-    u = FormField(band, config.q, band.gather(uf.data), FOURIER)
+    u = FormField(band, config.q, _band_coeffs(u_m, "state"), FOURIER)
     kernel.load(u)
     out = kernel.step(u, t_m, config.dt, heat_multiplier_grid(band, config.mu, config.dt))
     if not np.all(np.isfinite(out.data)):
@@ -581,16 +584,16 @@ def step_etd_heun(u_m: FormField, t_m: float, config: SimConfig) -> FormField:
     return FormField(grid, config.q, band.scatter(out.data), FOURIER)
 
 
-def _prepare_initial(config: SimConfig, grid: SpectralGrid, u0: FormField) -> FormField:
-    """The dealiased, projected initial state on the band view of grid."""
-    if u0.grid != grid or u0.q != config.q:
+def _prepare_initial(config: SimConfig, u0: FormField) -> FormField:
+    """The dealiased, projected initial state on the band view of its grid."""
+    if u0.q != config.q:
         raise ValueError("initial data does not match the configuration")
-    band = grid.band
+    band = u0.grid.band
     u0f = u0.to_fourier()
     u = leray_project(FormField(band, config.q, band.gather(u0f.data), FOURIER))
     scale = l2_norm(u0)
     if scale > 0.0:
-        moved = l2_norm(FormField(grid, config.q, band.scatter(u.data), FOURIER) - u0f) / scale
+        moved = l2_norm(FormField(u0.grid, config.q, band.scatter(u.data), FOURIER) - u0f) / scale
         if moved > 1e-6:
             raise ValueError(
                 f"initial data is not solenoidal/band-limited: projection moved it by {moved:.3e}"
@@ -598,18 +601,19 @@ def _prepare_initial(config: SimConfig, grid: SpectralGrid, u0: FormField) -> Fo
     return u
 
 
-def _run_loop(config: SimConfig, grid: SpectralGrid, u0: FormField, kernel: _EtdHeun, cfl: bool) -> Trajectory:
+def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool) -> Trajectory:
     """Shared integration loop: per-step diagnostics, interval snapshots,
     optional CFL check before every step.  In shrink mode a violation
     refines dt by an integer factor and restarts the current interval from
     its start state, so output stamps never move.  Stepping, diagnostics
     and pressures run on the kernel's band view; snapshots are scattered
-    back to the full lattice of grid."""
+    back to the full lattice of u0's grid."""
     r_lps, s_lps = config.lps_exponents
+    grid = u0.grid
     cell = grid.cell_volume
     band = kernel.grid
 
-    u = _prepare_initial(config, grid, u0)
+    u = _prepare_initial(config, u0)
     dt = config.dt
     stride = config.output_stride
     intervals = config.steps // stride
@@ -729,7 +733,7 @@ def simulate(config: SimConfig, u0: FormField) -> Trajectory:
                 "nonlinearity violates the energy-cancellation hypothesis: "
                 f"max normalized pairing {gate['max_normalized_pairing']:.3e}"
             )
-    return _run_loop(config, grid, u0, _EtdHeun(config, grid, config.forcing), cfl=True)
+    return _run_loop(config, u0, _EtdHeun(config, grid), cfl=True)
 
 
 def solve_linearized(
@@ -749,24 +753,20 @@ def solve_linearized(
     grid = u0.grid
     if (grid.n, grid.N) != (config.n, config.N):
         raise ValueError("initial data grid does not match the configuration")
-    frc = forcing if forcing is not None else config.forcing
-    frc.validate_for(grid, config.q)
+    if forcing is not None:
+        config = replace(config, forcing=forcing)
+    config.forcing.validate_for(grid, config.q)
 
     if w is None:
-        w_fields = None
-    else:
-        spacing = np.diff(w.stamps)
-        if len(w.velocities) < config.steps + 1 or not np.allclose(
-            spacing, config.dt, rtol=0, atol=1e-9 * config.dt
-        ):
-            raise ValueError(
-                "base trajectory must be stored at every step (stamp spacing == dt)"
-            )
-        w_fields = [v.to_fourier() for v in w.velocities]
-        for m, v in enumerate(w_fields):
-            if v.grid != grid or v.q != config.q:
-                raise ValueError("base trajectory does not match the configuration")
-            _require_band_limited(grid, v.data, f"base state {m}")
+        # B(0, .) = 0: the kernel steps the Stokes problem
+        return _run_loop(config, u0, _EtdHeun(replace(config, nonlinearity=BilinearSpec.stokes()), grid), cfl=False)
+    spacing = np.diff(w.stamps)
+    if len(w.velocities) < config.steps + 1 or not np.allclose(spacing, config.dt, rtol=0, atol=1e-9 * config.dt):
+        raise ValueError("base trajectory must be stored at every step (stamp spacing == dt)")
+    base = []
+    for m, v in enumerate(w.velocities):
+        if v.grid != grid or v.q != config.q:
+            raise ValueError("base trajectory does not match the configuration")
+        base.append(FormField(grid.band, config.q, _band_coeffs(v, f"base state {m}"), FOURIER))
+    return _run_loop(config, u0, _EtdHeun(config, grid, base), cfl=False)
 
-    kernel = _EtdHeun(config, grid, frc, linearized=True, base=w_fields)
-    return _run_loop(replace(config, forcing=frc), grid, u0, kernel, cfl=False)

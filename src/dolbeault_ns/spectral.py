@@ -249,10 +249,10 @@ class SpectralGrid:
                 lines[at + (slice(K + 1, M),)] = lines[at + (slice(N - K, N),)]
         return work[lead + (slice(0, M),) * self.dim].copy() if self.banded else work
 
-    def ifft(self, coeffs: np.ndarray, overwrite: bool = False) -> np.ndarray:
-        """Mode amplitudes -> physical samples (no scaling); batch and
-        overwrite as in fft.  On a band view the input holds the band and
-        is never written."""
+    def ifft(self, coeffs: np.ndarray) -> np.ndarray:
+        """Mode amplitudes -> physical samples (no scaling) in a new array,
+        batch as in fft; the input is never written.  On a band view the
+        input holds the band."""
         N, M, K = self.N, len(self.freq), self.N // 3
         first = coeffs.ndim - self.dim
         lead = (slice(None),) * first
@@ -260,8 +260,7 @@ class SpectralGrid:
             work = np.empty(coeffs.shape[:first] + self.shape, dtype=np.complex128)
             work[lead + (slice(0, M),) * self.dim] = coeffs
         else:
-            own = overwrite and coeffs.dtype == np.complex128
-            work = np.fft.ifft(coeffs, axis=-1, norm="forward", out=coeffs if own else None)
+            work = np.fft.ifft(coeffs, axis=-1, norm="forward")
         for a in reversed(range(self.dim)):
             # axes before a still hold their band in the first M places; the
             # places after those stand for zero modes, whose lines would

@@ -27,7 +27,8 @@ from dolbeault_ns import (
     simulate,
     solve_linearized,
 )
-from dolbeault_ns.spectral import FOURIER, apply_dealias, heat_multiplier_grid
+from dolbeault_ns.forms import apply_m1, apply_m2
+from dolbeault_ns.spectral import FOURIER, PHYSICAL, apply_dealias, heat_multiplier_grid
 
 LAMB = BilinearSpec.lamb()
 STOKES = BilinearSpec.stokes()
@@ -135,8 +136,10 @@ def test_linearized_kernel_matches_reference():
 @pytest.mark.parametrize("case", ["simulate", "linearized"])
 def test_band_kernel_equals_full_grid_etd_heun(case):
     # the kernel steps on the band view; this reference repeats its
-    # arithmetic with the public full-grid operators, so every velocity and
-    # pressure must agree exactly
+    # arithmetic on full-lattice fields with the public operators, whose N
+    # and B also run on the band and scatter their result (held to the
+    # full-grid recipe in test_public_n_and_b_equal_full_grid_recipe), so
+    # every velocity and pressure must agree exactly
     grid = SpectralGrid(2, 8)
     forcing = ForcingSpec(kind="single_mode", zeta=(1, 0, -2, 1), component=(1,), amplitude=0.4 + 0.2j, omega=3.0)
     cfg = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.06, dt=0.01, nonlinearity=LAMB, forcing=forcing, output_stride=1)
@@ -170,6 +173,69 @@ def test_band_kernel_equals_full_grid_etd_heun(case):
         mid = FormField(grid, 1, E * (u.data + dt * k1), FOURIER)
         g2 = source(mid, m + 1, stages).data
         u = leray_project(FormField(grid, 1, E * (u.data + (0.5 * dt) * k1) + (0.5 * dt) * g2, FOURIER))
+
+
+def _full_grid_quadratic(spec, x, y=None):
+    """N(x) (y None) or B(x, y) by the full-lattice recipe: a full inverse
+    FFT of [f, dbar f] per argument, M1/M2 on the samples, one forward FFT
+    and apply_dealias, then dbar of the M2 block."""
+    grid, q = x.grid, x.q
+    a = x.data.shape[0]
+
+    def samples(f):
+        s = grid.ifft(np.concatenate((f.data, dbar(f).data)))
+        return FormField(grid, q, s[:a], PHYSICAL), FormField(grid, q + 1, s[a:], PHYSICAL)
+
+    pairs = [(samples(x), samples(x))] if y is None else [(samples(x), samples(y)), (samples(y), samples(x))]
+    m1_terms, m2_terms = spec.tables(grid.n, q)
+    parts = []
+    if m1_terms:  # sum of M1(dbar f, g)
+        parts.append(sum(apply_m1(spec, f[1], g[0]).data for f, g in pairs))
+    if m2_terms:  # sum of M2(f, g)
+        parts.append(sum(apply_m2(spec, f[0], g[0]).data for f, g in pairs))
+    hat = apply_dealias(grid, grid.fft(np.concatenate(parts)))
+    if not m2_terms:
+        return hat
+    total = dbar(FormField(grid, q - 1, hat[a if m1_terms else 0 :], FOURIER)).data
+    return total + hat[:a] if m1_terms else total
+
+
+@pytest.mark.parametrize(
+    "n, q, N, spec",
+    [(2, 1, 8, LAMB), (3, 1, 4, LAMB), (4, 1, 4, LAMB), (3, 2, 4, _q2_custom()),
+     (2, 1, 8, BilinearSpec.custom(LAMB.tables(2, 1)[0], []))],
+    ids=["lamb-n2", "lamb-n3", "lamb-n4", "q2-custom-n3", "m1-only-n2"],
+)
+def test_public_n_and_b_equal_full_grid_recipe(n, q, N, spec):
+    # N and B evaluate on the band view and scatter the result; the band
+    # forward transform equals the dealiased full one, so they give the
+    # full-lattice recipe bit for bit
+    grid = SpectralGrid(n, N)
+    rng = np.random.default_rng(10 * n + q)
+    w, u = random_form(grid, q, rng, decay=1.0), random_form(grid, q, rng, decay=1.0)
+    assert np.array_equal(nonlinearity(u, spec).data, _full_grid_quadratic(spec, u))
+    assert np.array_equal(linearized_b(w, u, spec).data, _full_grid_quadratic(spec, w, u))
+
+
+def test_public_n_and_b_take_band_limited_fields_only():
+    grid = SpectralGrid(2, 8)
+    band = grid.band
+    rng = np.random.default_rng(3)
+    w, u = random_form(grid, 1, rng), random_form(grid, 1, rng)
+    aliased = u.copy()
+    aliased.data[(1,) + grid.mode_index((0, 0, 3, 0))] = 1e-3  # |zeta_3| = 3 > N/3
+    with pytest.raises(ValueError, match="u has nonzero modes outside the 2/3-rule band"):
+        nonlinearity(aliased, LAMB)
+    with pytest.raises(ValueError, match="u has nonzero modes outside the 2/3-rule band"):
+        linearized_b(w, aliased, LAMB)
+    with pytest.raises(ValueError, match="w has nonzero modes outside the 2/3-rule band"):
+        linearized_b(aliased, u, LAMB)
+    # a field on the band view stays there
+    wb, ub = (FormField(band, 1, band.gather(f.data), FOURIER) for f in (w, u))
+    n_band, b_band = nonlinearity(ub, LAMB), linearized_b(wb, ub, LAMB)
+    assert n_band.grid is band and b_band.grid is band
+    assert np.array_equal(n_band.data, band.gather(nonlinearity(u, LAMB).data))
+    assert np.array_equal(b_band.data, band.gather(linearized_b(w, u, LAMB).data))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
