@@ -64,6 +64,8 @@ from .forms import (
     BilinearSpec,
     FormField,
     apply_m1,
+    _json_object,
+    _json_value,
     apply_m2,
     index_of,
     l2_inner,
@@ -95,6 +97,14 @@ class CFLError(RuntimeError):
 
 
 # -- configuration -------------------------------------------------------------
+
+
+def lps_exponent(n: int, r: float) -> float:
+    """The time exponent s with 2/s + 2n/r = 1 of the strong-solution
+    monitor int ||u||_{L^r}^s dt; requires a finite r > 2n."""
+    if not (math.isfinite(r) and r > 2 * n):
+        raise ValueError(f"lps_r must be finite and above 2n = {2 * n}, got {r!r}")
+    return 2.0 / (1.0 - 2.0 * n / r)
 
 
 @dataclass
@@ -173,18 +183,20 @@ class ForcingSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ForcingSpec":
-        kind = doc.get("kind", "zero")
+        kind = _json_value(_json_object(doc, "forcing"), "kind", str, "forcing", "zero")
         if kind == "single_mode":
-            amp = doc.get("amplitude", [0.0, 0.0])
+            amp = _json_value(doc, "amplitude", (float,), "forcing", (0.0, 0.0))
+            if len(amp) != 2:
+                raise ValueError(f"forcing key 'amplitude' must be [re, im], got {list(amp)!r:.40}")
             return cls(
                 kind=kind,
-                zeta=tuple(doc["zeta"]),
-                component=tuple(doc["component"]),
-                amplitude=complex(amp[0], amp[1]),
-                omega=float(doc.get("omega", 0.0)),
+                zeta=_json_value(doc, "zeta", (int,), "forcing"),
+                component=_json_value(doc, "component", (int,), "forcing"),
+                amplitude=complex(*amp),
+                omega=_json_value(doc, "omega", float, "forcing", 0.0),
             )
         if kind == "file":
-            return cls(kind=kind, path=doc.get("path", ""))
+            return cls(kind=kind, path=_json_value(doc, "path", str, "forcing", ""))
         if kind != "zero":
             raise ValueError(f"unknown forcing kind {kind!r}")
         return cls(kind="zero")
@@ -230,9 +242,8 @@ class SimConfig:
             raise ValueError("cfl_safety must lie in (0, 1]")
         if self.cfl_mode not in ("fail", "shrink"):
             raise ValueError(f"cfl_mode must be 'fail' or 'shrink', got {self.cfl_mode!r}")
-        if self.lps_r is not None and not (math.isfinite(self.lps_r) and self.lps_r > 2 * self.n):
-            # the time exponent 2 / (1 - 2n/r) needs r > 2n
-            raise ValueError(f"lps_r must be finite and above 2n = {2 * self.n}, got {self.lps_r!r}")
+        if self.lps_r is not None:
+            lps_exponent(self.n, self.lps_r)
         self.nonlinearity.validate_for(self.n, self.q)
 
     @property
@@ -245,7 +256,7 @@ class SimConfig:
     @property
     def lps_exponents(self) -> tuple:
         r = self.lps_r if self.lps_r is not None else 2 * self.n + 1
-        return r, 2.0 / (1.0 - 2.0 * self.n / r)
+        return r, lps_exponent(self.n, r)
 
     def to_json(self) -> dict:
         return {
@@ -266,25 +277,27 @@ class SimConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SimConfig":
-        if not isinstance(doc, dict):
-            raise ValueError(f"a config must be a JSON object, got {type(doc).__name__}")
-        for key in ("n", "q", "N", "mu", "T", "dt"):
-            if key not in doc:
-                raise ValueError(f"config lacks the required key {key!r}")
+        """The config of a JSON object; a missing required key or an
+        ill-typed value raises ValueError naming the key."""
+        _json_object(doc, "a config")
+
+        def get(key, kind, *default):
+            return _json_value(doc, key, kind, "config", *default)
+
         return cls(
-            n=int(doc["n"]),
-            q=int(doc["q"]),
-            N=int(doc["N"]),
-            mu=float(doc["mu"]),
-            T=float(doc["T"]),
-            dt=float(doc["dt"]),
-            nonlinearity=BilinearSpec.from_json(doc.get("nonlinearity", {"kind": "stokes"})),
-            forcing=ForcingSpec.from_json(doc.get("forcing", {"kind": "zero"})),
-            output_stride=int(doc.get("output_stride", 1)),
-            cfl_safety=float(doc.get("cfl_safety", 0.5)),
-            cfl_mode=str(doc.get("cfl_mode", "fail")),
-            seed=int(doc.get("seed", 0)),
-            lps_r=None if doc.get("lps_r") is None else float(doc["lps_r"]),
+            n=get("n", int),
+            q=get("q", int),
+            N=get("N", int),
+            mu=get("mu", float),
+            T=get("T", float),
+            dt=get("dt", float),
+            nonlinearity=BilinearSpec.from_json(get("nonlinearity", dict, {"kind": "stokes"})),
+            forcing=ForcingSpec.from_json(get("forcing", dict, {"kind": "zero"})),
+            output_stride=get("output_stride", int, 1),
+            cfl_safety=get("cfl_safety", float, 0.5),
+            cfl_mode=get("cfl_mode", str, "fail"),
+            seed=get("seed", int, 0),
+            lps_r=None if doc.get("lps_r") is None else get("lps_r", float),
         )
 
 

@@ -292,14 +292,17 @@ class BilinearSpec:
     def from_json(cls, doc) -> "BilinearSpec":
         if isinstance(doc, str):
             doc = json.loads(doc)
-        kind = doc.get("kind")
+        kind = _json_value(_json_object(doc, "nonlinearity"), "kind", str, "nonlinearity", None)
         if kind in (KIND_STOKES, KIND_LAMB):
             return cls(kind)
         if kind != KIND_CUSTOM:
             raise ValueError(f"unknown nonlinearity kind {kind!r}")
-        m1 = tuple(_term_from_json(e) for e in doc.get("m1", {}).get("entries", ()))
-        m2 = tuple(_term_from_json(e) for e in doc.get("m2", {}).get("entries", ()))
-        return cls.custom(m1, m2)
+        tables = []
+        for part in ("m1", "m2"):
+            block = _json_value(doc, part, dict, "nonlinearity", {})
+            entries = _json_value(block, "entries", list, f"nonlinearity {part}", [])
+            tables.append(tuple(_term_from_json(e, f"nonlinearity {part} entry {i}") for i, e in enumerate(entries)))
+        return cls.custom(*tables)
 
 
 def _check_term(n: int, t: CustomTerm, len_k: int, len_a: int, len_b: int):
@@ -322,13 +325,14 @@ def _term_to_json(t: CustomTerm) -> dict:
     }
 
 
-def _term_from_json(e: dict) -> CustomTerm:
+def _term_from_json(e, where: str) -> CustomTerm:
+    _json_object(e, where)
     return CustomTerm(
-        k=tuple(e["K"]),
-        a=tuple(e["A"]),
-        b=tuple(e["B"]),
-        coeff=complex(e.get("re", 0.0), e.get("im", 0.0)),
-        conj_u=bool(e.get("conj_u", False)),
+        k=_json_value(e, "K", (int,), where),
+        a=_json_value(e, "A", (int,), where),
+        b=_json_value(e, "B", (int,), where),
+        coeff=complex(_json_value(e, "re", float, where, 0.0), _json_value(e, "im", float, where, 0.0)),
+        conj_u=_json_value(e, "conj_u", bool, where, False),
     )
 
 
@@ -379,3 +383,47 @@ def apply_m2(spec: BilinearSpec, u: FormField, w: FormField) -> FormField:
     out = FormField.zeros(u.grid, u.q - 1, PHYSICAL)
     _contract(spec._compile(u.grid.n, u.q)[1][1], u.data, w.data, out.data)
     return out
+
+
+# -- JSON documents ------------------------------------------------------------
+
+_REQUIRED = object()
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string", bool: "true or false", list: "a list",
+               dict: "a JSON object", (int,): "a list of integers", (float,): "a list of numbers"}
+
+
+def _json_object(doc, where: str) -> dict:
+    """doc, checked to be a JSON object."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _json_value(doc: dict, key: str, kind, where: str, default=_REQUIRED):
+    """doc[key] as kind, or default when the key is absent; ValueError
+    naming the key otherwise.  int takes integral numbers, float any
+    number (neither takes a bool), and (int,) or (float,) a list of them."""
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ValueError(f"{where} lacks the required key {key!r}")
+        return default
+    value = doc[key]
+    if isinstance(kind, tuple):
+        if isinstance(value, (list, tuple)) and all(_is_number(v, kind[0]) for v in value):
+            return tuple(kind[0](v) for v in value)
+    elif kind in (int, float):
+        if _is_number(value, kind):
+            return kind(value)
+    elif isinstance(value, kind):
+        return value
+    raise ValueError(f"{where} key {key!r} must be {_KIND_NAMES[kind]}, got {value!r:.40}")
+
+
+def _is_number(value, kind) -> bool:
+    """Whether value is a JSON number that converts to kind exactly: any
+    int or float for float (short of overflow), an integral one for int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    if kind is int:
+        return isinstance(value, int) or value.is_integer()
+    return isinstance(value, float) or abs(value) < 2**1023

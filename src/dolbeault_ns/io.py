@@ -24,8 +24,9 @@ written in this order:
                          per record kind, snapshot, q, representation, byte
                          offset and one CRC-32 per component
 
-The manifest is written last, to a temporary file renamed into place, so a
-directory with a manifest holds a complete trajectory; what a power loss
+In both kinds of directory the manifest is written last, to a temporary
+file renamed into place, after any old manifest is removed, so a directory
+with a manifest holds a complete field or trajectory; what a power loss
 could leave behind fails the size or checksum checks.  Loads also check the
 config echo against its hash.  Trajectories of schema
 dolbeault-ns.trajectory/1, with one field directory per snapshot
@@ -205,31 +206,47 @@ def _read_component(fh, dest: np.ndarray, crc, what: str):
         raise FieldFormatError(f"non-finite values in {what}")
 
 
-def save_field(path, field: FormField, sim_time: float = 0.0, seed=None, cfg_hash=None):
-    """Write a field directory: manifest.json plus one blob per component."""
+def _save_directory(path, write_data):
+    """Write a directory whose manifest.json is written last: remove a
+    manifest already there, let write_data(out) write the data files and
+    return the manifest, then write it to a temporary file and rename that
+    into place.  So an interrupted write never leaves a manifest beside
+    partial data, and a directory with a manifest holds complete data."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    blobs = []
-    for ci, component in enumerate(field.data):
-        name = f"comp_{ci:03d}.bin"
-        with open(out / name, "wb") as fh:
-            blobs.append({"file": name, "crc32": _write_component(fh, component)})
-    manifest = {
-        "schema": FIELD_SCHEMA,
-        "n": field.grid.n,
-        "N": field.grid.N,
-        "q": field.q,
-        "representation": field.rep,
-        "components": [list(J) for J in field.components],
-        "bytes_per_component": field.grid.size * 16,
-        "blobs": blobs,
-        "sim_time": sim_time,
-        "seed": seed,
-        "config_hash": cfg_hash,
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    manifest_path = out / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
+    manifest = write_data(out)
+    staged = out / "manifest.json.tmp"
+    staged.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
+    os.replace(staged, manifest_path)
+
+
+def save_field(path, field: FormField, sim_time: float = 0.0, seed=None, cfg_hash=None):
+    """Write a field directory: one blob per component, then manifest.json
+    (see _save_directory)."""
+
+    def write(out: Path) -> dict:
+        blobs = []
+        for ci, component in enumerate(field.data):
+            name = f"comp_{ci:03d}.bin"
+            with open(out / name, "wb") as fh:
+                blobs.append({"file": name, "crc32": _write_component(fh, component)})
+        return {
+            "schema": FIELD_SCHEMA,
+            "n": field.grid.n,
+            "N": field.grid.N,
+            "q": field.q,
+            "representation": field.rep,
+            "components": [list(J) for J in field.components],
+            "bytes_per_component": field.grid.size * 16,
+            "blobs": blobs,
+            "sim_time": sim_time,
+            "seed": seed,
+            "config_hash": cfg_hash,
+        }
+
+    _save_directory(path, write)
 
 
 def load_field(path, grid: SpectralGrid | None = None) -> FormField:
@@ -276,41 +293,36 @@ def load_field(path, grid: SpectralGrid | None = None) -> FormField:
 
 def save_trajectory(path, traj: Trajectory):
     """Write a trajectory directory of schema /2: fields.bin, diagnostics.csv,
-    then manifest.json through a temporary file and an atomic rename.  A
-    manifest already in the directory is removed first, so an interrupted
-    write never leaves one beside partial data."""
-    out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest_path = out / "manifest.json"
-    manifest_path.unlink(missing_ok=True)
-    cfg = traj.config
-    index = []
-    with open(out / FIELDS_FILE, "wb") as fh:
-        for m, snapshot in enumerate(zip(traj.velocities, traj.pressures)):
-            for kind, field in zip(KINDS, snapshot):
-                offset = fh.tell()
-                crcs = [_write_component(fh, component) for component in field.data]
-                index.append(
-                    {"kind": kind, "snapshot": m, "q": field.q, "representation": field.rep,
-                     "offset": offset, "crc32": crcs}
-                )
-        total = fh.tell()
-    lines = [",".join(DIAGNOSTIC_COLUMNS)]
-    for row in range(len(traj.diagnostics["t"])):
-        lines.append(",".join(repr(float(traj.diagnostics[c][row])) for c in DIAGNOSTIC_COLUMNS))
-    (out / "diagnostics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    manifest = {
-        "schema": TRAJECTORY_SCHEMA,
-        "config": cfg.to_json(),
-        "config_hash": config_hash(cfg),
-        "stamps": [float(t) for t in traj.stamps],
-        "snapshots": len(traj.velocities),
-        "bytes": total,
-        "fields": index,
-    }
-    staged = out / "manifest.json.tmp"
-    staged.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
-    os.replace(staged, manifest_path)
+    then manifest.json (see _save_directory)."""
+
+    def write(out: Path) -> dict:
+        cfg = traj.config
+        index = []
+        with open(out / FIELDS_FILE, "wb") as fh:
+            for m, snapshot in enumerate(zip(traj.velocities, traj.pressures)):
+                for kind, field in zip(KINDS, snapshot):
+                    offset = fh.tell()
+                    crcs = [_write_component(fh, component) for component in field.data]
+                    index.append(
+                        {"kind": kind, "snapshot": m, "q": field.q, "representation": field.rep,
+                         "offset": offset, "crc32": crcs}
+                    )
+            total = fh.tell()
+        lines = [",".join(DIAGNOSTIC_COLUMNS)]
+        for row in range(len(traj.diagnostics["t"])):
+            lines.append(",".join(repr(float(traj.diagnostics[c][row])) for c in DIAGNOSTIC_COLUMNS))
+        (out / "diagnostics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return {
+            "schema": TRAJECTORY_SCHEMA,
+            "config": cfg.to_json(),
+            "config_hash": config_hash(cfg),
+            "stamps": [float(t) for t in traj.stamps],
+            "snapshots": len(traj.velocities),
+            "bytes": total,
+            "fields": index,
+        }
+
+    _save_directory(path, write)
 
 
 def _load_packed(root: Path, manifest: dict, cfg: SimConfig, count: int, where: str) -> tuple:
@@ -365,8 +377,8 @@ def load_trajectory(path) -> Trajectory:
         raise FieldFormatError(f"{where}: the config does not match its config_hash")
     try:
         cfg = SimConfig.from_json(echo)
-    except (KeyError, TypeError) as exc:
-        raise FieldFormatError(f"{where}: config lacks or mistypes {exc}") from exc
+    except ValueError as exc:
+        raise FieldFormatError(f"{where}: invalid config echo: {exc}") from exc
     try:
         stamps = np.asarray(_key(manifest, "stamps", list, where), dtype=float)
     except (TypeError, ValueError) as exc:

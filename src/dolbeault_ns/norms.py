@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dolbeault import dbar
-from .dynamics import _max_abs
+from .dynamics import _max_abs, lps_exponent
 from .forms import FormField, l2_inner
 from .spectral import FOURIER, PHYSICAL
 
@@ -77,13 +77,6 @@ def lr_norm(u: FormField, r: float) -> float:
     phys = u.to_physical()
     total = float(np.sum(np.abs(phys.data) ** r))
     return float((phys.grid.cell_volume * total) ** (1.0 / r))
-
-
-def lps_exponent(n: int, r: float) -> float:
-    """The time exponent s with 2/s + 2n/r = 1 (requires finite r > 2n)."""
-    if not (math.isfinite(r) and r > 2 * n):
-        raise ValueError(f"strong-solution monitor needs finite r > 2n = {2 * n}, got r = {r}")
-    return 2.0 / (1.0 - 2.0 * n / r)
 
 
 def lps_integral(traj, r: float) -> float:

@@ -86,6 +86,16 @@ def test_config_json_round_trip():
     assert back == cfg
 
 
+def test_config_json_numbers():
+    # ints are numbers; an integer key takes an integral number only
+    cfg = SimConfig.from_json({"n": 2.0, "q": 1, "N": 8, "mu": 1, "T": 1, "dt": 0.1, "cfl_safety": 1})
+    assert (cfg.n, cfg.mu, cfg.T, cfg.cfl_safety) == (2, 1.0, 1.0, 1.0)
+    assert isinstance(cfg.n, int) and isinstance(cfg.mu, float)
+    for key, bad in (("N", 8.5), ("q", True), ("mu", "0.2"), ("seed", None), ("output_stride", [1])):
+        with pytest.raises(ValueError, match=f"config key '{key}' must be"):
+            SimConfig.from_json({"n": 2, "q": 1, "N": 8, "mu": 0.2, "T": 0.1, "dt": 0.01, key: bad})
+
+
 def test_forcing_validation(grid8):
     frc = ForcingSpec(kind="single_mode", zeta=(9, 0, 0, 0), component=(1,), amplitude=1.0)
     with pytest.raises(ValueError):

@@ -398,6 +398,29 @@ def test_interrupted_trajectory_save_leaves_no_manifest(tmp_path, monkeypatch, e
         load_trajectory(run)
 
 
+def test_interrupted_field_save_leaves_no_manifest(tmp_path, monkeypatch, grid8, rng):
+    import dolbeault_ns.io as dio
+
+    field = random_form(grid8, 1, rng)  # two components
+    save_field(tmp_path / "F", field)
+    assert sorted(p.name for p in (tmp_path / "F").iterdir()) == ["comp_000.bin", "comp_001.bin", "manifest.json"]
+    write, written = dio._write_component, []
+
+    def failing(fh, component):
+        if len(written) == 1:
+            raise OSError("no space left on device")
+        written.append(component)
+        return write(fh, component)
+
+    # a save over the complete field dies after rewriting its first blob
+    monkeypatch.setattr(dio, "_write_component", failing)
+    with pytest.raises(OSError, match="no space"):
+        save_field(tmp_path / "F", 2.0 * field)
+    assert not (tmp_path / "F" / "manifest.json").exists()
+    with pytest.raises(FieldFormatError, match="no field manifest"):
+        load_field(tmp_path / "F")
+
+
 @pytest.mark.parametrize(
     "damage, word",
     [("flip", "checksum"), ("truncate", "size"), ("append", "size"), ("append-and-count", "size")],
@@ -443,6 +466,13 @@ def test_packed_index_disagreement_detected(tmp_path, change):
         load_trajectory(tmp_path / "run")
 
 
+def _mistype_config_echo(doc):
+    """n = 2.5 in the config echo, under a matching config_hash."""
+    doc["config"]["n"] = 2.5
+    canonical = json.dumps(doc["config"], sort_keys=True, separators=(",", ":"))
+    doc["config_hash"] = hashlib.sha256(canonical.encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "layout, name, change, word",
     [
@@ -454,11 +484,12 @@ def test_packed_index_disagreement_detected(tmp_path, change):
         ("v1", "p_000000/manifest.json", lambda d: d.update(n=2.5), "'n'"),
         ("v2", "manifest.json", lambda d: d["config"].update(mu=0.3), "config_hash"),
         ("v1", "manifest.json", lambda d: d["config"].update(mu=0.3), "config_hash"),
+        ("v2", "manifest.json", _mistype_config_echo, "key 'n' must be an integer"),
         ("v2", "diagnostics.csv", lambda text: text.splitlines()[0], "rows"),
         ("v2", "diagnostics.csv", lambda text: text.replace(",", ";", 1), "columns"),
     ],
     ids=["v2-stamps", "v1-stamps", "v2-snapshots", "v2-crc32", "v1-blobs", "v1-field-n",
-         "v2-config-hash", "v1-config-hash", "header-only", "bad-header"],
+         "v2-config-hash", "v1-config-hash", "v2-config-n", "header-only", "bad-header"],
 )
 def test_cli_malformed_trajectory_exits_2(tmp_path, capsys, layout, name, change, word):
     _, traj = _small_run()
@@ -703,13 +734,25 @@ def test_cli_rejects_bad_config_with_exit_2(tmp_path, capsys, overrides):
     assert not (tmp_path / "o").exists()
 
 
+_CFG = {"n": 2, "q": 1, "N": 8, "mu": 0.2, "T": 0.1, "dt": 0.01}
+
+
 @pytest.mark.parametrize("command", ["simulate", "linearize"])
 @pytest.mark.parametrize(
     "doc, message",
     [({"q": 1, "N": 8, "mu": 0.2, "T": 0.1, "dt": 0.01}, "required key 'n'"),
      ({"n": 2, "q": 1, "N": 8, "mu": 0.2, "T": 0.1}, "required key 'dt'"),
-     ([1, 2], "JSON object, got list")],
-    ids=["no-n", "no-dt", "list"],
+     ([1, 2], "JSON object, got list"),
+     ({**_CFG, "n": None}, "key 'n' must be an integer, got None"),
+     ({**_CFG, "n": 2.5}, "key 'n' must be an integer, got 2.5"),
+     ({**_CFG, "nonlinearity": 3}, "key 'nonlinearity' must be a JSON object, got 3"),
+     ({**_CFG, "nonlinearity": {"kind": "custom", "m1": {"entries": [{"A": [1, 2], "B": [1], "re": 1.0}]}}},
+      "m1 entry 0 lacks the required key 'K'"),
+     ({**_CFG, "forcing": {"kind": "single_mode", "zeta": 5, "component": [1]}},
+      "key 'zeta' must be a list of integers, got 5"),
+     ({**_CFG, "cfl_safety": [1]}, "key 'cfl_safety' must be a number, got [1]")],
+    ids=["no-n", "no-dt", "list", "n-null", "n-fraction", "nonlinearity-int", "entry-no-K", "zeta-int",
+         "cfl-safety-list"],
 )
 def test_cli_malformed_config_exits_2(tmp_path, capsys, command, doc, message):
     cfg_path = tmp_path / "cfg.json"
