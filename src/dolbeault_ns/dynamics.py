@@ -475,7 +475,8 @@ class _EtdHeun:
         g(v, t) = f(t) - dealias(M1(dbar v, v))                  (nonlinear)
         g(v, t) = f(t) - dealias(M1(dbar w, v) + M1(dbar v, w))  (linearized)
 
-    with base[m] the linearization point w at step m (base None: w = 0).
+    with base[m] the linearization point w at step m (base None: the
+    nonlinear source; solve_linearized steps w = 0 with the Stokes table).
     A stage reads v from the samples of [v, dbar v], made by physical() in
     one inverse FFT.  The run loop stores the samples of the current state
     in `phys` (load()) when it records its diagnostics, and step() takes
