@@ -73,8 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _initial_field(args, config, grid):
+    """--u0 on the full lattice (the run dealiases it and rejects it if
+    that moves it), else the --initial data on grid."""
     if args.u0 is not None:
-        return io.load_field(args.u0, grid=grid)
+        return io.load_field(args.u0, grid=grid.full)
     doc = args.initial if args.initial is not None else '{"kind": "random_solenoidal"}'
     return io.gen_initial(InitialSpec.from_json(doc), config, grid)
 

@@ -43,15 +43,16 @@ forward FFT.  The M1 block of that transform is the next step's stage-1
 source, so that stage forms no products and makes no transform.  The CFL
 bound is checked before every step.
 
-Every stepped state is band-limited by the 2/3 rule, and the quadratic
-term is only evaluated on the band view of the grid (spectral.py).  The
-initial data is dealiased (and rejected if that moves it); every other
-field enters the band through _band_coeffs, which rejects a nonzero mode
-outside it: forcing files, linearization bases (once, at entry), the
-state of step_etd_heun and the arguments of the public N and B.  A run
-steps, records diagnostics and forms pressures on the band, and only the
-stored velocities and pressures are scattered back to the full lattice,
-with the per-mode arithmetic of a full-grid run.
+Every stepped state is band-limited by the 2/3 rule, and a run lives on
+the band view of its grid (spectral.py; SimConfig.make_grid returns it):
+its state, its stored velocities and pressures and the trajectory files
+hold the 2/3-rule modes only, with the per-mode arithmetic of a full-grid
+run.  The initial data may be given on the full lattice; it is dealiased
+(and rejected if that moves it).  Every other field enters the band
+through _band_coeffs, which rejects a nonzero mode outside it: forcing
+files, linearization bases (once, at entry), the state of step_etd_heun
+and the arguments of the public N and B, which answer on their
+argument's grid.
 """
 
 import math
@@ -149,7 +150,7 @@ class ForcingSpec:
         if self._loaded is None:
             from .io import load_field
 
-            self._loaded = load_field(self.path, grid=SpectralGrid(grid.n, grid.N)).to_fourier()
+            self._loaded = load_field(self.path, grid=grid.full).to_fourier()
         f = self._loaded
         if f.q != q or (f.grid.n, f.grid.N) != (grid.n, grid.N):
             raise ValueError("forcing file does not match the run's grid/bidegree")
@@ -251,7 +252,8 @@ class SimConfig:
         return round(self.T / self.dt)
 
     def make_grid(self) -> SpectralGrid:
-        return SpectralGrid(self.n, self.N)
+        """The grid of a run: the 2/3-rule band view of the (n, N) lattice."""
+        return SpectralGrid(self.n, self.N).band
 
     @property
     def lps_exponents(self) -> tuple:
@@ -315,7 +317,8 @@ DIAGNOSTIC_COLUMNS = (
 class Trajectory:
     """Velocity/pressure snapshots at uniform output stamps plus per-step
     diagnostics (columns as in DIAGNOSTIC_COLUMNS; energy = ||u||^2 / 2,
-    dbar_star_residual = ||dbar* u||)."""
+    dbar_star_residual = ||dbar* u||).  A run stores its snapshots as
+    Fourier fields on the band view of its grid (SimConfig.make_grid)."""
 
     stamps: np.ndarray
     velocities: list
@@ -327,12 +330,14 @@ class Trajectory:
 # -- nonlinearity and linearization ---------------------------------------------
 
 
-def _samples(u: FormField, with_dbar: bool, du: FormField | None = None) -> np.ndarray:
+def _samples(
+    u: FormField, with_dbar: bool, du: FormField | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """Physical samples of u (Fourier), stacked over those of dbar u when
-    with_dbar, from one inverse FFT."""
+    with_dbar, from one inverse FFT (into out when given)."""
     if with_dbar:
-        return u.grid.ifft(np.concatenate((u.data, (dbar(u) if du is None else du).data)))
-    return u.grid.ifft(u.data)
+        return u.grid.ifft(np.concatenate((u.data, (dbar(u) if du is None else du).data)), out=out)
+    return u.grid.ifft(u.data, out=out)
 
 
 def _quadratic(
@@ -489,7 +494,11 @@ class _EtdHeun:
 
     The kernel works on the band view of the run's grid: states, sources
     and multipliers hold the 2/3-rule modes only, and so does base[m],
-    which solve_linearized gathers onto the band once, at entry.
+    which solve_linearized gathers onto the band once, at entry.  It owns
+    its sample stacks: the samples of the recorded state and of each stage
+    go to one buffer, those of w to another.  Fresh stacks of that size
+    come from mmap and go back to the system when freed, so each would
+    cost its pages in faults again.
     """
 
     def __init__(self, config: SimConfig, grid: SpectralGrid, base=None):
@@ -503,12 +512,16 @@ class _EtdHeun:
         self.forced = self.forcing.kind != "zero"
         self.phys = None
         self.g1 = None
-        self._base_phys = (None, None)  # (step index, samples of [w, dbar w])
+        rows = num_components(self.grid.n, self.q) + (num_components(self.grid.n, self.q + 1) if self.m1 else 0)
+        self._stage_phys = np.empty((rows,) + self.grid.shape, dtype=np.complex128)
+        # samples of [w, dbar w] at step _base_m
+        self._base_phys = None if base is None else np.empty_like(self._stage_phys)
+        self._base_m = None
 
     def physical(self, u: FormField, du: FormField | None = None) -> np.ndarray:
         """Samples of u (Fourier), stacked over those of dbar u when the
-        stages form products, from one inverse FFT."""
-        return _samples(u, self.m1, du)
+        stages form products, from one inverse FFT into the stage buffer."""
+        return _samples(u, self.m1, du, out=self._stage_phys)
 
     def load(self, u: FormField, du: FormField | None = None):
         """Hand the samples of u to the next step, dropping a stage source
@@ -518,10 +531,11 @@ class _EtdHeun:
 
     def _base_physical(self, t: float) -> np.ndarray:
         m = int(round(t / self.dt_base))
-        if self._base_phys[0] != m:
-            self._base_phys = (None, None)  # free the old samples first
-            self._base_phys = (m, self.physical(self.base[m]))
-        return self._base_phys[1]
+        if self._base_m != m:
+            self._base_m = None
+            _samples(self.base[m], self.m1, out=self._base_phys)
+            self._base_m = m
+        return self._base_phys
 
     def source(self, phys: np.ndarray | None, t: float, exact: bool = False) -> np.ndarray:
         """g(v, t) in Fourier space as a new array, from phys = physical(v);
@@ -550,8 +564,7 @@ class _EtdHeun:
         if not (self.m1 or self.forced):
             return FormField(grid, q, E * u.data, FOURIER)
         k1 = leray_project(FormField(grid, q, self.source(phys, t) if g1 is None else g1, FOURIER)).data
-        # each stacked sample buffer is released as soon as it is used: at
-        # n = 3, N = 8 one holds 25 MB
+        # stage 2 writes its samples over those of u
         phys = None
         if self.m1:
             mid = dt * k1
@@ -595,19 +608,23 @@ def step_etd_heun(u_m: FormField, t_m: float, config: SimConfig) -> FormField:
     out = kernel.step(u, t_m, config.dt, heat_multiplier_grid(band, config.mu, config.dt))
     if not np.all(np.isfinite(out.data)):
         raise BlowUpError(t_m + config.dt)
-    return FormField(grid, config.q, band.scatter(out.data), FOURIER)
+    return out if grid.banded else FormField(grid, config.q, band.scatter(out.data), FOURIER)
 
 
 def _prepare_initial(config: SimConfig, u0: FormField) -> FormField:
-    """The dealiased, projected initial state on the band view of its grid."""
+    """The dealiased, projected initial state on the band view of its grid.
+    Physical samples are transformed on the full lattice, so that a mode
+    outside the band counts as moved on a band view too."""
     if u0.q != config.q:
         raise ValueError("initial data does not match the configuration")
     band = u0.grid.band
-    u0f = u0.to_fourier()
-    u = leray_project(FormField(band, config.q, band.gather(u0f.data), FOURIER))
+    u0f = u0 if u0.rep == FOURIER else FormField(u0.grid.full, config.q, u0.data, PHYSICAL).to_fourier()
+    coeffs = u0f.data if u0f.grid.banded else band.gather(u0f.data)
+    u = leray_project(FormField(band, config.q, coeffs, FOURIER))
     scale = l2_norm(u0)
     if scale > 0.0:
-        moved = l2_norm(FormField(u0.grid, config.q, band.scatter(u.data), FOURIER) - u0f) / scale
+        back = u.data if u0f.grid.banded else band.scatter(u.data)
+        moved = l2_norm(FormField(u0f.grid, config.q, back, FOURIER) - u0f) / scale
         if moved > 1e-6:
             raise ValueError(
                 f"initial data is not solenoidal/band-limited: projection moved it by {moved:.3e}"
@@ -619,13 +636,11 @@ def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool) -> 
     """Shared integration loop: per-step diagnostics, interval snapshots,
     optional CFL check before every step.  In shrink mode a violation
     refines dt by an integer factor and restarts the current interval from
-    its start state, so output stamps never move.  Stepping, diagnostics
-    and pressures run on the kernel's band view; snapshots are scattered
-    back to the full lattice of u0's grid."""
+    its start state, so output stamps never move.  Stepping, diagnostics,
+    pressures and the stored snapshots all live on the kernel's band view."""
     r_lps, s_lps = config.lps_exponents
-    grid = u0.grid
-    cell = grid.cell_volume
     band = kernel.grid
+    cell = band.cell_volume
 
     u = _prepare_initial(config, u0)
     dt = config.dt
@@ -669,9 +684,8 @@ def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool) -> 
         # annihilates the solenoidal part of F, so recovering p from F
         # itself equals recovering it from F - P F
         F = FormField(band, config.q, kernel.source(kernel.phys, t, exact=True), FOURIER)
-        p = pressure_recover(F, check=False)
-        velocities.append(FormField(grid, config.q, band.scatter(state.data), FOURIER))
-        pressures.append(FormField(grid, p.q, band.scatter(p.data), FOURIER))
+        velocities.append(state)
+        pressures.append(pressure_recover(F, check=False))
 
     umax = record(0.0, u)
     snapshot(0.0, u)
@@ -683,7 +697,7 @@ def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool) -> 
         while m < stride:
             t = t0 + m * dt
             if cfl:
-                dt_max = config.cfl_safety * grid.dx / max(1.0, umax)
+                dt_max = config.cfl_safety * band.dx / max(1.0, umax)
                 if dt > dt_max * (1.0 + 1e-12):
                     factor = math.ceil(dt / dt_max)
                     # honor the T/dt <= 1e7 budget even while refining
@@ -741,7 +755,7 @@ def simulate(config: SimConfig, u0: FormField) -> Trajectory:
     config.forcing.validate_for(grid, config.q)
     spec = config.nonlinearity
     if not _pairing_cancels(spec.tables(config.n, config.q)[0]):
-        gate = verify_key1(spec, grid, config.q, trials=20, seed=config.seed)
+        gate = verify_key1(spec, grid.full, config.q, trials=20, seed=config.seed)
         if not gate["pass"]:
             raise ValueError(
                 "nonlinearity violates the energy-cancellation hypothesis: "
@@ -779,7 +793,7 @@ def solve_linearized(
         raise ValueError("base trajectory must be stored at every step (stamp spacing == dt)")
     base = []
     for m, v in enumerate(w.velocities):
-        if v.grid != grid or v.q != config.q:
+        if (v.grid.n, v.grid.N) != (grid.n, grid.N) or v.q != config.q:
             raise ValueError("base trajectory does not match the configuration")
         base.append(FormField(grid.band, config.q, _band_coeffs(v, f"base state {m}"), FOURIER))
     return _run_loop(config, u0, _EtdHeun(config, grid, base), cfl=False)

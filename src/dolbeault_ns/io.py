@@ -9,14 +9,19 @@ configuration and seed reproduces output directories bit for bit.
 
 A field directory (schema dolbeault-ns.field/1: --u0, forcing files and the
 pressure tool) is manifest.json plus one blob comp_NNN.bin per component,
-components in canonical multi-index order.
+components in canonical multi-index order.  Its blobs hold the full lattice
+(N^{2n} values each): a field on a band view is scattered to it when saved,
+and gathered back when loaded onto a band view.
 
-A trajectory directory (schema dolbeault-ns.trajectory/2) is three files,
+A trajectory directory (schema dolbeault-ns.trajectory/3) is three files,
 written in this order:
 
     fields.bin           one record per field in snapshot order u_0, p_0,
                          u_1, p_1, ...; a record is the field's component
-                         blobs laid end to end
+                         blobs laid end to end, on the band view of the
+                         run's grid: binom(n, q) x M^{2n} values for a
+                         Fourier field (M = 2 (N // 3) + 1, the 2/3-rule
+                         modes), binom(n, q) x N^{2n} for physical samples
     diagnostics.csv      t, energy, dbar_norm_sq, dbar_star_residual,
                          max_abs_u, lps_accum (one row per time step)
     manifest.json        config echo, config hash, stamps, snapshot count,
@@ -29,8 +34,10 @@ file renamed into place, after any old manifest is removed, so a directory
 with a manifest holds a complete field or trajectory; what a power loss
 could leave behind fails the size or checksum checks.  Loads also check the
 config echo against its hash.  Trajectories of schema
-dolbeault-ns.trajectory/1, with one field directory per snapshot
-(u_000000/, p_000000/, ...), are still read.
+dolbeault-ns.trajectory/2 (the same files with full-lattice records) and
+dolbeault-ns.trajectory/1 (one field directory per snapshot, u_000000/,
+p_000000/, ...) are still read: each record is gathered onto the band, and
+one with a nonzero mode outside it is rejected.
 """
 
 import hashlib
@@ -43,12 +50,13 @@ from pathlib import Path
 import numpy as np
 
 from .dolbeault import leray_project
-from .dynamics import DIAGNOSTIC_COLUMNS, SimConfig, Trajectory
-from .forms import FormField, index_of, multi_indices, num_components, random_form
+from .dynamics import DIAGNOSTIC_COLUMNS, SimConfig, Trajectory, _band_coeffs
+from .forms import FormField, _json_object, _json_value, index_of, multi_indices, num_components, random_form
 from .spectral import FOURIER, PHYSICAL, SpectralGrid, apply_dealias
 
 FIELD_SCHEMA = "dolbeault-ns.field/1"
-TRAJECTORY_SCHEMA = "dolbeault-ns.trajectory/2"
+TRAJECTORY_SCHEMA = "dolbeault-ns.trajectory/3"
+TRAJECTORY_SCHEMA_V2 = "dolbeault-ns.trajectory/2"
 TRAJECTORY_SCHEMA_V1 = "dolbeault-ns.trajectory/1"
 FIELDS_FILE = "fields.bin"
 # the records of one snapshot in fields.bin; kind k has bidegree config.q - k
@@ -84,31 +92,49 @@ class InitialSpec:
 
     @classmethod
     def from_json(cls, doc) -> "InitialSpec":
+        """The spec of a JSON object (or its text); an ill-typed value
+        raises ValueError naming the key.  amplitude is a number or
+        [re, im]."""
         if isinstance(doc, str):
             doc = json.loads(doc)
-        kind = doc.get("kind", "random_solenoidal")
-        amp = doc.get("amplitude", [1.0, 0.0])
-        if isinstance(amp, (int, float)):
-            amp = [float(amp), 0.0]
+        _json_object(doc, "initial")
+
+        def get(key, kind, default):
+            return _json_value(doc, key, kind, "initial", default)
+
+        if isinstance(doc.get("amplitude"), list):
+            amp = get("amplitude", (float,), None)
+            if len(amp) != 2:
+                raise ValueError(f"initial key 'amplitude' must be [re, im], got {list(amp)!r:.40}")
+        else:
+            amp = (get("amplitude", float, 1.0), 0.0)
         return cls(
-            kind=kind,
-            decay=float(doc.get("decay", 3.0)),
-            zeta=tuple(doc.get("zeta", ())),
-            component=tuple(doc.get("component", ())),
-            amplitude=complex(amp[0], amp[1]),
-            path=str(doc.get("path", "")),
+            kind=get("kind", str, "random_solenoidal"),
+            decay=get("decay", float, 3.0),
+            zeta=get("zeta", (int,), ()),
+            component=get("component", (int,), ()),
+            amplitude=complex(*amp),
+            path=get("path", str, ""),
         )
 
 
 def gen_initial(spec: InitialSpec, config: SimConfig, grid: SpectralGrid | None = None) -> FormField:
-    """Build a solenoidal, band-limited initial condition for the run."""
+    """Build a solenoidal, band-limited initial condition for the run, on
+    grid (default: the run's band view).  Random data is drawn on the full
+    lattice in every case, so that on a band view it is the gather of the
+    full-lattice field bit for bit; a file is loaded on the full lattice."""
     if grid is None:
         grid = config.make_grid()
     q = config.q
     if spec.kind == "random_solenoidal":
         rng = np.random.default_rng(config.seed)
-        return leray_project(random_form(grid, q, rng, decay=spec.decay))
+        u = random_form(grid.full, q, rng, decay=spec.decay)
+        if grid.banded:
+            u = FormField(grid, q, grid.gather(u.data), FOURIER)
+        return leray_project(u)
     if spec.kind == "single_mode":
+        if len(spec.component) != q:
+            raise ValueError(f"initial component {list(spec.component)} is not a (0,{q}) index")
         u = FormField.zeros(grid, q, FOURIER)
         idx = (index_of(grid.n, tuple(spec.component)),) + grid.mode_index(spec.zeta)
         u.data[idx] = complex(spec.amplitude)
@@ -133,7 +159,7 @@ def gen_initial(spec: InitialSpec, config: SimConfig, grid: SpectralGrid | None 
             u.data[(ci,) + grid.mode_index(minus)] = 0.5j
         return leray_project(u)
     if spec.kind == "file":
-        return load_field(spec.path, grid=grid)
+        return load_field(spec.path, grid=grid.full)
     raise ValueError(f"unknown initial-condition kind {spec.kind!r}")
 
 
@@ -224,7 +250,10 @@ def _save_directory(path, write_data):
 
 def save_field(path, field: FormField, sim_time: float = 0.0, seed=None, cfg_hash=None):
     """Write a field directory: one blob per component, then manifest.json
-    (see _save_directory)."""
+    (see _save_directory).  A Fourier field on a band view is scattered to
+    the full lattice first."""
+    if field.grid.banded and field.rep == FOURIER:
+        field = FormField(field.grid.full, field.q, field.grid.scatter(field.data), FOURIER)
 
     def write(out: Path) -> dict:
         blobs = []
@@ -250,8 +279,10 @@ def save_field(path, field: FormField, sim_time: float = 0.0, seed=None, cfg_has
 
 
 def load_field(path, grid: SpectralGrid | None = None) -> FormField:
-    """Read a field directory back; verifies schema, manifest keys, sizes,
-    checksums and that every value is finite."""
+    """Read a field directory back, on grid (default: the full lattice);
+    verifies schema, manifest keys, sizes, checksums and that every value
+    is finite.  A band view gets the band of the stored field (see
+    _onto)."""
     root = Path(path)
     where = f"field manifest {root / 'manifest.json'}"
     manifest = _read_manifest(root / "manifest.json", "field")
@@ -285,15 +316,32 @@ def load_field(path, grid: SpectralGrid | None = None) -> FormField:
                 state = "truncated" if size < nbytes else "overlong"
                 raise FieldFormatError(f"blob {name} is {state} ({size} of {nbytes} bytes)")
             _read_component(fh, data[ci], crc, f"blob {name}")
-    return FormField(grid, q, data, rep)
+    return _onto(FormField(grid.full, q, data, rep), grid, f"field {root}")
+
+
+def _onto(field: FormField, grid: SpectralGrid, what: str) -> FormField:
+    """A stored full-lattice field on grid.  A band view keeps physical
+    samples as they are and takes the band of Fourier coefficients, where
+    a nonzero mode outside the band raises FieldFormatError naming what."""
+    if field.grid == grid or field.rep == PHYSICAL:
+        return FormField(grid, field.q, field.data, field.rep)
+    try:
+        return FormField(grid, field.q, _band_coeffs(field, what), FOURIER)
+    except ValueError as exc:
+        raise FieldFormatError(str(exc)) from exc
 
 
 # -- trajectory persistence --------------------------------------------------------------
 
 
 def save_trajectory(path, traj: Trajectory):
-    """Write a trajectory directory of schema /2: fields.bin, diagnostics.csv,
-    then manifest.json (see _save_directory)."""
+    """Write a trajectory directory of schema /3: fields.bin, diagnostics.csv,
+    then manifest.json (see _save_directory).  Every field must lie on the
+    band view of the run's grid, as a run stores them."""
+    grid = traj.config.make_grid()
+    for field in traj.velocities + traj.pressures:
+        if field.grid != grid:
+            raise ValueError(f"trajectory field on {field.grid}, expected the run's band view {grid}")
 
     def write(out: Path) -> dict:
         cfg = traj.config
@@ -325,14 +373,15 @@ def save_trajectory(path, traj: Trajectory):
     _save_directory(path, write)
 
 
-def _load_packed(root: Path, manifest: dict, cfg: SimConfig, count: int, where: str) -> tuple:
-    """The velocities and pressures of a /2 trajectory, checked against its
-    fields index, read from fields.bin in one pass."""
+def _load_packed(root: Path, manifest: dict, cfg: SimConfig, count: int, where: str, grid: SpectralGrid) -> tuple:
+    """The velocities and pressures of a /3 trajectory (grid the band view)
+    or a /2 one (grid the full lattice), checked against its fields index,
+    read from fields.bin in one pass, on the band view."""
     index = _key(manifest, "fields", list, where)
     total = _key(manifest, "bytes", int, where)
     if len(index) != len(KINDS) * count:
         raise FieldFormatError(f"{where} indexes {len(index)} fields for {count} snapshots")
-    grid = cfg.make_grid()
+    band = grid.band
     fields = tuple([] for _ in KINDS)
     with open(root / FIELDS_FILE, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -350,28 +399,30 @@ def _load_packed(root: Path, manifest: dict, cfg: SimConfig, count: int, where: 
             if rep not in (FOURIER, PHYSICAL):
                 raise FieldFormatError(f"{at} has unknown representation {rep!r}")
             crcs = _key(record, "crc32", list, at)
-            data = np.empty((num_components(grid.n, q),) + grid.shape, dtype="<c16")
+            shape = grid.fourier_shape if rep == FOURIER else grid.shape
+            data = np.empty((num_components(grid.n, q),) + shape, dtype="<c16")
             if len(crcs) != len(data):
                 raise FieldFormatError(f"{at} lists {len(crcs)} checksums for {len(data)} components")
+            what = f"{FIELDS_FILE} record {i} ({KINDS[k]}_{m})"
             for ci, crc in enumerate(crcs):
-                _read_component(fh, data[ci], crc, f"{FIELDS_FILE} record {i} ({KINDS[k]}_{m}) component {ci}")
-            fields[k].append(FormField(grid, q, data, rep))
+                _read_component(fh, data[ci], crc, f"{what} component {ci}")
+            fields[k].append(_onto(FormField(grid, q, data, rep), band, what))
         if fh.tell() != total:
             raise FieldFormatError(f"{FIELDS_FILE} size mismatch: records end at byte {fh.tell()} of {total}")
     return fields
 
 
 def load_trajectory(path) -> Trajectory:
-    """Read a trajectory directory of schema /2 (or /1); verifies the
-    manifest keys, the config hash and every stored field."""
+    """Read a trajectory directory of schema /3 (or /2, /1) onto the band
+    view of its run's grid; verifies the manifest keys, the config hash
+    and every stored field."""
     root = Path(path)
     where = f"trajectory manifest {root / 'manifest.json'}"
     manifest = _read_manifest(root / "manifest.json", "trajectory")
     schema = manifest.get("schema")
-    if schema not in (TRAJECTORY_SCHEMA, TRAJECTORY_SCHEMA_V1):
-        raise FieldFormatError(
-            f"unsupported trajectory schema {schema!r}, expected {TRAJECTORY_SCHEMA} or {TRAJECTORY_SCHEMA_V1}"
-        )
+    schemas = (TRAJECTORY_SCHEMA, TRAJECTORY_SCHEMA_V2, TRAJECTORY_SCHEMA_V1)
+    if schema not in schemas:
+        raise FieldFormatError(f"unsupported trajectory schema {schema!r}, expected one of {', '.join(schemas)}")
     echo = _key(manifest, "config", dict, where)
     if _doc_hash(echo) != _key(manifest, "config_hash", str, where):
         raise FieldFormatError(f"{where}: the config does not match its config_hash")
@@ -386,10 +437,12 @@ def load_trajectory(path) -> Trajectory:
     count = _key(manifest, "snapshots", int, where)
     if stamps.shape != (count,):
         raise FieldFormatError(f"{where} has {stamps.size} stamps for {count} snapshots")
+    grid = cfg.make_grid()
     if schema == TRAJECTORY_SCHEMA:
-        velocities, pressures = _load_packed(root, manifest, cfg, count, where)
+        velocities, pressures = _load_packed(root, manifest, cfg, count, where, grid)
+    elif schema == TRAJECTORY_SCHEMA_V2:
+        velocities, pressures = _load_packed(root, manifest, cfg, count, where, grid.full)
     else:
-        grid = cfg.make_grid()
         velocities = [load_field(root / f"u_{m:06d}", grid=grid) for m in range(count)]
         pressures = [load_field(root / f"p_{m:06d}", grid=grid) for m in range(count)]
 

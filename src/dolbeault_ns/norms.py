@@ -26,11 +26,13 @@ zero in every snapshot has zero time differences and adds exactly 0 to
 every moment.  The cost is one pass over the stored fields (a support
 mask, then a gather of the S coefficients of each snapshot into one
 stack) plus, per multi-index alpha, one (snapshots x S) by (S x (k + 2))
-product.  A stored field is band-limited by the 2/3 rule, so S is at
-most the band (6 % of the modes at n = 3, N = 8); a field that is not,
-or one in the physical representation (transformed twice, once for the
-mask and once for the gather, so no transformed copy is kept), just has
-a larger support.
+product.  A run stores its fields on the band view of its grid, so S
+is at most the band (6 % of the modes at n = 3, N = 8) and the mask is
+band-sized too; a band-limited full-lattice series has the same support
+and gives the same bits.  A field that is not band-limited, or one in
+the physical representation (transformed twice, once for the mask and
+once for the gather, so no transformed copy is kept), just has a larger
+support.
 
 The strong-solution monitor integrates ||u(t)||_{L^r}^s over time with
 2/s + 2n/r = 1, r > 2n; finiteness of that integral is the discrete

@@ -16,7 +16,8 @@ Every state the solver steps is band-limited by the 2/3 rule (Orszag,
 J. Atmos. Sci. 28 (1971)): only modes with |zeta_a| <= N/3 on every axis
 are nonzero.  SpectralGrid.band is a view of the grid with the same
 samples whose Fourier axes hold just those M = 2 (N // 3) + 1 frequencies,
-zero mode first, then 1..N//3, then -(N//3)..-1.
+zero mode first, then 1..N//3, then -(N//3)..-1; a run lives on it, and
+SpectralGrid.full leads back to the full lattice.
 
 The FFT backend is numpy.fft: every transform is one in-place 1-D
 np.fft.fft or np.fft.ifft per grid axis, and the full grid runs the band
@@ -103,6 +104,7 @@ class SpectralGrid:
         self._dealias: np.ndarray | None = None
         self._inv_lap: np.ndarray | None = None
         self._band: SpectralGrid | None = self if banded else None
+        self._full: SpectralGrid | None = None if banded else self
 
     def __repr__(self):
         return f"SpectralGrid(n={self.n}, N={self.N}{', banded=True' if self.banded else ''})"
@@ -124,7 +126,16 @@ class SpectralGrid:
         modes only."""
         if self._band is None:
             self._band = SpectralGrid(self.n, self.N, banded=True)
+            self._band._full = self
         return self._band
+
+    @property
+    def full(self) -> "SpectralGrid":
+        """The full-lattice view: same n, N and samples, every mode."""
+        if self._full is None:
+            self._full = SpectralGrid(self.n, self.N)
+            self._full._band = self
+        return self._full
 
     def gather(self, coeffs: np.ndarray) -> np.ndarray:
         """This grid's modes of full-lattice coefficients, as a new array
@@ -249,18 +260,22 @@ class SpectralGrid:
                 lines[at + (slice(K + 1, M),)] = lines[at + (slice(N - K, N),)]
         return work[lead + (slice(0, M),) * self.dim].copy() if self.banded else work
 
-    def ifft(self, coeffs: np.ndarray) -> np.ndarray:
+    def ifft(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Mode amplitudes -> physical samples (no scaling) in a new array,
+        or in out (complex128, of the samples' shape), which is returned;
         batch as in fft; the input is never written.  On a band view the
         input holds the band."""
         N, M, K = self.N, len(self.freq), self.N // 3
         first = coeffs.ndim - self.dim
         lead = (slice(None),) * first
+        shape = coeffs.shape[:first] + self.shape
+        if out is not None and (out.shape != shape or out.dtype != np.complex128):
+            raise ValueError(f"out has shape {out.shape} and dtype {out.dtype}, expected {shape} complex128")
         if self.banded:
-            work = np.empty(coeffs.shape[:first] + self.shape, dtype=np.complex128)
+            work = np.empty(shape, dtype=np.complex128) if out is None else out
             work[lead + (slice(0, M),) * self.dim] = coeffs
         else:
-            work = np.fft.ifft(coeffs, axis=-1, norm="forward")
+            work = np.fft.ifft(coeffs, axis=-1, norm="forward", out=out)
         for a in reversed(range(self.dim)):
             # axes before a still hold their band in the first M places; the
             # places after those stand for zero modes, whose lines would

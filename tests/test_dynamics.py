@@ -26,7 +26,12 @@ from dolbeault_ns import (
 )
 from dolbeault_ns.reference import b_continuity_ratio
 from dolbeault_ns.forms import CustomTerm
-from dolbeault_ns.spectral import FOURIER
+from dolbeault_ns.spectral import FOURIER, PHYSICAL
+
+
+def _lattice(f):
+    """A field of a run (on the band view) scattered to the full lattice."""
+    return FormField(f.grid.full, f.q, f.grid.scatter(f.data), FOURIER)
 
 
 def _unit_max(u):
@@ -276,7 +281,7 @@ def test_simulate_stokes_matches_closed_form(grid8, rng):
     traj = simulate(cfg, u0)
     decay = np.exp(-cfg.mu * grid8.zeta_sq * cfg.T / 4.0)
     expect = FormField(grid8, 1, decay * u0.data, FOURIER)
-    got = traj.velocities[-1]
+    got = _lattice(traj.velocities[-1])
     assert l2_norm(got - expect) < 1e-10 * l2_norm(u0)
     # energy closed form
     energy_expect = 0.5 * grid8.volume * float(np.sum(np.exp(-cfg.mu * grid8.zeta_sq * cfg.T / 2.0) * np.abs(u0.data) ** 2))
@@ -380,7 +385,7 @@ def test_simulate_initial_condition_honored(grid8, rng):
     u0 = _solenoidal(grid8, rng)
     cfg = SimConfig(n=2, q=1, N=8, mu=1.0, T=0.05, dt=0.01, nonlinearity=STOKES, output_stride=5)
     traj = simulate(cfg, u0)
-    assert l2_norm(traj.velocities[0] - u0) < 1e-13 * l2_norm(u0)
+    assert l2_norm(_lattice(traj.velocities[0]) - u0) < 1e-13 * l2_norm(u0)
     assert traj.stamps[0] == 0.0
 
 
@@ -389,6 +394,12 @@ def test_simulate_rejects_bad_initial_data(grid8, rng):
     cfg = SimConfig(n=2, q=1, N=8, mu=1.0, T=0.05, dt=0.01)
     with pytest.raises(ValueError):
         simulate(cfg, u0)
+    # samples on the band view are transformed on the full lattice, where a
+    # mode outside the band shows
+    aliased = _solenoidal(grid8, rng)
+    aliased.data[(0,) + grid8.mode_index((0, 3, 0, 0))] = 1.0
+    with pytest.raises(ValueError, match="not solenoidal/band-limited"):
+        simulate(cfg, FormField(grid8.band, 1, aliased.to_physical().data, PHYSICAL))
 
 
 def test_cfl_fail_and_shrink(grid8, rng):
@@ -542,7 +553,7 @@ def test_linearized_defect_is_nonlinearity(grid8, rng):
     cfg = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.05, dt=0.005, nonlinearity=LAMB, output_stride=1)
     traj = simulate(cfg, u0)
     worst = 0.0
-    for t, us in zip(traj.stamps, traj.velocities):
+    for t, us in zip(traj.stamps, map(_lattice, traj.velocities)):
         f = cfg.forcing.evaluate(grid8, 1, float(t))
         g_nl = leray_project(f - nonlinearity(us, LAMB))
         g_lin = leray_project(f - linearized_b(us, us, LAMB))
@@ -574,9 +585,11 @@ def test_linearized_requires_band_limited_base(grid8, rng):
     cfg = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.02, dt=0.005, nonlinearity=LAMB, output_stride=1)
     base = simulate(cfg, u0)
     solve_linearized(base, cfg, u0=u0)
-    aliased = base.velocities[2].copy()
-    aliased.data[(0,) + grid8.mode_index((4, 1, 0, 0))] = 1e-12
-    base.velocities[2] = aliased
+    # a base state may also be given on the full lattice, if band-limited
+    lattice = _lattice(base.velocities[2])
+    base.velocities[2] = lattice
+    solve_linearized(base, cfg, u0=u0)
+    lattice.data[(0,) + grid8.mode_index((4, 1, 0, 0))] = 1e-12
     with pytest.raises(ValueError, match="base state 2 has nonzero modes outside"):
         solve_linearized(base, cfg, u0=u0)
 
@@ -632,7 +645,7 @@ def test_custom_q2_run_and_pressure_oracle(grid3d, rng):
     gap = l2_norm(traj.velocities[-1] - base.velocities[-1])
     assert gap < 1e-12 * l2_norm(base.velocities[-1])
 
-    for u_snap, p_snap in zip(traj.velocities, traj.pressures):
+    for u_snap, p_snap in zip(map(_lattice, traj.velocities), map(_lattice, traj.pressures)):
         phys = u_snap.to_physical()
         m2 = apply_m2(spec, phys, phys).to_fourier()
         m2 = FormField(grid3d, 1, apply_dealias(grid3d, m2.data), "fourier")

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from dolbeault_ns import (
     save_trajectory,
     simulate,
     sobolev_hs,
+    solve_linearized,
 )
 from dolbeault_ns.cli import main
 from dolbeault_ns.forms import CustomTerm, num_components
@@ -82,6 +84,33 @@ def test_field_round_trip_property(n, N, rep, data):
         back = load_field(Path(tmp) / "f")
     assert np.array_equal(back.data, u.data)
     assert (back.grid, back.q, back.rep) == (grid, q, rep)
+
+
+def test_band_field_round_trip(grid8, rng, tmp_path):
+    # a field directory holds the full lattice: a band-view field is
+    # scattered when saved and gathered back when loaded onto the band
+    band = grid8.band
+    u = FormField(band, 1, band.gather(random_form(grid8, 1, rng).data), FOURIER)
+    save_field(tmp_path / "f", u)
+    assert (tmp_path / "f" / "comp_000.bin").stat().st_size == 8**4 * 16
+    back = load_field(tmp_path / "f", grid=band)
+    assert back.grid == band and back.rep == FOURIER
+    assert np.array_equal(back.data, u.data)
+    assert np.array_equal(load_field(tmp_path / "f").data, band.scatter(u.data))
+    phys = u.to_physical()
+    save_field(tmp_path / "g", phys)
+    back = load_field(tmp_path / "g", grid=band)
+    assert back.grid == band and back.rep == PHYSICAL
+    assert np.array_equal(back.data, phys.data)
+
+
+def test_aliased_field_rejected_on_band(grid8, rng, tmp_path):
+    u = random_form(grid8, 1, rng)
+    u.data[(1,) + grid8.mode_index((0, 3, 0, 0))] = 1e-9
+    save_field(tmp_path / "f", u)
+    load_field(tmp_path / "f")
+    with pytest.raises(FieldFormatError, match="2/3-rule band"):
+        load_field(tmp_path / "f", grid=grid8.band)
 
 
 def test_field_manifest_contents(grid8, rng, tmp_path):
@@ -270,6 +299,44 @@ def test_gen_initial_spectrum_slope():
     assert slope == pytest.approx(-3.0, abs=0.3)
 
 
+@pytest.mark.parametrize("n, N, seeds", [(2, 8, (0, 1, 7)), (2, 16, (3, 11)), (3, 8, (0, 5)), (4, 4, (2, 9))])
+def test_gen_initial_on_band_is_gather_of_full_lattice(n, N, seeds):
+    # the run's grid is the band view; its random data is drawn on the full
+    # lattice with the same stream, so it is the gather of the full-lattice
+    # field bit for bit
+    for seed in seeds:
+        cfg = SimConfig(n=n, q=1, N=N, mu=1.0, T=0.1, dt=0.01, seed=seed)
+        spec = InitialSpec(kind="random_solenoidal", decay=2.5)
+        band, full = cfg.make_grid(), SpectralGrid(n, N)
+        u = gen_initial(spec, cfg)
+        assert u.grid == band and band.banded
+        assert np.array_equal(u.data, band.gather(gen_initial(spec, cfg, full).data))
+
+
+@pytest.mark.parametrize(
+    "n, q, spec",
+    [(2, 1, InitialSpec(kind="single_mode", zeta=(1, -2, 0, 2), component=(2,), amplitude=0.5 - 1j)),
+     (3, 2, InitialSpec(kind="single_mode", zeta=(0, 1, 0, 2, -1, 0), component=(1, 3))),
+     (2, 1, InitialSpec(kind="taylor_green_analog")),
+     (3, 1, InitialSpec(kind="taylor_green_analog"))],
+)
+def test_gen_initial_other_kinds_on_band(n, q, spec):
+    cfg = SimConfig(n=n, q=q, N=8, mu=1.0, T=0.1, dt=0.01)
+    band = cfg.make_grid()
+    u = gen_initial(spec, cfg)
+    assert u.grid == band and l2_norm(u) > 0
+    assert np.array_equal(u.data, band.gather(gen_initial(spec, cfg, SpectralGrid(n, 8)).data))
+
+
+def test_gen_initial_single_mode_must_lie_in_the_band():
+    cfg = SimConfig(n=2, q=1, N=8, mu=1.0, T=0.1, dt=0.01)
+    spec = InitialSpec(kind="single_mode", zeta=(4, 0, 0, 0), component=(1,))
+    with pytest.raises(ValueError, match="2/3-rule band"):
+        gen_initial(spec, cfg)
+    with pytest.raises(ValueError, match=r"not a \(0,1\) index"):
+        gen_initial(InitialSpec(kind="single_mode", zeta=(1, 0, 0, 0)), cfg)
+
+
 def test_gen_initial_rejects_bad_kind(grid8):
     cfg = SimConfig(n=2, q=1, N=8, mu=1.0, T=0.1, dt=0.01)
     with pytest.raises(ValueError):
@@ -296,12 +363,13 @@ def test_trajectory_round_trip(tmp_path):
     back = load_trajectory(tmp_path / "run")
     assert back.config == cfg
     assert np.array_equal(back.stamps, traj.stamps)
-    for a, b in zip(back.velocities, traj.velocities):
-        assert np.array_equal(a.data, b.data)
-    for a, b in zip(back.pressures, traj.pressures):
-        assert np.array_equal(a.data, b.data)
+    for a, b in zip(back.velocities + back.pressures, traj.velocities + traj.pressures, strict=True):
+        assert a.grid == b.grid == cfg.make_grid()
+        assert np.array_equal(a.data, b.data) and (a.q, a.rep) == (b.q, b.rep)
     for c in traj.diagnostics:
         assert np.array_equal(back.diagnostics[c], traj.diagnostics[c])
+    # band records: M = 5 modes per axis at N = 8, u has 2 components and p 1
+    assert (tmp_path / "run" / "fields.bin").stat().st_size == 3 * (2 + 1) * 5**4 * 16
 
 
 def test_trajectory_layout_and_columns(tmp_path):
@@ -312,9 +380,10 @@ def test_trajectory_layout_and_columns(tmp_path):
     header = (root / "diagnostics.csv").read_text().splitlines()[0]
     assert header == "t,energy,dbar_norm_sq,dbar_star_residual,max_abs_u,lps_accum"
     doc = json.loads((root / "manifest.json").read_text())
-    assert doc["schema"] == "dolbeault-ns.trajectory/2"
+    assert doc["schema"] == "dolbeault-ns.trajectory/3"
     assert doc["config_hash"] == config_hash(traj.config)
-    # one record per field, u_0, p_0, u_1, ...: the field's /1 blobs end to end
+    # one record per field, u_0, p_0, u_1, ...: the field's band coefficients,
+    # component after component, each row-major over M^4 = 5^4 modes
     raw = (root / "fields.bin").read_bytes()
     assert doc["bytes"] == len(raw)
     snapshots = list(zip(traj.velocities, traj.pressures))
@@ -323,6 +392,7 @@ def test_trajectory_layout_and_columns(tmp_path):
     assert len(doc["fields"]) == len(records)
     offset = 0
     for entry, (m, kind, field) in zip(doc["fields"], records):
+        assert field.data.shape == (num_components(2, field.q),) + (5,) * 4
         blobs = [component.astype("<c16").tobytes() for component in field.data]
         assert entry == {"kind": kind, "snapshot": m, "q": field.q, "representation": field.rep,
                          "offset": offset, "crc32": [zlib.crc32(b) for b in blobs]}
@@ -337,6 +407,37 @@ def test_reproducible_trajectory_directories(tmp_path):
     save_trajectory(tmp_path / "a", t1)
     save_trajectory(tmp_path / "b", t2)
     assert _tree_digest(tmp_path / "a") == _tree_digest(tmp_path / "b")
+
+
+def _lattice(f):
+    """A field of a run (on the band view) scattered to the full lattice."""
+    return FormField(f.grid.full, f.q, f.grid.scatter(f.data), FOURIER)
+
+
+def _save_v2(root, traj, fields=None):
+    """Write traj in the dolbeault-ns.trajectory/2 layout: the /3 files
+    with full-lattice records, the run's fields scattered (or the given
+    full-lattice fields u_0, p_0, u_1, ... instead)."""
+    root.mkdir(parents=True)
+    if fields is None:
+        fields = [_lattice(f) for pair in zip(traj.velocities, traj.pressures) for f in pair]
+    index, offset = [], 0
+    with open(root / "fields.bin", "wb") as fh:
+        for i, field in enumerate(fields):
+            blobs = [component.astype("<c16").tobytes() for component in field.data]
+            index.append({"kind": "up"[i % 2], "snapshot": i // 2, "q": field.q, "representation": field.rep,
+                          "offset": offset, "crc32": [zlib.crc32(b) for b in blobs]})
+            fh.write(b"".join(blobs))
+            offset += field.data.nbytes
+    columns = list(traj.diagnostics)
+    lines = [",".join(columns)] + [
+        ",".join(repr(float(traj.diagnostics[c][row])) for c in columns) for row in range(len(traj.diagnostics["t"]))
+    ]
+    (root / "diagnostics.csv").write_text("\n".join(lines) + "\n")
+    doc = {"schema": "dolbeault-ns.trajectory/2", "config": traj.config.to_json(),
+           "config_hash": config_hash(traj.config), "stamps": [float(t) for t in traj.stamps],
+           "snapshots": len(traj.velocities), "bytes": offset, "fields": index}
+    (root / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
 
 
 def _save_v1(root, traj):
@@ -360,17 +461,61 @@ def _edit_json(path, change):
     path.write_text(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def test_v1_trajectory_still_loads(tmp_path):
+def _assert_loads_to_gather(tmp_path, save):
+    # /1 and /2 hold full-lattice fields; they load to their gather
     cfg, traj = _small_run()
-    _save_v1(tmp_path / "run", traj)
+    save(tmp_path / "run", traj)
+    written = [_lattice(f) for f in traj.velocities + traj.pressures]
+    assert all(f.data.shape[1:] == (8,) * 4 for f in written)
     back = load_trajectory(tmp_path / "run")
     assert back.config == cfg
     assert np.array_equal(back.stamps, traj.stamps)
-    for a, b in zip(back.velocities + back.pressures, traj.velocities + traj.pressures, strict=True):
-        assert np.array_equal(a.data, b.data) and (a.q, a.rep) == (b.q, b.rep)
+    band = cfg.make_grid()
+    for a, b in zip(back.velocities + back.pressures, written, strict=True):
+        assert a.grid == band and (a.q, a.rep) == (b.q, b.rep)
+        assert np.array_equal(a.data, band.gather(b.data))
+    return traj, back
+
+
+def test_v1_trajectory_still_loads(tmp_path):
+    traj, back = _assert_loads_to_gather(tmp_path, _save_v1)
     assert back.diagnostics.keys() == traj.diagnostics.keys()
     for c in traj.diagnostics:
         assert np.array_equal(back.diagnostics[c], traj.diagnostics[c])
+
+
+def test_v2_trajectory_still_loads(tmp_path):
+    traj, back = _assert_loads_to_gather(tmp_path, _save_v2)
+    for c in traj.diagnostics:
+        assert np.array_equal(back.diagnostics[c], traj.diagnostics[c])
+
+
+def test_v2_base_is_accepted_by_linearize(tmp_path):
+    cfg = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.05, dt=0.01, nonlinearity=BilinearSpec.lamb(), seed=3)
+    base = simulate(cfg, gen_initial(InitialSpec(), cfg))
+    _save_v2(tmp_path / "base", base)
+    u0 = gen_initial(InitialSpec(), replace(cfg, seed=cfg.seed + 1))
+    lin = solve_linearized(load_trajectory(tmp_path / "base"), cfg, u0=u0)
+    again = solve_linearized(base, cfg, u0=u0)
+    for a, b in zip(lin.velocities + lin.pressures, again.velocities + again.pressures, strict=True):
+        assert np.array_equal(a.data, b.data)
+
+
+def test_v2_record_outside_the_band_rejected(tmp_path):
+    _, traj = _small_run()
+    fields = [_lattice(f) for pair in zip(traj.velocities, traj.pressures) for f in pair]
+    fields[3].data[(0,) + fields[3].grid.mode_index((0, 0, -3, 1))] = 1e-14  # p_1
+    _save_v2(tmp_path / "run", traj, fields)
+    with pytest.raises(FieldFormatError, match=r"record 3 \(p_1\) has nonzero modes outside the 2/3-rule band"):
+        load_trajectory(tmp_path / "run")
+
+
+def test_save_trajectory_takes_band_fields_only(tmp_path):
+    _, traj = _small_run()
+    traj.pressures[1] = _lattice(traj.pressures[1])
+    with pytest.raises(ValueError, match="band view"):
+        save_trajectory(tmp_path / "run", traj)
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("existing", [False, True])
@@ -762,6 +907,55 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, command, doc, message):
     assert main([command, "--config", str(cfg_path)] + where + [str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "linearize"])
+@pytest.mark.parametrize(
+    "initial, message",
+    [("[1]", "initial must be a JSON object, got list"),
+     ("{", "Expecting property name"),
+     ('{"kind": "single_mode", "zeta": 5}', "initial key 'zeta' must be a list of integers, got 5"),
+     ('{"decay": "steep"}', "initial key 'decay' must be a number, got 'steep'"),
+     ('{"kind": "single_mode", "zeta": [1, 0, 0, 0], "component": [1], "amplitude": [1.0]}',
+      "initial key 'amplitude' must be [re, im]"),
+     ('{"kind": "single_mode", "zeta": [1, 0, 0, 0]}', "initial component [] is not a (0,1) index"),
+     # |zeta_1| = 4 > N/3: the mode would be dealiased to a zero field
+     ('{"kind": "single_mode", "zeta": [4, 0, 0, 0], "component": [1]}', "outside the 2/3-rule band"),
+     ('{"kind": "vortex_sheet"}', "unknown initial-condition kind 'vortex_sheet'")],
+    ids=["list", "not-json", "zeta-int", "decay-str", "amplitude-short", "no-component", "zeta-outside-band",
+         "bad-kind"],
+)
+def test_cli_malformed_initial_exits_2(tmp_path, capsys, command, initial, message):
+    cfg_path = _write_cfg(tmp_path, output_stride=1, T=0.02)
+    where = ["--out"]
+    if command == "linearize":
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "base")]) == 0
+        where = ["--base-traj", str(tmp_path / "base"), "--out"]
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg_path), "--initial", initial] + where + [str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1 and message in lines[0], captured.err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_u0_loads_on_the_full_lattice(tmp_path, capsys):
+    # --u0 is a field directory on the full lattice; the run dealiases it,
+    # and rejects it if that moves it
+    cfg_path = _write_cfg(tmp_path, output_stride=1, T=0.02)
+    cfg = load_config(cfg_path)
+    u0 = gen_initial(InitialSpec(), cfg)
+    save_field(tmp_path / "u0", u0)
+    simulate_u0 = ["simulate", "--config", str(cfg_path), "--u0", str(tmp_path / "u0"), "--out"]
+    assert main(simulate_u0 + [str(tmp_path / "a")]) == 0
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "b")]) == 0
+    assert _tree_digest(tmp_path / "a") == _tree_digest(tmp_path / "b")
+    aliased = _lattice(u0)
+    aliased.data[(0,) + aliased.grid.mode_index((0, 0, 3, 0))] = 0.5
+    save_field(tmp_path / "u0", aliased)
+    capsys.readouterr()
+    assert main(simulate_u0 + [str(tmp_path / "c")]) == 2
+    assert "not solenoidal/band-limited" in capsys.readouterr().err
 
 
 def test_cli_bad_subcommand_exits_2():

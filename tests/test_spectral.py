@@ -152,6 +152,8 @@ def test_full_transforms_follow_numpy_axis_orders(n, N, rng):
     assert np.array_equal(g.fft(x.copy(), overwrite=True), want)
     want = np.fft.ifftn(x, axes=range(1, x.ndim), norm="forward")
     assert np.array_equal(g.ifft(x), want)
+    out = np.full_like(x, np.nan)
+    assert g.ifft(x, out=out) is out and np.array_equal(out, want)
 
 
 def test_mode_index_bounds(grid8):
@@ -171,7 +173,9 @@ def test_mode_index_bounds(grid8):
 def test_band_view_layout(grid8, rng):
     band = grid8.band
     assert band is grid8.band and band.band is band
+    assert band.full is grid8 and grid8.full is grid8
     assert band != grid8 and band == SpectralGrid(2, 8, banded=True)
+    assert SpectralGrid(2, 8, banded=True).full == grid8
     # zero mode first, then 1..N//3, then -(N//3)..-1
     assert band.freq.tolist() == [0, 1, 2, -2, -1]
     assert band.fourier_shape == (5,) * 4 and band.shape == grid8.shape
@@ -206,5 +210,12 @@ def test_band_transforms_equal_full_transforms(n, N, data):
     # inverse: band-limited coefficients
     c = draw(band.fourier_shape)
     kept = c.copy()
-    assert np.array_equal(band.ifft(c), full.ifft(band.scatter(c)))
+    want = full.ifft(band.scatter(c))
+    assert np.array_equal(band.ifft(c), want)
     assert np.array_equal(c, kept)
+    # into a buffer that holds anything, as the stepping kernel's does
+    out = np.full(lead + full.shape, np.nan + 1j)
+    assert band.ifft(c, out=out) is out and np.array_equal(out, want)
+    assert np.array_equal(c, kept)
+    with pytest.raises(ValueError, match="out has shape"):
+        band.ifft(c, out=out[..., :1])

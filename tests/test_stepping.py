@@ -40,6 +40,11 @@ def _unit_max(u):
     return (1.0 / mx) * u
 
 
+def _lattice(f):
+    """A field of a run (on the band view) scattered to the full lattice."""
+    return FormField(f.grid.full, f.q, f.grid.scatter(f.data), FOURIER)
+
+
 def _initial(grid, q, seed):
     rng = np.random.default_rng(seed)
     return _unit_max(leray_project(random_form(grid, q, rng, decay=3.0)))
@@ -69,13 +74,13 @@ def _reference(config, u0, source):
 def _assert_matches(traj, states):
     assert len(traj.velocities) == len(states)
     for got, want in zip(traj.velocities, states):
-        assert l2_norm(got - want) <= 1e-12 * l2_norm(want)
+        assert l2_norm(_lattice(got) - want) <= 1e-12 * l2_norm(want)
     energy = np.array([0.5 * l2_norm(s) ** 2 for s in states])
     assert np.allclose(traj.diagnostics["energy"], energy, rtol=1e-12, atol=0.0)
 
 
 def _nonlinear_source(config):
-    grid = config.make_grid()
+    grid = config.make_grid().full
 
     def source(v, t, m):
         return config.forcing.evaluate(grid, config.q, t) - nonlinearity(v, config.nonlinearity)
@@ -128,7 +133,7 @@ def test_linearized_kernel_matches_reference():
     lin = solve_linearized(base, cfg, u0=v0)
 
     def source(v, t, m):
-        return cfg.forcing.evaluate(grid, 1, t) - linearized_b(base.velocities[m], v, LAMB)
+        return cfg.forcing.evaluate(grid, 1, t) - linearized_b(_lattice(base.velocities[m]), v, LAMB)
 
     _assert_matches(lin, _reference(cfg, v0, source))
 
@@ -139,7 +144,7 @@ def test_band_kernel_equals_full_grid_etd_heun(case):
     # arithmetic on full-lattice fields with the public operators, whose N
     # and B also run on the band and scatter their result (held to the
     # full-grid recipe in test_public_n_and_b_equal_full_grid_recipe), so
-    # every velocity and pressure must agree exactly
+    # every velocity and pressure, scattered, must agree exactly
     grid = SpectralGrid(2, 8)
     forcing = ForcingSpec(kind="single_mode", zeta=(1, 0, -2, 1), component=(1,), amplitude=0.4 + 0.2j, omega=3.0)
     cfg = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.06, dt=0.01, nonlinearity=LAMB, forcing=forcing, output_stride=1)
@@ -155,7 +160,7 @@ def test_band_kernel_equals_full_grid_etd_heun(case):
         traj = solve_linearized(base, cfg, u0=u0)
 
         def quadratic(v, m, spec):
-            return linearized_b(base.velocities[m], v, spec)
+            return linearized_b(_lattice(base.velocities[m]), v, spec)
 
     def source(v, m, spec):
         return forcing.evaluate(grid, 1, m * cfg.dt) - quadratic(v, m, spec)
@@ -164,9 +169,9 @@ def test_band_kernel_equals_full_grid_etd_heun(case):
     E = heat_multiplier_grid(grid, cfg.mu, dt)
     u = leray_project(FormField(grid, 1, apply_dealias(grid, u0.data), FOURIER))
     for m in range(cfg.steps + 1):
-        assert np.array_equal(traj.velocities[m].data, u.data)
+        assert np.array_equal(_lattice(traj.velocities[m]).data, u.data)
         p = pressure_recover(source(u, m, LAMB), check=False)
-        assert np.array_equal(traj.pressures[m].data, p.data)
+        assert np.array_equal(_lattice(traj.pressures[m]).data, p.data)
         if m == cfg.steps:
             break
         k1 = leray_project(source(u, m, stages)).data
@@ -273,12 +278,12 @@ def test_zero_source_steps_exactly(monkeypatch):
     assert counts == {"leray_project": 2, "ifft": 2 * (cfg.steps + 1)}
 
     E = np.exp(-cfg.mu * grid.zeta_sq * cfg.dt / 4.0)
-    expect = traj.velocities[0].data
+    expect = _lattice(traj.velocities[0]).data
     for k in range(1, len(traj.stamps)):
         for _ in range(cfg.output_stride):
             expect = E * expect
-        assert np.array_equal(traj.velocities[k].data, expect)
-        assert np.array_equal(lin.velocities[k].data, expect)
+        assert np.array_equal(_lattice(traj.velocities[k]).data, expect)
+        assert np.array_equal(_lattice(lin.velocities[k]).data, expect)
         closed = np.exp(-cfg.mu * grid.zeta_sq * traj.stamps[k] / 4.0) * u0.data
         assert np.max(np.abs(expect - closed)) <= 1e-14 * np.max(np.abs(u0.data))
 
@@ -308,9 +313,41 @@ def test_lamb_step_makes_four_fft_calls(monkeypatch):
     assert counts["fft"] == 2 * cfg.steps + 2 - 1
 
 
+@pytest.mark.parametrize("case", ["lamb", "linearized", "stokes"])
+def test_kernel_reuses_its_sample_buffers(case):
+    # every stack of samples the kernel makes goes to one of its two
+    # buffers; fresh stacks of that size would each fault their pages in
+    grid = SpectralGrid(2, 8)
+    cfg = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.03, dt=0.01, nonlinearity=STOKES if case == "stokes" else LAMB)
+    base = None
+    if case == "linearized":
+        base = [FormField(grid.band, 1, grid.band.gather(f.data), FOURIER) for f in [_initial(grid, 1, 2)] * 4]
+    kernel = dynamics._EtdHeun(cfg, grid, base)
+    seen, base_seen = [], []
+    physical, base_physical = kernel.physical, kernel._base_physical
+
+    def recorded(*args):
+        seen.append(physical(*args))
+        return seen[-1]
+
+    def base_recorded(t):
+        base_seen.append(base_physical(t))
+        return base_seen[-1]
+
+    kernel.physical, kernel._base_physical = recorded, base_recorded
+    traj = dynamics._run_loop(cfg, _initial(grid, 1, 1), kernel, cfl=True)
+    assert len(seen) == (2 if case != "stokes" else 1) * cfg.steps + 1
+    assert all(np.shares_memory(s, seen[0]) for s in seen)
+    assert bool(base_seen) == (base is not None)
+    assert all(np.shares_memory(s, base_seen[0]) and not np.shares_memory(s, seen[0]) for s in base_seen)
+    # and keeps none of them in the trajectory
+    for f in traj.velocities + traj.pressures:
+        assert f.grid is kernel.grid and not np.shares_memory(f.data, seen[0])
+
+
 def test_max_abs_column_matches_stored_velocities():
     # record() takes max |u| from the band samples it makes for the next
-    # step; at a snapshot row that is _max_abs of the stored full-lattice field
+    # step; at a snapshot row that is _max_abs of the stored field
     frc = ForcingSpec(kind="single_mode", zeta=(0, 1, 0, 0), component=(1,), amplitude=0.5)
     cfg = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.05, dt=0.01, nonlinearity=LAMB, forcing=frc, output_stride=5)
     traj = simulate(cfg, _initial(SpectralGrid(2, 8), 1, seed=3))
@@ -335,14 +372,14 @@ def test_snapshot_pressure_matches_recovery_from_scratch(case):
         traj = solve_linearized(base, cfg, u0=u0)
 
         def quadratic(u, t):
-            return linearized_b(base.velocities[int(round(t / cfg.dt))], u, spec)
+            return linearized_b(_lattice(base.velocities[int(round(t / cfg.dt))]), u, spec)
     else:
         traj = simulate(cfg, u0)
 
         def quadratic(u, t):
             return nonlinearity(u, spec)
 
-    for t, u, p in zip(traj.stamps, traj.velocities, traj.pressures):
+    for t, u, p in zip(traj.stamps, map(_lattice, traj.velocities), map(_lattice, traj.pressures)):
         F = forcing.evaluate(grid, q, float(t)) - quadratic(u, float(t))
         expect = pressure_recover(F - leray_project(F))
         assert l2_norm(expect) > 0.0
