@@ -49,10 +49,9 @@ its state, its stored velocities and pressures and the trajectory files
 hold the 2/3-rule modes only, with the per-mode arithmetic of a full-grid
 run.  The initial data may be given on the full lattice; it is dealiased
 (and rejected if that moves it).  Every other field enters the band
-through _band_coeffs, which rejects a nonzero mode outside it: forcing
-files, linearization bases (once, at entry), the state of step_etd_heun
-and the arguments of the public N and B, which answer on their
-argument's grid.
+through FormField.on, which rejects a mode outside it: forcing files and
+linearization bases (once, at entry), the state of step_etd_heun and the
+arguments of the public N and B, which answer on their argument's grid.
 """
 
 import math
@@ -141,16 +140,17 @@ class ForcingSpec:
         if self.kind == "file":
             if not self.path:
                 raise ValueError("file forcing needs a path")
-            _band_coeffs(self._stored(grid, q), "forcing file")
+            self._stored(grid, q)
             return
         raise ValueError(f"unknown forcing kind {self.kind!r}")
 
     def _stored(self, grid: SpectralGrid, q: int) -> FormField:
-        """The file force on the full lattice of grid, loaded once."""
+        """The file force on the band view of grid, loaded once."""
         if self._loaded is None:
             from .io import load_field
 
-            self._loaded = load_field(self.path, grid=grid.full).to_fourier()
+            f = load_field(self.path)
+            self._loaded = f.on(f.grid.band, "forcing file").to_fourier()
         f = self._loaded
         if f.q != q or (f.grid.n, f.grid.N) != (grid.n, grid.N):
             raise ValueError("forcing file does not match the run's grid/bidegree")
@@ -165,8 +165,7 @@ class ForcingSpec:
             f.data[idx] = complex(self.amplitude) * np.exp(1j * self.omega * t)
             return f
         if self.kind == "file":
-            f = self._stored(grid, q)
-            return FormField(grid, q, grid.gather(f.data), FOURIER) if grid.banded else f
+            return self._stored(grid, q).on(grid)
         raise ValueError(f"unknown forcing kind {self.kind!r}")
 
     def to_json(self) -> dict:
@@ -391,14 +390,14 @@ def _quadratic(
 def _band_quadratic(spec: BilinearSpec, u: FormField, w: FormField | None = None) -> FormField:
     """N(u) (w None) or B(w, u) from _quadratic on the band view, as a
     Fourier field on u's grid."""
-    grid, band = u.grid, u.grid.band
+    band = u.grid.band
     with_dbar = bool(spec.tables(band.n, u.q)[0])
 
     def samples(x, what):
-        return _samples(FormField(band, x.q, _band_coeffs(x, what), FOURIER), with_dbar)
+        return _samples(x.on(band, what).to_fourier(), with_dbar)
 
     out = _quadratic(spec, band, u.q, samples(u, "u"), None if w is None else samples(w, "w"))[0]
-    return FormField(grid, u.q, out if grid.banded else band.scatter(out), FOURIER)
+    return FormField(band, u.q, out, FOURIER).on(u.grid)
 
 
 def nonlinearity(u: FormField, spec: BilinearSpec) -> FormField:
@@ -494,11 +493,11 @@ class _EtdHeun:
 
     The kernel works on the band view of the run's grid: states, sources
     and multipliers hold the 2/3-rule modes only, and so does base[m],
-    which solve_linearized gathers onto the band once, at entry.  It owns
-    its sample stacks: the samples of the recorded state and of each stage
-    go to one buffer, those of w to another.  Fresh stacks of that size
-    come from mmap and go back to the system when freed, so each would
-    cost its pages in faults again.
+    which solve_linearized moves onto the band with FormField.on once, at
+    entry.  It owns its sample stacks: the samples of the recorded state
+    and of each stage go to one buffer, those of w to another.  Fresh
+    stacks of that size come from mmap and go back to the system when
+    freed, so each would cost its pages in faults again.
     """
 
     def __init__(self, config: SimConfig, grid: SpectralGrid, base=None):
@@ -582,19 +581,6 @@ class _EtdHeun:
         return leray_project(FormField(grid, q, k1, FOURIER))
 
 
-def _band_coeffs(field: FormField, what: str) -> np.ndarray:
-    """The coefficients of field on the band view of its grid, as a new
-    array: the one way into the band.  The 2/3 rule dealiases only
-    band-limited fields, so one with a mode outside the band is rejected."""
-    f = field.to_fourier()
-    grid = f.grid
-    if np.any(f.data[..., ~grid.dealias_mask]):
-        raise ValueError(
-            f"{what} has nonzero modes outside the 2/3-rule band |zeta_a| <= N/3 = {grid.N // 3}"
-        )
-    return f.data.copy() if grid.banded else grid.band.gather(f.data)
-
-
 def step_etd_heun(u_m: FormField, t_m: float, config: SimConfig) -> FormField:
     """Advance one step of the configured problem from a solenoidal,
     band-limited u_m at t_m."""
@@ -602,13 +588,12 @@ def step_etd_heun(u_m: FormField, t_m: float, config: SimConfig) -> FormField:
     if (grid.n, grid.N) != (config.n, config.N) or u_m.q != config.q:
         raise ValueError("state does not match the configuration")
     kernel = _EtdHeun(config, grid)
-    band = kernel.grid
-    u = FormField(band, config.q, _band_coeffs(u_m, "state"), FOURIER)
+    u = u_m.on(kernel.grid, "state").to_fourier()
     kernel.load(u)
-    out = kernel.step(u, t_m, config.dt, heat_multiplier_grid(band, config.mu, config.dt))
+    out = kernel.step(u, t_m, config.dt, heat_multiplier_grid(kernel.grid, config.mu, config.dt))
     if not np.all(np.isfinite(out.data)):
         raise BlowUpError(t_m + config.dt)
-    return out if grid.banded else FormField(grid, config.q, band.scatter(out.data), FOURIER)
+    return out.on(grid)
 
 
 def _prepare_initial(config: SimConfig, u0: FormField) -> FormField:
@@ -618,13 +603,12 @@ def _prepare_initial(config: SimConfig, u0: FormField) -> FormField:
     if u0.q != config.q:
         raise ValueError("initial data does not match the configuration")
     band = u0.grid.band
-    u0f = u0 if u0.rep == FOURIER else FormField(u0.grid.full, config.q, u0.data, PHYSICAL).to_fourier()
+    u0f = u0.on(u0.grid.full).to_fourier() if u0.rep == PHYSICAL else u0
     coeffs = u0f.data if u0f.grid.banded else band.gather(u0f.data)
     u = leray_project(FormField(band, config.q, coeffs, FOURIER))
     scale = l2_norm(u0)
     if scale > 0.0:
-        back = u.data if u0f.grid.banded else band.scatter(u.data)
-        moved = l2_norm(FormField(u0f.grid, config.q, back, FOURIER) - u0f) / scale
+        moved = l2_norm(u.on(u0f.grid) - u0f) / scale
         if moved > 1e-6:
             raise ValueError(
                 f"initial data is not solenoidal/band-limited: projection moved it by {moved:.3e}"
@@ -795,6 +779,6 @@ def solve_linearized(
     for m, v in enumerate(w.velocities):
         if (v.grid.n, v.grid.N) != (grid.n, grid.N) or v.q != config.q:
             raise ValueError("base trajectory does not match the configuration")
-        base.append(FormField(grid.band, config.q, _band_coeffs(v, f"base state {m}"), FOURIER))
+        base.append(v.on(grid.band, f"base state {m}").to_fourier())
     return _run_loop(config, u0, _EtdHeun(config, grid, base), cfl=False)
 

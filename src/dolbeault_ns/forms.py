@@ -87,6 +87,16 @@ def _rep_shape(grid: SpectralGrid, rep: str) -> tuple:
     return grid.fourier_shape if rep == FOURIER else grid.shape
 
 
+# bound on what the forward transform of band-limited samples leaves outside
+# the band, relative to its largest coefficient; measured at most 1.5e-16
+# (random_form samples at n = 2..4, N = 4..16)
+_BAND_ROUNDING = 1e-13
+
+
+def _outside_band(what: str, grid: SpectralGrid) -> ValueError:
+    return ValueError(f"{what} has nonzero modes outside the 2/3-rule band |zeta_a| <= N/3 = {grid.N // 3}")
+
+
 @dataclass
 class FormField:
     """A (0,q)-form on the grid: stacked component fields plus a rep flag.
@@ -139,6 +149,33 @@ class FormField:
         f = self.to_fourier()
         out = FormField(self.grid, self.q, apply_dealias(self.grid, f.data), FOURIER)
         return out.to_physical() if self.rep == PHYSICAL else out
+
+    def on(self, grid: SpectralGrid, what: str = "field") -> "FormField":
+        """This field on grid, the full lattice or the band view of its own
+        (n, N), in its own representation: the one way into and out of
+        the 2/3-rule band.
+
+        Onto the full lattice, band coefficients are scattered and anything
+        else is re-tagged.  Onto the band, band coefficients pass as they
+        are, full-lattice ones are gathered and samples are re-tagged.  The
+        2/3 rule dealiases only band-limited fields, so a field with a mode
+        outside the band raises ValueError naming what: full-lattice
+        coefficients must be exactly zero there, and samples, on either
+        view, may leave no more than rounding there in their full-lattice
+        transform.  Nothing is copied that keeps its layout.
+        """
+        if self.rep == FOURIER and self.grid.banded != grid.banded:
+            if self.grid.banded:
+                return FormField(grid, self.q, self.grid.scatter(self.data), FOURIER)
+            if np.any(self.data, where=~self.grid.dealias_mask):
+                raise _outside_band(what, grid)
+            return FormField(grid, self.q, grid.gather(self.data), FOURIER)
+        if self.rep == PHYSICAL and grid.banded:
+            modulus = np.abs(grid.full.fft(self.data))
+            outside = np.max(modulus, where=~grid.full.dealias_mask, initial=0.0)
+            if outside > _BAND_ROUNDING * np.max(modulus):
+                raise _outside_band(what, grid)
+        return self if self.grid == grid else FormField(grid, self.q, self.data, self.rep)
 
     # arithmetic (same grid, bidegree and representation)
 

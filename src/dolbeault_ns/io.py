@@ -10,8 +10,9 @@ configuration and seed reproduces output directories bit for bit.
 A field directory (schema dolbeault-ns.field/1: --u0, forcing files and the
 pressure tool) is manifest.json plus one blob comp_NNN.bin per component,
 components in canonical multi-index order.  Its blobs hold the full lattice
-(N^{2n} values each): a field on a band view is scattered to it when saved,
-and gathered back when loaded onto a band view.
+(N^{2n} values each): a field moves to it with FormField.on when saved, and
+back onto a band view, with the band check of FormField.on, when loaded
+there.
 
 A trajectory directory (schema dolbeault-ns.trajectory/3) is three files,
 written in this order:
@@ -36,8 +37,8 @@ could leave behind fails the size or checksum checks.  Loads also check the
 config echo against its hash.  Trajectories of schema
 dolbeault-ns.trajectory/2 (the same files with full-lattice records) and
 dolbeault-ns.trajectory/1 (one field directory per snapshot, u_000000/,
-p_000000/, ...) are still read: each record is gathered onto the band, and
-one with a nonzero mode outside it is rejected.
+p_000000/, ...) are still read: each record moves onto the band with
+FormField.on, and one with a mode outside it is rejected.
 """
 
 import hashlib
@@ -50,9 +51,9 @@ from pathlib import Path
 import numpy as np
 
 from .dolbeault import leray_project
-from .dynamics import DIAGNOSTIC_COLUMNS, SimConfig, Trajectory, _band_coeffs
+from .dynamics import DIAGNOSTIC_COLUMNS, SimConfig, Trajectory
 from .forms import FormField, _json_object, _json_value, index_of, multi_indices, num_components, random_form
-from .spectral import FOURIER, PHYSICAL, SpectralGrid, apply_dealias
+from .spectral import FOURIER, PHYSICAL, SpectralGrid
 
 FIELD_SCHEMA = "dolbeault-ns.field/1"
 TRAJECTORY_SCHEMA = "dolbeault-ns.trajectory/3"
@@ -77,7 +78,9 @@ class InitialSpec:
     kinds:
       random_solenoidal  - Gaussian modes with |zeta|^{-decay} amplitudes,
                            dealiased and projected
-      single_mode        - one Fourier mode, projected
+      single_mode        - one Fourier mode in the band, projected; a
+                           pure-gradient mode, which projects to zero, is
+                           rejected
       taylor_green_analog- q = 1 low-mode stencil u_k = sin(x_k + x_{k+n}),
                            projected
       file               - load a stored field
@@ -121,25 +124,26 @@ class InitialSpec:
 def gen_initial(spec: InitialSpec, config: SimConfig, grid: SpectralGrid | None = None) -> FormField:
     """Build a solenoidal, band-limited initial condition for the run, on
     grid (default: the run's band view).  Random data is drawn on the full
-    lattice in every case, so that on a band view it is the gather of the
+    lattice in every case, so that on a band view it is the band of the
     full-lattice field bit for bit; a file is loaded on the full lattice."""
     if grid is None:
         grid = config.make_grid()
     q = config.q
     if spec.kind == "random_solenoidal":
         rng = np.random.default_rng(config.seed)
-        u = random_form(grid.full, q, rng, decay=spec.decay)
-        if grid.banded:
-            u = FormField(grid, q, grid.gather(u.data), FOURIER)
-        return leray_project(u)
+        return leray_project(random_form(grid.full, q, rng, decay=spec.decay).on(grid))
     if spec.kind == "single_mode":
         if len(spec.component) != q:
             raise ValueError(f"initial component {list(spec.component)} is not a (0,{q}) index")
         u = FormField.zeros(grid, q, FOURIER)
         idx = (index_of(grid.n, tuple(spec.component)),) + grid.mode_index(spec.zeta)
         u.data[idx] = complex(spec.amplitude)
-        u = FormField(grid, q, apply_dealias(grid, u.data), FOURIER)
-        return leray_project(u)
+        u = leray_project(u.on(grid.band, "initial single_mode"))
+        if not np.any(u.data):
+            raise ValueError(
+                f"initial single_mode at zeta {list(spec.zeta)} projects to zero: a pure gradient or zero amplitude"
+            )
+        return u.on(grid)
     if spec.kind == "taylor_green_analog":
         if q != 1:
             raise ValueError("taylor_green_analog is a (0,1)-form initial condition")
@@ -250,10 +254,8 @@ def _save_directory(path, write_data):
 
 def save_field(path, field: FormField, sim_time: float = 0.0, seed=None, cfg_hash=None):
     """Write a field directory: one blob per component, then manifest.json
-    (see _save_directory).  A Fourier field on a band view is scattered to
-    the full lattice first."""
-    if field.grid.banded and field.rep == FOURIER:
-        field = FormField(field.grid.full, field.q, field.grid.scatter(field.data), FOURIER)
+    (see _save_directory), on the full lattice."""
+    field = field.on(field.grid.full)
 
     def write(out: Path) -> dict:
         blobs = []
@@ -281,7 +283,7 @@ def save_field(path, field: FormField, sim_time: float = 0.0, seed=None, cfg_has
 def load_field(path, grid: SpectralGrid | None = None) -> FormField:
     """Read a field directory back, on grid (default: the full lattice);
     verifies schema, manifest keys, sizes, checksums and that every value
-    is finite.  A band view gets the band of the stored field (see
+    is finite.  A band view gets the stored field moved onto it (see
     _onto)."""
     root = Path(path)
     where = f"field manifest {root / 'manifest.json'}"
@@ -320,13 +322,10 @@ def load_field(path, grid: SpectralGrid | None = None) -> FormField:
 
 
 def _onto(field: FormField, grid: SpectralGrid, what: str) -> FormField:
-    """A stored full-lattice field on grid.  A band view keeps physical
-    samples as they are and takes the band of Fourier coefficients, where
-    a nonzero mode outside the band raises FieldFormatError naming what."""
-    if field.grid == grid or field.rep == PHYSICAL:
-        return FormField(grid, field.q, field.data, field.rep)
+    """A stored field on grid by FormField.on, a mode outside the band
+    raising FieldFormatError naming what."""
     try:
-        return FormField(grid, field.q, _band_coeffs(field, what), FOURIER)
+        return field.on(grid, what)
     except ValueError as exc:
         raise FieldFormatError(str(exc)) from exc
 

@@ -20,19 +20,11 @@ space derivatives counted per time derivative:
   pre:  the force norm of dbar p, plus sup-norm pieces switched on at the
         dimensional threshold 2s + k = n + 1.
 
-The double sum runs on the support of the series: the S modes where some
-snapshot has a nonzero coefficient.  That is exact, since a mode that is
-zero in every snapshot has zero time differences and adds exactly 0 to
-every moment.  The cost is one pass over the stored fields (a support
-mask, then a gather of the S coefficients of each snapshot into one
-stack) plus, per multi-index alpha, one (snapshots x S) by (S x (k + 2))
-product.  A run stores its fields on the band view of its grid, so S
-is at most the band (6 % of the modes at n = 3, N = 8) and the mask is
-band-sized too; a band-limited full-lattice series has the same support
-and gives the same bits.  A field that is not band-limited, or one in
-the physical representation (transformed twice, once for the mask and
-once for the gather, so no transformed copy is kept), just has a larger
-support.
+The double sum runs over the Fourier layout of the fields' own grid: one
+stack of the S coefficients of each snapshot, then, per multi-index
+alpha, one (snapshots x S) by (S x (k + 2)) product.  A run stores its
+fields on the band view (S is 6 % of the lattice at n = 3, N = 8); a
+full-lattice series sums over every mode.
 
 The strong-solution monitor integrates ||u(t)||_{L^r}^s over time with
 2/s + 2n/r = 1, r > 2n; finiteness of that integral is the discrete
@@ -163,10 +155,8 @@ def _series(traj_like, attr: str):
 def _mixed_norm_sq(stamps, fields, k: int, s: int, l2_weight: float) -> float:
     """Shared double sum over (i, alpha, j) for the vel/for scales.
 
-    Each term is ||grad^i da dt^j u||_C^2 + l2_weight * ||grad^{i+1} da dt^j u||_L2^2.
-    The sums run over the support of the series, the modes where some
-    snapshot has a nonzero coefficient: every other mode has zero time
-    differences and adds exactly 0 to every moment.
+    Each term is ||grad^i da dt^j u||_C^2 + l2_weight * ||grad^{i+1} da dt^j u||_L2^2,
+    summed over the modes of the fields' grid.
     """
     if k < 0 or s < 0:
         raise ValueError("k and s must be nonnegative")
@@ -174,29 +164,24 @@ def _mixed_norm_sq(stamps, fields, k: int, s: int, l2_weight: float) -> float:
         raise ValueError(f"need at least {2 * s + 1} snapshots for s = {s}")
     h = _uniform_spacing(stamps)
     grid = fields[0].grid
-    support = np.zeros(grid.fourier_shape, dtype=bool)
-    for f in fields:
-        support |= np.any(f.to_fourier().data != 0, axis=0)
-    # (snapshots, components, S) coefficients and the per-axis frequencies of the support
-    keep = support.ravel()
-    coeffs = np.empty((len(fields), fields[0].data.shape[0], np.count_nonzero(keep)), dtype=np.complex128)
-    for f, row in zip(fields, coeffs):
-        np.compress(keep, f.to_fourier().data.reshape(len(row), -1), axis=1, out=row)
-    where = np.nonzero(support)
-    freq = grid.freq.astype(float)
-    # |zeta|^{2i} for i = 0..k+1, one column each; integer-valued, so exact
-    zsq_powers = sum((freq * freq)[idx] for idx in where)[:, None] ** np.arange(k + 2)
+    # (snapshots, components, S) coefficients
+    coeffs = np.stack([f.to_fourier().data.reshape(f.data.shape[0], -1) for f in fields])
+    # |zeta|^{2i} for i = 0..k+1, one column each; integer-valued, so exact.
+    # Not grid.zeta_sq: cached on a loaded trajectory's grid, it outlives the
+    # call, and peak RSS over 45 lamb-n2N16 benchmark ops crept 2.7 MB higher
+    zsq = sum(grid.axis_frequency(a).astype(float) ** 2 for a in range(grid.dim))
+    zsq_powers = zsq.reshape(-1, 1) ** np.arange(k + 2)
 
     total = 0.0
     for j in range(s + 1):
         densities = np.sum(np.abs(np.asarray(_time_derivative(coeffs, j, h))) ** 2, axis=1)
         for alpha in _alpha_indices(grid.dim, 2 * s - 2 * j):
-            weight = np.ones(len(zsq_powers))
+            weight = np.ones(grid.fourier_shape)
             for axis, power in enumerate(alpha):
                 if power:
-                    weight *= (freq ** (2 * power))[where[axis]]
+                    weight *= grid.axis_frequency(axis).astype(float) ** (2 * power)
             # moments[m, i] = vol * sum_zeta |zeta|^{2i} zeta^{2 alpha} D_m(zeta)
-            moments = grid.volume * (densities @ (weight[:, None] * zsq_powers))
+            moments = grid.volume * (densities @ (weight.reshape(-1, 1) * zsq_powers))
             for i in range(k + 1):
                 total += float(np.max(moments[:, i]))
                 total += l2_weight * float(np.trapezoid(moments[:, i + 1], stamps))

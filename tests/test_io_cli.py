@@ -333,6 +333,15 @@ def test_gen_initial_single_mode_must_lie_in_the_band():
     spec = InitialSpec(kind="single_mode", zeta=(4, 0, 0, 0), component=(1,))
     with pytest.raises(ValueError, match="2/3-rule band"):
         gen_initial(spec, cfg)
+    # on the full lattice too, where |zeta_1| = 3 is a lattice mode
+    spec = InitialSpec(kind="single_mode", zeta=(3, 0, 0, 0), component=(1,))
+    with pytest.raises(ValueError, match="initial single_mode has nonzero modes outside the 2/3-rule band"):
+        gen_initial(spec, cfg, SpectralGrid(2, 8))
+    # a pure gradient, which the projection removes, on either view
+    spec = InitialSpec(kind="single_mode", zeta=(1, 0, 0, 0), component=(1,))
+    for grid in (None, SpectralGrid(2, 8)):
+        with pytest.raises(ValueError, match="projects to zero"):
+            gen_initial(spec, cfg, grid)
     with pytest.raises(ValueError, match=r"not a \(0,1\) index"):
         gen_initial(InitialSpec(kind="single_mode", zeta=(1, 0, 0, 0)), cfg)
 
@@ -921,9 +930,12 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, command, doc, message):
      ('{"kind": "single_mode", "zeta": [1, 0, 0, 0]}', "initial component [] is not a (0,1) index"),
      # |zeta_1| = 4 > N/3: the mode would be dealiased to a zero field
      ('{"kind": "single_mode", "zeta": [4, 0, 0, 0], "component": [1]}', "outside the 2/3-rule band"),
+     # sigma_2(zeta) = 0, so dbar u = 0: a pure gradient, which the projection removes
+     ('{"kind": "single_mode", "zeta": [1, 0, 0, 0], "component": [1]}',
+      "initial single_mode at zeta [1, 0, 0, 0] projects to zero"),
      ('{"kind": "vortex_sheet"}', "unknown initial-condition kind 'vortex_sheet'")],
     ids=["list", "not-json", "zeta-int", "decay-str", "amplitude-short", "no-component", "zeta-outside-band",
-         "bad-kind"],
+         "pure-gradient", "bad-kind"],
 )
 def test_cli_malformed_initial_exits_2(tmp_path, capsys, command, initial, message):
     cfg_path = _write_cfg(tmp_path, output_stride=1, T=0.02)

@@ -328,8 +328,9 @@ def test_bochner_series_are_validated(grid8, grid3d):
 
 
 def _reference_mixed_norm_sq(stamps, fields, k: int, s: int, l2_weight: float) -> float:
-    """The full-lattice evaluation of the mixed scales, kept as the oracle
-    of norms._mixed_norm_sq (which works on the support of the series)."""
+    """A field-by-field evaluation of the mixed scales over every mode of
+    the fields' grid, kept as the oracle of norms._mixed_norm_sq (which
+    makes one matrix product per multi-index)."""
     if k < 0 or s < 0:
         raise ValueError("k and s must be nonnegative")
     if len(fields) < 2 * s + 1:
@@ -394,11 +395,19 @@ def test_mixed_norms_match_full_lattice_oracle(n, N, physical, data):
     fields = [random_form(grid, q, rng, decay=1.0, band_limit=band_limit) for _ in stamps]
     if physical:
         fields = [f.to_physical() for f in fields]
+    # a band-limited series also on the band view, where a run stores it:
+    # the same norm as on the full lattice
+    band_view = band_limit and data.draw(st.booleans())
+    if band_view:
+        lattice = _norm_of(scale, (stamps, fields), k, s)
+        fields = [f.on(grid.band) for f in fields]
     got = _norm_of(scale, (stamps, fields), k, s)
     with mock.patch.object(norms, "_mixed_norm_sq", _reference_mixed_norm_sq):
         want = _norm_of(scale, (stamps, fields), k, s)
     assert want > 0.0
     assert abs(got - want) <= 1e-13 * want
+    if band_view:
+        assert abs(got - lattice) <= 1e-15 * lattice
 
 
 def test_mixed_norms_of_zero_series_are_exactly_zero(grid8):

@@ -16,16 +16,20 @@ from dolbeault_ns import (
     FormField,
     SimConfig,
     SpectralGrid,
+    FieldFormatError,
     ForcingSpec,
     dbar,
     l2_norm,
     leray_project,
     linearized_b,
+    load_field,
     nonlinearity,
     pressure_recover,
     random_form,
+    save_field,
     simulate,
     solve_linearized,
+    step_etd_heun,
 )
 from dolbeault_ns.forms import apply_m1, apply_m2
 from dolbeault_ns.spectral import FOURIER, PHYSICAL, apply_dealias, heat_multiplier_grid
@@ -241,6 +245,68 @@ def test_public_n_and_b_take_band_limited_fields_only():
     assert n_band.grid is band and b_band.grid is band
     assert np.array_equal(n_band.data, band.gather(nonlinearity(u, LAMB).data))
     assert np.array_equal(b_band.data, band.gather(linearized_b(w, u, LAMB).data))
+
+
+def _band_coefficients(f):
+    """The Fourier coefficients of a band-limited field on the band view."""
+    f = f.to_fourier()
+    return f.data if f.grid.banded else f.grid.band.gather(f.data)
+
+
+def _through(entry, x, tmp_path):
+    """What one way into the band makes of x, as band coefficients."""
+    cfg = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.02, dt=0.01, nonlinearity=LAMB)
+    band = x.grid.band
+    w = _initial(x.grid.full, 1, 5)
+    if entry == "nonlinearity":
+        out = nonlinearity(x, LAMB)
+    elif entry == "linearized_b":
+        out = linearized_b(w if x.grid == w.grid else FormField(band, 1, _band_coefficients(w), FOURIER), x, LAMB)
+    elif entry == "step_etd_heun":
+        out = step_etd_heun(x, 0.0, cfg)
+    elif entry == "solve_linearized":
+        base = dynamics.Trajectory(np.arange(3) * cfg.dt, [x] * 3, [], {}, cfg)
+        out = solve_linearized(base, cfg, u0=w).velocities[-1]
+    else:
+        save_field(tmp_path / "x", x)
+        if entry == "file force":
+            out = ForcingSpec(kind="file", path=str(tmp_path / "x")).evaluate(band, 1, 0.0)
+        else:
+            out = load_field(tmp_path / "x", grid=band)
+    return _band_coefficients(out)
+
+
+# each way in and the name its error gives the field
+_WAYS_IN = {"nonlinearity": "u", "linearized_b": "u", "step_etd_heun": "state", "solve_linearized": "base state 0",
+            "file force": "forcing file", "load_field": r"field \S+"}
+
+
+@pytest.mark.parametrize("entry", list(_WAYS_IN))
+# band coefficients hold no mode outside the band, so they have no aliased case
+@pytest.mark.parametrize(
+    "view, rep, content",
+    [(view, rep, content) for view in ("full", "band") for rep in (FOURIER, PHYSICAL)
+     for content in ("band-limited", "aliased") if (view, rep, content) != ("band", FOURIER, "aliased")],
+)
+def test_every_way_into_the_band_has_one_rule(tmp_path, entry, view, rep, content):
+    # band-limited fields of either view and representation are accepted,
+    # samples to rounding; one with a 0.5 mode at |zeta_2| = 3 > N/3 is
+    # rejected, samples on the band view included
+    full = SpectralGrid(2, 8)
+    u = _initial(full, 1, 4)
+    want = _through(entry, FormField(full.band, 1, _band_coefficients(u), FOURIER), tmp_path)
+    if content == "aliased":
+        u.data[(1,) + full.mode_index((0, 3, 0, 0))] = 0.5
+    x = u.to_physical() if rep == PHYSICAL else u
+    if view == "band":
+        x = FormField(full.band, 1, x.data if rep == PHYSICAL else _band_coefficients(x), rep)
+    if content == "aliased":
+        message = f"{_WAYS_IN[entry]} has nonzero modes outside the 2/3-rule band"
+        with pytest.raises((ValueError, FieldFormatError), match=message):
+            _through(entry, x, tmp_path)
+    else:
+        got = _through(entry, x, tmp_path)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
