@@ -21,26 +21,30 @@ Phys. 176 (2002)):
 
 This is u_{m+1} = P [ E u_m + dt/2 (E k1 + k2) ] with k2 = P g(u_mid, .):
 P is linear, idempotent and commutes with E, so one projection serves k2
-and the new state.  A stage reads [u, dbar u] from one inverse FFT, forms
-M1 pointwise and returns with one forward FFT; the first stage reuses the
-samples the diagnostics of u_m already made, so a Lamb step makes 4 FFT
-calls and 2 projections.  A zero source (no M1 term, zero forcing) is
-stepped exactly, u_{m+1} = E u_m, with no transform and no projection.
+and the new state.  A stage reads [u, dbar u] from one inverse FFT and
+forms M1 pointwise, one output component at a time, each transformed as
+soon as it is formed; the first stage reuses the samples the diagnostics
+of u_m already made, so a Lamb step makes 2 inverse FFT calls, one forward
+call per component and stage (4 at n = 2, 6 at n = 3) and 2 projections.
+A zero source (no M1 term, zero forcing) is stepped exactly,
+u_{m+1} = E u_m, with no transform and no projection.
 
 Second order in dt, exact for the pure heat flow, unconditionally stable in
 the stiff linear part.  N and its linearization share one evaluator of the
 quadratic term Q(a, b) = M1(dbar a, b) + dbar M2(a, b): N(v) = Q(v, v) and
 B(w, v) = Q(w, v) + Q(v, w).  Products are formed pointwise in physical
-space and all of them go through one forward FFT onto the band, which
-dealiases them (2/3 rule), so the quadratic algebra N(w + v) = N(w) +
-B(w, v) + N(v) survives discretization to rounding.  Stages take M1 only.
+space, and each output component goes through its own forward FFT onto
+the band, which dealiases it (2/3 rule), so the quadratic algebra
+N(w + v) = N(w) + B(w, v) + N(v) survives discretization to rounding.
+Stages take M1 only.
 
 Pressure never enters the time stepping; it is reconstructed at output
 strides from the full f - N(u) (or f - B(w, u)) through pressure_recover().
 A snapshot evaluates Q on the samples the diagnostics of u already made
 (and on the cached samples of w), so it makes no inverse FFT and one
-forward FFT.  The M1 block of that transform is the next step's stage-1
-source, so that stage forms no products and makes no transform.  The CFL
+forward FFT per component of M1 and M2.  The M1 part of those transforms
+is the next step's stage-1 source, so that stage forms no products and
+makes no transform.  The CFL
 bound is checked before every step.
 
 Every stepped state is band-limited by the 2/3 rule, and a run lives on
@@ -350,35 +354,40 @@ def _quadratic(
 
     v and w are physical samples stacked as _samples() makes them; the
     dbar rows are read only for M1 terms.  Without exact the part dbar M2,
-    which P annihilates, is left out.  All products go through one band
-    forward FFT.  Returns (Q, Q1), where Q1 is the M1 part alone, taken
-    from the same transform: Q itself when there is no M2 part, None when
-    there are no M1 terms.  Each field of a batch transforms on its own, so
-    Q1 is bit for bit what a call without exact gives.
+    which P annihilates, is left out.  The products are formed one output
+    component at a time, M1's and then M2's, and each is band-transformed
+    as soon as it is formed, so the scratch is one component (two for B)
+    plus what forms._contract takes.  Returns (Q, Q1), where Q1 is the M1
+    part alone: Q itself when there is no M2 part, None when there are no
+    M1 terms.  Each field transforms on its own and sums in table order,
+    so Q1 is bit for bit what a call without exact gives.
     """
     m1_terms, m2_terms = spec.tables(grid.n, q)
     has_m1, has_m2 = bool(m1_terms), bool(m2_terms) and exact
     a = num_components(grid.n, q)
     pairs = ((v, v),) if w is None else ((w, v), (v, w))
 
-    def summed(apply, first_q, first_rows):
-        terms = (
-            apply(spec, FormField(grid, first_q, x[first_rows], PHYSICAL), FormField(grid, q, y[:a], PHYSICAL)).data
-            for x, y in pairs
-        )
-        out = next(terms)
-        for term in terms:
-            out += term
-        return out
+    def blocks(first_q, first_rows):
+        return [
+            (FormField(grid, first_q, x[first_rows], PHYSICAL), FormField(grid, q, y[:a], PHYSICAL)) for x, y in pairs
+        ]
 
     parts = []
     if has_m1:
-        parts.append(summed(apply_m1, q + 1, slice(a, None)))  # M1(dbar x, y)
+        parts.append((apply_m1, blocks(q + 1, slice(a, None)), a))  # M1(dbar x, y)
     if has_m2:
-        parts.append(summed(apply_m2, q, slice(None, a)))  # M2(x, y)
+        parts.append((apply_m2, blocks(q, slice(None, a)), num_components(grid.n, q - 1)))  # M2(x, y)
     if not parts:
         return np.zeros((a,) + grid.fourier_shape, dtype=np.complex128), None
-    hat = grid.fft(parts[0] if len(parts) == 1 else np.concatenate(parts), overwrite=True)
+    rows = [(apply, args, k) for apply, args, size in parts for k in range(size)]
+    hat = np.empty((len(rows),) + grid.fourier_shape, dtype=np.complex128)
+    buf = np.empty(grid.shape, dtype=np.complex128)
+    other = None if w is None else np.empty_like(buf)
+    for row, (apply, args, k) in enumerate(rows):
+        apply(spec, *args[0], k, buf)
+        if other is not None:
+            buf += apply(spec, *args[1], k, other)
+        hat[row] = grid.fft(buf, overwrite=True)
     if not has_m2:
         return hat, hat
     total = dbar(FormField(grid, q - 1, hat[a if has_m1 else 0 :], FOURIER)).data
@@ -482,14 +491,15 @@ class _EtdHeun:
     with base[m] the linearization point w at step m (base None: the
     nonlinear source; solve_linearized steps w = 0 with the Stokes table).
     A stage reads v from the samples of [v, dbar v], made by physical() in
-    one inverse FFT.  The run loop stores the samples of the current state
+    one inverse FFT, and _quadratic forms and transforms its products one
+    component at a time.  The run loop stores the samples of the current state
     in `phys` (load()) when it records its diagnostics, and step() takes
     them over, so the first stage costs no transform.  Without M1 products
     the stages need no samples at all, and with a zero source a step is
     exactly u <- E u.  source(..., exact=True) gives the full f - N(v) (or
     f - B(w, v)), whose exact part is the pressure; the M1 part of its
-    transform is g(v, t), which it keeps in `g1`, and step() takes that over
-    too, so after a snapshot the first stage forms no products at all.
+    transforms is g(v, t), which it keeps in `g1`, and step() takes that
+    over too, so after a snapshot the first stage forms no products at all.
 
     The kernel works on the band view of the run's grid: states, sources
     and multipliers hold the 2/3-rule modes only, and so does base[m],
@@ -497,7 +507,9 @@ class _EtdHeun:
     entry.  It owns its sample stacks: the samples of the recorded state
     and of each stage go to one buffer, those of w to another.  Fresh
     stacks of that size come from mmap and go back to the system when
-    freed, so each would cost its pages in faults again.
+    freed, so each would cost its pages in faults again.  The scratch of
+    _quadratic, a few components, lives only inside its call: a buffer
+    kept here would add to the peak of every other phase of the run.
     """
 
     def __init__(self, config: SimConfig, grid: SpectralGrid, base=None):
@@ -539,7 +551,7 @@ class _EtdHeun:
     def source(self, phys: np.ndarray | None, t: float, exact: bool = False) -> np.ndarray:
         """g(v, t) in Fourier space as a new array, from phys = physical(v);
         with exact, the full f - N(v) (or f - B(w, v)), and g(v, t) from
-        the same transform is kept in self.g1 when the stages need it."""
+        the same transforms is kept in self.g1 when the stages need it."""
         grid = self.grid
         if not (self.m1 or (exact and self.m2)):
             return self.forcing.evaluate(grid, self.q, t).data.copy()

@@ -11,7 +11,9 @@ The two zero-order bilinear maps are
 
 with constant coefficients: each is a sparse tensor table of entries
 c[K][A][B] (CustomTerm), and every table is evaluated by the same term
-loop.  The built-in "lamb" choice (q = 1 only) is the constant table of
+loop, one output component K at a time, so a caller can form and use one
+component before the next.  The built-in "lamb" choice (q = 1 only) is
+the constant table of
 
     M1(w, u)_k = sum_{j != k} eps(j,k) w_{sort(j,k)} conj(u_j),
     M2(u, w)   = sum_j u_j conj(w_j),
@@ -294,15 +296,15 @@ class BilinearSpec:
         return self._compile(n, q)[0]
 
     def _compile(self, n: int, q: int) -> tuple:
-        """(tables, rows): rows hold each entry as the component indices
-        and coefficient (k, a, b, coeff, conj_u) that _contract reads."""
+        """(tables, rows): rows[t][k] holds the entries of table t on output
+        component k, in table order, as the component indices and
+        coefficient (a, b, coeff, conj_u) that _contract reads."""
         entry = self._cache.get((n, q))
         if entry is None:
             self.validate_for(n, q)
             tables = _lamb_tables(n) if self.kind == KIND_LAMB else (self.m1_terms, self.m2_terms)
             rows = tuple(
-                tuple((index_of(n, t.k), index_of(n, t.a), index_of(n, t.b), t.coeff, t.conj_u) for t in terms)
-                for terms in tables
+                _component_rows(n, terms, num_components(n, out_q)) for terms, out_q in zip(tables, (q, q - 1))
             )
             entry = self._cache[(n, q)] = (tables, rows)
         return entry
@@ -385,41 +387,76 @@ def _lamb_tables(n: int) -> tuple:
     return m1, m2
 
 
+def _component_rows(n: int, terms: tuple, size: int) -> tuple:
+    """The entries of terms grouped by output component, each group in
+    table order."""
+    rows = [[] for _ in range(size)]
+    for t in terms:
+        rows[index_of(n, t.k)].append((index_of(n, t.a), index_of(n, t.b), t.coeff, t.conj_u))
+    return tuple(map(tuple, rows))
+
+
 def _contract(rows: tuple, first: np.ndarray, second: np.ndarray, out: np.ndarray):
-    """out[k] += coeff * first[a] * second[b] over the rows, with second[b]
-    conjugated when conj_u is set (once per component and call).  A
+    """out = sum of coeff * first[a] * second[b] over the entries of one
+    output component, in their order, with second[b] conjugated (into a
+    scratch component) when conj_u is set; zero for no entries.  A
     coefficient of +-1 becomes the sign of the accumulation, which rounds
     the same."""
-    conj = {b: np.conj(second[b]) for b in {b for _, _, b, _, conj_u in rows if conj_u}}
-    tmp = np.empty(out.shape[1:], dtype=out.dtype)
-    for k, a, b, coeff, conj_u in rows:
-        np.multiply(first[a] if coeff in (1, -1) else coeff * first[a], conj[b] if conj_u else second[b], out=tmp)
-        (np.subtract if coeff == -1 else np.add)(out[k], tmp, out=out[k])
+    if not rows:
+        out.fill(0.0)
+        return
+    conj = tmp = None
+    for i, (a, b, coeff, conj_u) in enumerate(rows):
+        y = second[b]
+        if conj_u:
+            conj = np.empty_like(out) if conj is None else conj
+            y = np.conj(y, out=conj)
+        x = first[a] if coeff in (1, -1) else coeff * first[a]
+        if i == 0:
+            np.multiply(x, y, out=out)
+            if coeff == -1:
+                # 0 - x, as a sum started from zero rounds
+                np.subtract(0.0, out, out=out)
+            continue
+        tmp = np.empty_like(out) if tmp is None else tmp
+        np.multiply(x, y, out=tmp)
+        (np.subtract if coeff == -1 else np.add)(out, tmp, out=out)
 
 
-def apply_m1(spec: BilinearSpec, omega: FormField, u: FormField) -> FormField:
-    """Pointwise M1(omega, u): (0,q+1) x (0,q) -> (0,q)."""
+def _apply(rows: tuple, first: np.ndarray, second: np.ndarray, grid: SpectralGrid, q: int, k, out):
+    """The (0,q) field of the rows' contraction, or its component k (see apply_m1)."""
+    if k is not None:
+        out = np.empty(grid.shape, dtype=np.complex128) if out is None else out
+        _contract(rows[k], first, second, out)
+        return out
+    f = FormField(grid, q, np.empty((len(rows),) + grid.shape, dtype=np.complex128), PHYSICAL)
+    for k, rows_k in enumerate(rows):
+        _contract(rows_k, first, second, f.data[k])
+    return f
+
+
+def apply_m1(spec: BilinearSpec, omega: FormField, u: FormField, k: int | None = None, out=None):
+    """Pointwise M1(omega, u): (0,q+1) x (0,q) -> (0,q), a new field formed
+    one component at a time; with k, only component k, as an array of one
+    component's samples: out when given, else a new one."""
     if omega.grid != u.grid:
         raise ValueError("grid mismatch")
     if omega.q != u.q + 1:
         raise ValueError(f"M1 needs bidegrees (q+1, q), got ({omega.q}, {u.q})")
     if omega.rep != PHYSICAL or u.rep != PHYSICAL:
         raise ValueError("apply_m1 requires physical representation")
-    out = FormField.zeros(u.grid, u.q, PHYSICAL)
-    _contract(spec._compile(u.grid.n, u.q)[1][0], omega.data, u.data, out.data)
-    return out
+    return _apply(spec._compile(u.grid.n, u.q)[1][0], omega.data, u.data, u.grid, u.q, k, out)
 
 
-def apply_m2(spec: BilinearSpec, u: FormField, w: FormField) -> FormField:
-    """Pointwise M2(u, w): (0,q) x (0,q) -> (0,q-1)."""
+def apply_m2(spec: BilinearSpec, u: FormField, w: FormField, k: int | None = None, out=None):
+    """Pointwise M2(u, w): (0,q) x (0,q) -> (0,q-1), a new field formed one
+    component at a time; with k, only component k, as in apply_m1."""
     u._check_compatible(w)
     if u.q < 1:
         raise ValueError("M2 requires bidegree q >= 1")
     if u.rep != PHYSICAL:
         raise ValueError("apply_m2 requires physical representation")
-    out = FormField.zeros(u.grid, u.q - 1, PHYSICAL)
-    _contract(spec._compile(u.grid.n, u.q)[1][1], u.data, w.data, out.data)
-    return out
+    return _apply(spec._compile(u.grid.n, u.q)[1][1], u.data, w.data, u.grid, u.q - 1, k, out)
 
 
 # -- JSON documents ------------------------------------------------------------

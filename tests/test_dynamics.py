@@ -346,12 +346,14 @@ def test_snapshot_source_feeds_next_stage_bit_for_bit(grid8, rng, monkeypatch):
     shrink = SimConfig(n=2, q=1, N=8, mu=0.1, T=0.05, dt=1e-3, nonlinearity=LAMB, forcing=strong,
                        output_stride=50, cfl_mode="shrink")
     base = simulate(lamb, u0)
-    # (run, apply_m1 calls per stage-1 evaluation times the output intervals)
+    # (run, apply_m1 calls per stage-1 evaluation, one per output component
+    # (a = 2) and pair of arguments, times the output intervals)
+    a = 2
     runs = {
-        "lamb": (lambda: simulate(lamb, u0), 10),
-        "m1 only": (lambda: simulate(replace(lamb, nonlinearity=m1_only), u0), 10),
-        "shrink": (lambda: simulate(shrink, 1e-3 * u0), 1),
-        "linearized": (lambda: solve_linearized(base, lamb, u0=0.5 * u0), 2 * 10),
+        "lamb": (lambda: simulate(lamb, u0), a * 10),
+        "m1 only": (lambda: simulate(replace(lamb, nonlinearity=m1_only), u0), a * 10),
+        "shrink": (lambda: simulate(shrink, 1e-3 * u0), a * 1),
+        "linearized": (lambda: solve_linearized(base, lamb, u0=0.5 * u0), a * 2 * 10),
     }
     m1_calls = [0]
     apply_m1 = dynamics.apply_m1

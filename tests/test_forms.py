@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from dolbeault_ns import (
     BilinearSpec,
@@ -18,6 +20,7 @@ from dolbeault_ns import (
     multi_indices,
     random_form,
 )
+from dolbeault_ns.forms import num_components
 from dolbeault_ns.spectral import FOURIER, PHYSICAL
 
 
@@ -245,3 +248,76 @@ def test_custom_spec_validates_index_shapes(grid8, rng):
     for _ in range(2):
         with pytest.raises(ValueError):
             apply_m1(bad, omega, u)
+
+
+def _reference_contract(rows: tuple, first: np.ndarray, second: np.ndarray, out: np.ndarray):
+    """The whole-table term loop the per-component contraction replaced:
+    out[k] += coeff * first[a] * second[b] over rows (k, a, b, coeff,
+    conj_u), kept verbatim as the oracle."""
+    conj = {b: np.conj(second[b]) for b in {b for _, _, b, _, conj_u in rows if conj_u}}
+    tmp = np.empty(out.shape[1:], dtype=out.dtype)
+    for k, a, b, coeff, conj_u in rows:
+        np.multiply(first[a] if coeff in (1, -1) else coeff * first[a], conj[b] if conj_u else second[b], out=tmp)
+        (np.subtract if coeff == -1 else np.add)(out[k], tmp, out=out[k])
+
+
+def _reference_apply(n, terms, first, second, out_q, grid):
+    rows = tuple((index_of(n, t.k), index_of(n, t.a), index_of(n, t.b), t.coeff, t.conj_u) for t in terms)
+    out = np.zeros((num_components(n, out_q),) + grid.shape, dtype=np.complex128)
+    _reference_contract(rows, first.data, second.data, out)
+    return out
+
+
+@st.composite
+def _table(draw, n, k_len, ab_len):
+    """Table entries with |K| = k_len and (|A|, |B|) = ab_len, and unit,
+    imaginary-unit or general coefficients; the first two share their K,
+    and when there are several output components the last has none."""
+    ks = multi_indices(n, k_len)
+    ks = ks[:-1] if len(ks) > 1 else ks
+    coeff = st.one_of(
+        st.sampled_from([1, -1, 1j, -1j]),
+        st.complex_numbers(min_magnitude=0.1, max_magnitude=2.0, allow_nan=False, allow_infinity=False),
+    )
+    entries = []
+    for i in range(draw(st.integers(2, 6))):
+        entries.append(
+            CustomTerm(
+                k=entries[0].k if i == 1 else draw(st.sampled_from(ks)),
+                a=draw(st.sampled_from(multi_indices(n, ab_len[0]))),
+                b=draw(st.sampled_from(multi_indices(n, ab_len[1]))),
+                coeff=complex(draw(coeff)),
+                conj_u=draw(st.booleans()),
+            )
+        )
+    return entries
+
+
+@pytest.mark.parametrize(
+    "n, q, kind",
+    [(n, 1, "lamb") for n in (2, 3, 4)] + [(n, q, "custom") for n in (2, 3, 4) for q in range(1, n)],
+)
+# no shrink phase: a derandomized failure reproduces as drawn
+@settings(derandomize=True, deadline=None, max_examples=4, phases=(Phase.explicit, Phase.generate))
+@given(data=st.data())
+def test_component_contraction_equals_whole_table_loop(n, q, kind, data):
+    # M1 and M2 formed one output component at a time give the bits of the
+    # whole-table loop, as whole fields and component by component
+    grid = SpectralGrid(n, 4)
+    if kind == "lamb":
+        spec = BilinearSpec.lamb()
+    else:
+        spec = BilinearSpec.custom(data.draw(_table(n, q, (q + 1, q))), data.draw(_table(n, q - 1, (q, q))))
+    m1_terms, m2_terms = spec.tables(n, q)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    omega, u, w = (random_form(grid, p, rng, decay=1.0).to_physical() for p in (q + 1, q, q))
+    for apply, args, terms, out_q in ((apply_m1, (omega, u), m1_terms, q), (apply_m2, (u, w), m2_terms, q - 1)):
+        want = _reference_apply(n, terms, *args, out_q, grid)
+        got = apply(spec, *args)
+        assert got.q == out_q and got.rep == PHYSICAL
+        assert np.array_equal(got.data, want)
+        for k in range(len(want)):
+            out = np.full(grid.shape, np.nan, dtype=np.complex128)
+            assert apply(spec, *args, k, out) is out
+            assert np.array_equal(out, want[k])
+            assert np.array_equal(apply(spec, *args, k), want[k])

@@ -410,6 +410,25 @@ def test_mixed_norms_match_full_lattice_oracle(n, N, physical, data):
         assert abs(got - lattice) <= 1e-15 * lattice
 
 
+@pytest.mark.parametrize("n, N", [(2, 4), (2, 8), (3, 4), (3, 8)])
+@pytest.mark.parametrize("physical", [False, True])
+def test_mixed_norms_on_band_view_equal_full_lattice(n, N, physical):
+    # the drawn examples above reach the band view in some corners only;
+    # here every (n, N) and representation has it, on all three scales
+    grid = SpectralGrid(n, N)
+    rng = np.random.default_rng(7 * n + N)
+    stamps = np.linspace(0.0, 0.5, 3)
+    fields = [random_form(grid, 1, rng, decay=1.0) for _ in stamps]
+    if physical:
+        fields = [f.to_physical() for f in fields]
+    band = [f.on(grid.band) for f in fields]
+    assert all(f.grid is grid.band for f in band)
+    for scale in ("vel", "for", "pre"):
+        lattice = _norm_of(scale, (stamps, fields), 1, 1)
+        assert lattice > 0.0
+        assert abs(_norm_of(scale, (stamps, band), 1, 1) - lattice) <= 1e-15 * lattice, scale
+
+
 def test_mixed_norms_of_zero_series_are_exactly_zero(grid8):
     for grid, q in ((grid8, 1), (SpectralGrid(3, 4), 2)):
         stamps = np.linspace(0.0, 1.0, 5)

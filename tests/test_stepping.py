@@ -2,6 +2,7 @@
 public nonlinearity, linearized_b and leray_project, and the identities and
 shortcuts the kernel rests on."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -354,29 +355,40 @@ def test_zero_source_steps_exactly(monkeypatch):
         assert np.max(np.abs(expect - closed)) <= 1e-14 * np.max(np.abs(u0.data))
 
 
-def test_lamb_step_makes_four_fft_calls(monkeypatch):
+def test_lamb_step_counts_inverse_calls_and_forward_field_transforms(monkeypatch):
     grid = SpectralGrid(2, 8)
     cfg = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.05, dt=0.01, nonlinearity=LAMB, output_stride=5)
     u0 = _initial(grid, 1, seed=5)
     counts = {}
-    for owner, name in ((dynamics, "leray_project"), (SpectralGrid, "fft"), (SpectralGrid, "ifft")):
+    for owner, name in ((dynamics, "leray_project"), (SpectralGrid, "ifft")):
         _count_calls(monkeypatch, owner, name, counts)
+    fft, forward = SpectralGrid.fft, []
+
+    def counted_fft(self, values, *args, **kwargs):
+        forward.append(values.shape[: values.ndim - self.dim])
+        return fft(self, values, *args, **kwargs)
+
+    monkeypatch.setattr(SpectralGrid, "fft", counted_fft)
     simulate(cfg, u0)
-    # the initial projection, 2 per step; 1 transform of the initial state,
-    # 4 per step, and 1 forward transform for each of the 2 snapshots, which
-    # reuse the samples the diagnostics made; the snapshot at t = 0 also
-    # gives the first step its stage-1 source, which saves that forward one
+    # the initial projection, 2 per step; 1 inverse transform of the initial
+    # state and 2 per step; forward transforms go one field at a time: M1's
+    # 2 components per stage, and M1's and M2's 3 at each of the 2
+    # snapshots, which reuse the samples the diagnostics made; the snapshot
+    # at t = 0 also gives the first step its stage-1 source, which saves
+    # that stage's 2
+    m1, m2 = 2, 1
     assert counts["leray_project"] == 1 + 2 * cfg.steps
     assert counts["ifft"] == 1 + 2 * cfg.steps
-    assert counts["fft"] == 2 * cfg.steps + 2 - 1
+    assert forward == [()] * (m1 * (2 * cfg.steps - 1) + 2 * (m1 + m2))
 
     # linearized around a stride-1 Lamb run: the samples of w_m are made once
     # per step index and shared by the stage and the snapshot at that index
     base = simulate(replace(cfg, output_stride=1), u0)
     counts.clear()
+    forward.clear()
     solve_linearized(base, cfg, u0=u0)
     assert counts["ifft"] == 2 + 3 * cfg.steps
-    assert counts["fft"] == 2 * cfg.steps + 2 - 1
+    assert forward == [()] * (m1 * (2 * cfg.steps - 1) + 2 * (m1 + m2))
 
 
 @pytest.mark.parametrize("case", ["lamb", "linearized", "stokes"])
@@ -409,6 +421,26 @@ def test_kernel_reuses_its_sample_buffers(case):
     # and keeps none of them in the trajectory
     for f in traj.velocities + traj.pressures:
         assert f.grid is kernel.grid and not np.shares_memory(f.data, seen[0])
+
+
+@pytest.mark.parametrize("case, bound", [("N stage", 3.5), ("N exact", 3.5), ("B", 4.5)])
+def test_quadratic_scratch_stays_within_a_few_components(case, bound):
+    # Q is formed and transformed one output component at a time: the peak
+    # rise of one call, in sample-sized components at n = 3, N = 8 (Lamb),
+    # reads 3.18 (N stage), 3.24 (N exact) and 4.24 (B); forming whole M1
+    # and M2 outputs before one transform reads 7.0, 9.0 and 10.0
+    grid = SpectralGrid(3, 8).band
+    rng = np.random.default_rng(4)
+    v, w = (dynamics._samples(leray_project(random_form(grid, 1, rng)), True) for _ in range(2))
+    args = {"N stage": {"exact": False}, "N exact": {}, "B": {"w": w}}[case]
+    dynamics._quadratic(LAMB, grid, 1, v, **args)
+    tracemalloc.start()
+    try:
+        dynamics._quadratic(LAMB, grid, 1, v, **args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / v[0].nbytes <= bound
 
 
 def test_max_abs_column_matches_stored_velocities():
