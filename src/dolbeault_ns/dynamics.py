@@ -77,7 +77,7 @@ from .forms import (
     num_components,
     random_form,
 )
-from .spectral import FOURIER, PHYSICAL, SpectralGrid, heat_multiplier_grid
+from .spectral import FOURIER, PHYSICAL, SpectralGrid, _slabs, heat_multiplier_grid
 
 
 class BlowUpError(RuntimeError):
@@ -357,9 +357,9 @@ def _quadratic(
     which P annihilates, is left out.  The products are formed one output
     component at a time, M1's and then M2's, and each is band-transformed
     as soon as it is formed, so the scratch is one component (two for B)
-    plus what forms._contract takes.  Returns (Q, Q1), where Q1 is the M1
-    part alone: Q itself when there is no M2 part, None when there are no
-    M1 terms.  Each field transforms on its own and sums in table order,
+    plus the slab-sized pieces of forms._contract and the band moves.
+    Returns (Q, Q1), where Q1 is the M1 part alone: Q itself when there is
+    no M2 part, None when there are no M1 terms.  Each field transforms on its own and sums in table order,
     so Q1 is bit for bit what a call without exact gives.
     """
     m1_terms, m2_terms = spec.tables(grid.n, q)
@@ -472,12 +472,39 @@ def verify_key1(
 
 def _max_abs(u_phys_data: np.ndarray) -> float:
     """Max over grid points of the pointwise modulus of the form."""
-    return _max_modulus(np.abs(u_phys_data))
+    return _sample_diagnostics(u_phys_data)[0]
 
 
-def _max_modulus(component_moduli: np.ndarray) -> float:
-    """_max_abs from the componentwise moduli |u_J| of the samples."""
-    return float(np.sqrt(np.max(np.sum(component_moduli**2, axis=0))))
+def _sample_diagnostics(u_phys: np.ndarray, r: float | None = None) -> tuple:
+    """(max over grid points of sqrt(sum_J |u_J|^2), sum over components
+    and points of |u_J|^r) of stacked samples u_phys; the sum is 0.0
+    without r.
+
+    The arithmetic goes one slab of the first grid axis at a time
+    (spectral._slabs), component by component, in three slab buffers: the
+    moduli, their squares, summed in component order as np.sum(axis=0)
+    sums them, so the max is bit for bit that of whole-array arithmetic,
+    and the moduli raised to r in place.
+    """
+    slabs = _slabs(u_phys.shape[1:])
+    modulus, square, total = (np.empty(u_phys[0][slabs[0]].shape) for _ in range(3))
+    peak, power = None, 0.0
+    for s in slabs:
+        stack = u_phys[:, s]
+        rows = stack.shape[1]
+        m, sq, acc = modulus[:rows], square[:rows], total[:rows]
+        for J, component in enumerate(stack):
+            np.abs(component, out=m)
+            if J:
+                np.multiply(m, m, out=sq)
+                acc += sq
+            else:
+                np.multiply(m, m, out=acc)
+            if r is not None:
+                power += np.power(m, r, out=m).sum()
+        top = acc.max()
+        peak = top if peak is None else np.maximum(peak, top)
+    return float(np.sqrt(peak)), float(power)
 
 
 class _EtdHeun:
@@ -507,9 +534,13 @@ class _EtdHeun:
     entry.  It owns its sample stacks: the samples of the recorded state
     and of each stage go to one buffer, those of w to another.  Fresh
     stacks of that size come from mmap and go back to the system when
-    freed, so each would cost its pages in faults again.  The scratch of
-    _quadratic, a few components, lives only inside its call: a buffer
-    kept here would add to the peak of every other phase of the run.
+    freed, so each would cost its pages in faults again.  The sample-sized
+    scratch of a step is _quadratic's one component (two for B) and the
+    contiguous copies of short-run lines in the band inverse (spectral
+    _along); the contraction, the band moves and the diagnostics of
+    record() (_sample_diagnostics) go through slab-sized pieces.  All of
+    it lives only inside its call: a buffer kept here would add to the
+    peak of every other phase of the run.
     """
 
     def __init__(self, config: SimConfig, grid: SpectralGrid, base=None):
@@ -657,10 +688,8 @@ def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool) -> 
         dbn = l2_norm(du) ** 2
         dbs = l2_norm(dbar_star(state))
         kernel.load(state, du)
-        u_phys = kernel.phys[: state.data.shape[0]]
-        moduli = np.abs(u_phys)
-        mx = _max_modulus(moduli)
-        g = float((cell * np.sum(moduli**r_lps)) ** (1.0 / r_lps)) ** s_lps
+        mx, power = _sample_diagnostics(kernel.phys[: state.data.shape[0]], r_lps)
+        g = float((cell * power) ** (1.0 / r_lps)) ** s_lps
         if g_prev is not None:
             lps_accum += 0.5 * (g_prev + g) * (t - diag["t"][-1])
         g_prev = g

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import FOURIER, PHYSICAL, SpectralGrid, apply_dealias
+from .spectral import FOURIER, PHYSICAL, SpectralGrid, _slabs, apply_dealias
 
 # -- multi-index algebra -----------------------------------------------------
 
@@ -397,30 +397,39 @@ def _component_rows(n: int, terms: tuple, size: int) -> tuple:
 
 
 def _contract(rows: tuple, first: np.ndarray, second: np.ndarray, out: np.ndarray):
-    """out = sum of coeff * first[a] * second[b] over the entries of one
-    output component, in their order, with second[b] conjugated (into a
-    scratch component) when conj_u is set; zero for no entries.  A
-    coefficient of +-1 becomes the sign of the accumulation, which rounds
-    the same."""
+    """out = sum of (coeff * first[a]) * second[b] over the entries of one
+    output component, in their order, with second[b] conjugated when conj_u
+    is set; zero for no entries.  A coefficient of +-1 becomes the sign of
+    the accumulation, which rounds the same.
+
+    The products are pointwise, so they go one slab of the first grid axis
+    at a time (spectral._slabs).  The first entry is formed in out, its
+    conjugate in place; later entries, and a first one that needs both a
+    general coefficient and a conjugate, go through slab-sized scratch.
+    """
     if not rows:
         out.fill(0.0)
         return
-    conj = tmp = None
-    for i, (a, b, coeff, conj_u) in enumerate(rows):
-        y = second[b]
-        if conj_u:
-            conj = np.empty_like(out) if conj is None else conj
-            y = np.conj(y, out=conj)
-        x = first[a] if coeff in (1, -1) else coeff * first[a]
-        if i == 0:
-            np.multiply(x, y, out=out)
-            if coeff == -1:
+    tmp = scaled = None
+    for s in _slabs(out.shape):
+        acc = out[s]
+        for i, (a, b, coeff, conj_u) in enumerate(rows):
+            x, y = first[a][s], second[b][s]
+            if i:
+                tmp = np.empty_like(acc) if tmp is None else tmp
+            target = tmp[: len(acc)] if i else acc
+            if coeff not in (1, -1):
+                if conj_u:
+                    scaled = np.empty_like(acc) if scaled is None else scaled
+                x = np.multiply(coeff, x, out=scaled[: len(acc)] if conj_u else target)
+            if conj_u:
+                y = np.conj(y, out=target)
+            np.multiply(x, y, out=target)
+            if i:
+                (np.subtract if coeff == -1 else np.add)(acc, target, out=acc)
+            elif coeff == -1:
                 # 0 - x, as a sum started from zero rounds
-                np.subtract(0.0, out, out=out)
-            continue
-        tmp = np.empty_like(out) if tmp is None else tmp
-        np.multiply(x, y, out=tmp)
-        (np.subtract if coeff == -1 else np.add)(out, tmp, out=out)
+                np.subtract(0.0, acc, out=acc)
 
 
 def _apply(rows: tuple, first: np.ndarray, second: np.ndarray, grid: SpectralGrid, q: int, k, out):

@@ -33,11 +33,13 @@ transformed; the others are all zero.  The inverse goes last axis first
 because numpy's FFT loop looks up its plan once per run of evenly spaced
 lines: pruning the outer axes keeps the runs of the inner axes whole,
 while axis 0 first made the band inverse at n = 3, N = 8 about 2.5 times
-slower.  Lines whose runs are still short go through a contiguous copy
-with their axis last (see _along).  Each line sees the same arithmetic in
-both views, so a band inverse equals the full inverse of the zero-padded
-coefficients, and a band forward equals the full forward transform
-followed by apply_dealias, bit for bit.
+slower.  The band moves go in slabs of the batch axis (see _move), so
+numpy's copy of the overlapping source holds about one slab (_SLAB
+samples), not the whole batch's.  Lines whose runs are still short go
+through a contiguous copy with their axis last (see _along).  Each line
+sees the same arithmetic in both views, so a band inverse equals the full
+inverse of the zero-padded coefficients, and a band forward equals the
+full forward transform followed by apply_dealias, bit for bit.
 
 All derivative action is diagonal here.  The one-dimensional Cauchy-Riemann
 operator along the j-th complex direction,
@@ -61,6 +63,13 @@ FOURIER = "fourier"
 # fewest samples per run of lines for which numpy's FFT loop beats a
 # transposed copy (measured for N = 4, 8, 16 on a 2-vCPU host)
 _SHORT_RUN = 256
+
+# most samples per component that pointwise scratch and the band moves'
+# overlap copies hold at once (see _slabs and _move): a component is one
+# slab at n = 2, N <= 16, so small grids make no extra calls, and 4 slabs
+# at n = 3, N = 8, where whole-component temporaries set a run's peak RSS
+# (custom-n3N8 benchmark median 92.3 MB, 83.6 with slabs; 2-vCPU host)
+_SLAB = 1 << 16
 
 
 class SpectralGrid:
@@ -256,8 +265,7 @@ class SpectralGrid:
             if a:
                 _along(np.fft.fft, lines, first + a)
             if self.banded:
-                at = lead + (slice(None),) * a
-                lines[at + (slice(K + 1, M),)] = lines[at + (slice(N - K, N),)]
+                _move(lines, first + a, slice(N - K, N), slice(K + 1, M))
         return work[lead + (slice(0, M),) * self.dim].copy() if self.banded else work
 
     def ifft(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -282,9 +290,8 @@ class SpectralGrid:
             # transform to zero, and are left alone until their axis's turn
             lines = work[lead + (slice(0, M),) * a]
             if self.banded:
-                at = lead + (slice(None),) * a
-                lines[at + (slice(N - K, N),)] = lines[at + (slice(K + 1, M),)]
-                lines[at + (slice(K + 1, N - K),)] = 0.0
+                _move(lines, first + a, slice(K + 1, M), slice(N - K, N))
+                lines[lead + (slice(None),) * a + (slice(K + 1, N - K),)] = 0.0
             if self.banded or a < self.dim - 1:
                 _along(np.fft.ifft, lines, first + a)
         return work
@@ -308,6 +315,32 @@ def _along(transform, x: np.ndarray, axis: int):
     tmp = lines.copy()
     transform(tmp, axis=-1, norm="forward", out=tmp)
     lines[...] = tmp
+
+
+def _move(lines: np.ndarray, axis: int, src: slice, dst: slice):
+    """lines[..., dst, ...] = lines[..., src, ...] along axis.
+
+    The two places lie in one array, so numpy copies the source first.  A
+    move of more than _SLAB samples along an axis after the first goes in
+    slabs of the first axis (the leading batch axis, when there is one), so
+    that copy holds at most _SLAB samples, or those of one index.
+    """
+    at = (slice(None),) * axis
+    width = src.stop - src.start
+    if axis and lines.size // lines.shape[axis] * width > _SLAB:
+        for s in _slabs(lines.shape[:axis] + (width,) + lines.shape[axis + 1 :]):
+            chunk = lines[s]
+            chunk[at + (dst,)] = chunk[at + (src,)]
+    else:
+        lines[at + (dst,)] = lines[at + (src,)]
+
+
+def _slabs(shape: tuple) -> list:
+    """Slices along the first axis of an array of this shape, each holding at
+    most _SLAB samples, or one index when that holds more: the pieces that
+    pointwise arithmetic with slab-sized scratch goes through."""
+    step = max(1, _SLAB // math.prod(shape[1:]))
+    return [slice(i, i + step) for i in range(0, shape[0], step)]
 
 
 # -- pointwise symbol/multiplier helpers ------------------------------------

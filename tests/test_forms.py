@@ -5,6 +5,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import dolbeault_ns.spectral as spectral
 from dolbeault_ns import (
     BilinearSpec,
     CustomTerm,
@@ -321,3 +322,25 @@ def test_component_contraction_equals_whole_table_loop(n, q, kind, data):
             assert apply(spec, *args, k, out) is out
             assert np.array_equal(out, want[k])
             assert np.array_equal(apply(spec, *args, k), want[k])
+
+
+@pytest.mark.parametrize("n, N, slab", [(3, 8, None), (2, 4, 3 * 4**3)], ids=["n3-N8", "short-last-slab"])
+def test_contraction_over_several_slabs_equals_whole_table_loop(n, N, slab, monkeypatch):
+    # a component goes through slab-sized scratch one slab at a time: 4
+    # slabs at n = 3, N = 8, and a slab of 3 rows leaves a short last one;
+    # first entries of every kind (sign, general coefficient, each with and
+    # without conjugate) and later entries of every kind keep the bits
+    if slab is not None:
+        monkeypatch.setattr(spectral, "_SLAB", slab)
+    ks, pairs = multi_indices(n, 1), multi_indices(n, 2)
+    kinds = [(2.0 - 0.5j, True), (1, False), (0.5 + 1j, False), (-1, True), (-1, False), (-0.75j, True), (1, True)]
+    terms = [
+        CustomTerm(k=ks[i % len(ks)], a=pairs[i % len(pairs)], b=ks[(i + 1) % len(ks)], coeff=complex(c), conj_u=conj)
+        for i in range(len(ks))
+        for c, conj in kinds[i:] + kinds[:i]
+    ]
+    spec = BilinearSpec.custom(terms, ())
+    grid = SpectralGrid(n, N)
+    rng = np.random.default_rng(12)
+    omega, u = (random_form(grid, p, rng, decay=1.0).to_physical() for p in (2, 1))
+    assert np.array_equal(apply_m1(spec, omega, u).data, _reference_apply(n, terms, omega, u, 1, grid))

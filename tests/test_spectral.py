@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings
@@ -219,3 +221,25 @@ def test_band_transforms_equal_full_transforms(n, N, data):
     assert np.array_equal(c, kept)
     with pytest.raises(ValueError, match="out has shape"):
         band.ifft(c, out=out[..., :1])
+
+
+def test_band_inverse_moves_its_negative_frequencies_in_slabs():
+    # the 6 fields of [u, dbar u] at n = 3, N = 8 (Lamb): each axis's
+    # negative frequencies move one field at a time there, so numpy's copy
+    # of the overlapping source is a quarter of one component, not of six;
+    # the peak rise of the call, in sample-sized components, reads 0.92
+    # (_along's contiguous copy) against 1.50 for one move of all six
+    band = SpectralGrid(3, 8).band
+    rng = np.random.default_rng(6)
+    shape = (6,) + band.fourier_shape
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    out = np.empty((6,) + band.shape, dtype=np.complex128)
+    band.ifft(c, out=out)
+    tracemalloc.start()
+    try:
+        band.ifft(c, out=out)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / out[0].nbytes <= 1.0
+    assert np.array_equal(out, band.full.ifft(band.scatter(c)))

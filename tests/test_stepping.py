@@ -11,6 +11,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 import dolbeault_ns.dynamics as dynamics
+import dolbeault_ns.spectral as spectral
 from dolbeault_ns import (
     BilinearSpec,
     CustomTerm,
@@ -423,12 +424,16 @@ def test_kernel_reuses_its_sample_buffers(case):
         assert f.grid is kernel.grid and not np.shares_memory(f.data, seen[0])
 
 
-@pytest.mark.parametrize("case, bound", [("N stage", 3.5), ("N exact", 3.5), ("B", 4.5)])
+@pytest.mark.parametrize(
+    "case, bound", [("N stage", 1.5), ("N exact", 1.65), ("B", 2.65)], ids=["N stage", "N exact", "B"]
+)
 def test_quadratic_scratch_stays_within_a_few_components(case, bound):
-    # Q is formed and transformed one output component at a time: the peak
+    # Q is formed and transformed one output component at a time, and each
+    # component's contraction goes through slab-sized scratch: the peak
     # rise of one call, in sample-sized components at n = 3, N = 8 (Lamb),
-    # reads 3.18 (N stage), 3.24 (N exact) and 4.24 (B); forming whole M1
-    # and M2 outputs before one transform reads 7.0, 9.0 and 10.0
+    # reads 1.43 (N stage), 1.57 (N exact) and 2.57 (B); whole-component
+    # contraction scratch reads 3.18, 3.24 and 4.24, and forming whole M1
+    # and M2 outputs before one transform 7.0, 9.0 and 10.0
     grid = SpectralGrid(3, 8).band
     rng = np.random.default_rng(4)
     v, w = (dynamics._samples(leray_project(random_form(grid, 1, rng)), True) for _ in range(2))
@@ -442,6 +447,46 @@ def test_quadratic_scratch_stays_within_a_few_components(case, bound):
         tracemalloc.stop()
     assert peak / v[0].nbytes <= bound
 
+
+def test_sample_diagnostics_scratch_is_three_slabs():
+    # record() reads max |u| and sum |u_J|^r of the 3 velocity components
+    # at n = 3, N = 8 in three slab buffers, an eighth of a component each;
+    # whole-array moduli, squares and powers read 3.5 components
+    grid = SpectralGrid(3, 8).band
+    u = leray_project(random_form(grid, 1, np.random.default_rng(8))).to_physical().data
+    dynamics._sample_diagnostics(u, 7)
+    tracemalloc.start()
+    try:
+        dynamics._sample_diagnostics(u, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / u[0].nbytes < 0.5
+
+
+@pytest.mark.parametrize(
+    "n, N, slab",
+    [(2, 4, None), (2, 8, None), (2, 16, None), (3, 4, None), (3, 8, None), (4, 4, None)]
+    + [(2, 8, 3 * 8**3), (3, 4, 3 * 4**5)],
+)
+def test_sample_diagnostics_equal_whole_array_arithmetic(n, N, slab, monkeypatch):
+    # max |u| sums the squared moduli in component order, bit for bit as
+    # np.sum(axis=0) does; the power sum only regroups a sum.  n = 3, N = 8
+    # is 4 slabs per component, and a slab of 3 rows leaves a short last one
+    if slab is not None:
+        monkeypatch.setattr(spectral, "_SLAB", slab)
+    grid = SpectralGrid(n, N)
+    rng = np.random.default_rng(10 * n + N)
+    for a in (1, 2, 3):
+        u = rng.standard_normal((a,) + grid.shape) + 1j * rng.standard_normal((a,) + grid.shape)
+        want_max = np.sqrt(np.max(np.sum(np.abs(u) ** 2, axis=0)))
+        for r in (2 * n + 1, 7.5):
+            mx, power = dynamics._sample_diagnostics(u, r)
+            assert mx == want_max
+            want = np.sum(np.abs(u) ** r)
+            assert abs(power - want) <= 1e-14 * want
+        assert dynamics._sample_diagnostics(u) == (want_max, 0.0)
+        assert dynamics._max_abs(u) == want_max
 
 def test_max_abs_column_matches_stored_velocities():
     # record() takes max |u| from the band samples it makes for the next
