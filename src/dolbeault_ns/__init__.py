@@ -40,6 +40,6 @@ from .forms import (
 )
 from .io import FieldFormatError, InitialSpec, gen_initial, load_field, load_trajectory, save_field, save_trajectory
 from .norms import NormReport, bochner_for, bochner_pre, bochner_vel, energy_report, lps_integral, lr_norm, sobolev_hs
-from .spectral import FOURIER, PHYSICAL, SpectralGrid, dbar_symbol, del_symbol, heat_multiplier
+from .spectral import FOURIER, PHYSICAL, SpectralGrid
 
 __version__ = "0.1.0"

@@ -129,7 +129,10 @@ def leray_project(u: FormField) -> FormField:
 
 
 def hodge_split(u: FormField) -> tuple:
-    """Split u = solenoidal + exact with the zero mode on the solenoidal side."""
+    """Split u = solenoidal + exact with the zero mode on the solenoidal side.
+
+    The solver steps with leray_project alone; this split is kept as the
+    Hodge splitting the package documents as part of its operator calculus."""
     if not 1 <= u.q <= u.grid.n:
         raise ValueError(f"hodge_split needs 1 <= q <= n, got q={u.q}")
     sol = leray_project(u)

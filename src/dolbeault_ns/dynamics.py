@@ -789,25 +789,16 @@ def simulate(config: SimConfig, u0: FormField) -> Trajectory:
     return _run_loop(config, u0, _EtdHeun(config, grid), cfl=True)
 
 
-def solve_linearized(
-    w: Trajectory | None,
-    config: SimConfig,
-    forcing: ForcingSpec | None = None,
-    u0: FormField | None = None,
-) -> Trajectory:
+def solve_linearized(w: Trajectory | None, config: SimConfig, u0: FormField) -> Trajectory:
     """Integrate the problem linearized around the trajectory w.
 
     B(w(t), u) replaces N(u); w must be stored at every step of this run
     (stamp spacing equal to dt), or be None for w = 0.  No advective CFL
     adaptation is applied: the problem is linear in u.
     """
-    if u0 is None:
-        raise ValueError("linearized solve needs initial data")
     grid = u0.grid
     if (grid.n, grid.N) != (config.n, config.N):
         raise ValueError("initial data grid does not match the configuration")
-    if forcing is not None:
-        config = replace(config, forcing=forcing)
     config.forcing.validate_for(grid, config.q)
 
     if w is None:

@@ -31,6 +31,7 @@ R-bilinear rather than C-bilinear.
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -146,11 +147,6 @@ class FormField:
         if self.rep == PHYSICAL:
             return self
         return FormField(self.grid, self.q, self.grid.ifft(self.data), PHYSICAL)
-
-    def dealias(self) -> "FormField":
-        f = self.to_fourier()
-        out = FormField(self.grid, self.q, apply_dealias(self.grid, f.data), FOURIER)
-        return out.to_physical() if self.rep == PHYSICAL else out
 
     def on(self, grid: SpectralGrid, what: str = "field") -> "FormField":
         """This field on grid, the full lattice or the band view of its own
@@ -503,10 +499,11 @@ def _json_value(doc: dict, key: str, kind, where: str, default=_REQUIRED):
 
 
 def _is_number(value, kind) -> bool:
-    """Whether value is a JSON number that converts to kind exactly: any
-    int or float for float (short of overflow), an integral one for int."""
+    """Whether value is a finite JSON number that converts to kind exactly:
+    any for float (short of overflow), an integral one for int.  Python's
+    json reads NaN and Infinity, which no key takes."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    if kind is int:
-        return isinstance(value, int) or value.is_integer()
-    return isinstance(value, float) or abs(value) < 2**1023
+    if isinstance(value, float):
+        return math.isfinite(value) and (kind is float or value.is_integer())
+    return kind is int or abs(value) < 2**1023

@@ -45,6 +45,7 @@ import hashlib
 import json
 import os
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,7 +54,7 @@ import numpy as np
 from .dolbeault import leray_project
 from .dynamics import DIAGNOSTIC_COLUMNS, SimConfig, Trajectory
 from .forms import FormField, _json_object, _json_value, index_of, multi_indices, num_components, random_form
-from .spectral import FOURIER, PHYSICAL, SpectralGrid
+from .spectral import FOURIER, SpectralGrid
 
 FIELD_SCHEMA = "dolbeault-ns.field/1"
 TRAJECTORY_SCHEMA = "dolbeault-ns.trajectory/3"
@@ -65,7 +66,19 @@ KINDS = ("u", "p")
 
 
 class FieldFormatError(RuntimeError):
-    """Version mismatch, truncation or checksum failure in stored data."""
+    """Version mismatch, truncation, checksum failure or an invalid value in
+    stored data."""
+
+
+@contextmanager
+def _stored_data():
+    """Report a ValueError raised while reading stored data (an ill-typed
+    manifest key, an invalid grid, config echo or representation, a mode
+    outside the band) as FieldFormatError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise FieldFormatError(str(exc)) from exc
 
 
 # -- initial data -------------------------------------------------------------------
@@ -198,21 +211,7 @@ def _read_manifest(path: Path, what: str) -> dict:
         raise FieldFormatError(f"no {what} manifest under {path.parent}") from exc
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FieldFormatError(f"{what} manifest {path} is not JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FieldFormatError(f"{what} manifest {path} is not a JSON object")
-    return doc
-
-
-def _key(doc, key: str, kind: type, where: str):
-    """doc[key], checked to exist and to be a kind (int excludes bool)."""
-    if not isinstance(doc, dict):
-        raise FieldFormatError(f"{where} is not a JSON object")
-    if key not in doc:
-        raise FieldFormatError(f"{where} lacks the key {key!r}")
-    value = doc[key]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise FieldFormatError(f"{where} key {key!r} is not of type {kind.__name__}: {value!r:.40}")
-    return value
+    return _json_object(doc, f"{what} manifest {path}")
 
 
 def _write_component(fh, component: np.ndarray) -> int:
@@ -280,11 +279,12 @@ def save_field(path, field: FormField, sim_time: float = 0.0, seed=None, cfg_has
     _save_directory(path, write)
 
 
+@_stored_data()
 def load_field(path, grid: SpectralGrid | None = None) -> FormField:
     """Read a field directory back, on grid (default: the full lattice);
     verifies schema, manifest keys, sizes, checksums and that every value
-    is finite.  A band view gets the stored field moved onto it (see
-    _onto)."""
+    is finite.  A band view gets the stored field moved onto it by
+    FormField.on."""
     root = Path(path)
     where = f"field manifest {root / 'manifest.json'}"
     manifest = _read_manifest(root / "manifest.json", "field")
@@ -292,42 +292,34 @@ def load_field(path, grid: SpectralGrid | None = None) -> FormField:
         raise FieldFormatError(
             f"unsupported field schema {manifest.get('schema')!r}, expected {FIELD_SCHEMA}"
         )
-    n, N, q = (_key(manifest, key, int, where) for key in ("n", "N", "q"))
+    n, N, q = (_json_value(manifest, key, int, where) for key in ("n", "N", "q"))
     if grid is None:
         grid = SpectralGrid(n, N)
     elif (grid.n, grid.N) != (n, N):
         raise FieldFormatError(f"stored grid (n={n}, N={N}) does not match {grid}")
     expected = [list(J) for J in multi_indices(n, q)]
-    if _key(manifest, "components", list, where) != expected:
+    if _json_value(manifest, "components", list, where) != expected:
         raise FieldFormatError("component list does not match the canonical enumeration")
-    nbytes = _key(manifest, "bytes_per_component", int, where)
+    nbytes = _json_value(manifest, "bytes_per_component", int, where)
     if nbytes != grid.size * 16:
         raise FieldFormatError("byte layout does not match the grid size")
-    blobs = _key(manifest, "blobs", list, where)
+    blobs = _json_value(manifest, "blobs", list, where)
     if len(blobs) != len(expected):
         raise FieldFormatError(f"{where} lists {len(blobs)} blobs for {len(expected)} components")
-    rep = _key(manifest, "representation", str, where)
+    rep = _json_value(manifest, "representation", str, where)
 
     data = np.empty((len(expected),) + grid.shape, dtype="<c16")
     for ci, blob in enumerate(blobs):
-        name = _key(blob, "file", str, f"{where} blob {ci}")
-        crc = _key(blob, "crc32", int, f"{where} blob {ci}")
+        at = f"{where} blob {ci}"
+        name = _json_value(_json_object(blob, at), "file", str, at)
+        crc = _json_value(blob, "crc32", int, at)
         with open(root / name, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             if size != nbytes:
                 state = "truncated" if size < nbytes else "overlong"
                 raise FieldFormatError(f"blob {name} is {state} ({size} of {nbytes} bytes)")
             _read_component(fh, data[ci], crc, f"blob {name}")
-    return _onto(FormField(grid.full, q, data, rep), grid, f"field {root}")
-
-
-def _onto(field: FormField, grid: SpectralGrid, what: str) -> FormField:
-    """A stored field on grid by FormField.on, a mode outside the band
-    raising FieldFormatError naming what."""
-    try:
-        return field.on(grid, what)
-    except ValueError as exc:
-        raise FieldFormatError(str(exc)) from exc
+    return FormField(grid.full, q, data, rep).on(grid, f"field {root}")
 
 
 # -- trajectory persistence --------------------------------------------------------------
@@ -376,8 +368,8 @@ def _load_packed(root: Path, manifest: dict, cfg: SimConfig, count: int, where: 
     """The velocities and pressures of a /3 trajectory (grid the band view)
     or a /2 one (grid the full lattice), checked against its fields index,
     read from fields.bin in one pass, on the band view."""
-    index = _key(manifest, "fields", list, where)
-    total = _key(manifest, "bytes", int, where)
+    index = _json_value(manifest, "fields", list, where)
+    total = _json_value(manifest, "bytes", int, where)
     if len(index) != len(KINDS) * count:
         raise FieldFormatError(f"{where} indexes {len(index)} fields for {count} snapshots")
     band = grid.band
@@ -390,14 +382,13 @@ def _load_packed(root: Path, manifest: dict, cfg: SimConfig, count: int, where: 
             m, k = divmod(i, len(KINDS))
             at = f"{where} fields[{i}]"
             q = cfg.q - k
+            _json_object(record, at)
             for key, want in (("kind", KINDS[k]), ("snapshot", m), ("q", q), ("offset", fh.tell())):
-                got = _key(record, key, type(want), at)
+                got = _json_value(record, key, type(want), at)
                 if got != want:
                     raise FieldFormatError(f"{at} has {key} {got!r}, expected {want!r}")
-            rep = _key(record, "representation", str, at)
-            if rep not in (FOURIER, PHYSICAL):
-                raise FieldFormatError(f"{at} has unknown representation {rep!r}")
-            crcs = _key(record, "crc32", list, at)
+            rep = _json_value(record, "representation", str, at)
+            crcs = _json_value(record, "crc32", list, at)
             shape = grid.fourier_shape if rep == FOURIER else grid.shape
             data = np.empty((num_components(grid.n, q),) + shape, dtype="<c16")
             if len(crcs) != len(data):
@@ -405,12 +396,13 @@ def _load_packed(root: Path, manifest: dict, cfg: SimConfig, count: int, where: 
             what = f"{FIELDS_FILE} record {i} ({KINDS[k]}_{m})"
             for ci, crc in enumerate(crcs):
                 _read_component(fh, data[ci], crc, f"{what} component {ci}")
-            fields[k].append(_onto(FormField(grid, q, data, rep), band, what))
+            fields[k].append(FormField(grid, q, data, rep).on(band, what))
         if fh.tell() != total:
             raise FieldFormatError(f"{FIELDS_FILE} size mismatch: records end at byte {fh.tell()} of {total}")
     return fields
 
 
+@_stored_data()
 def load_trajectory(path) -> Trajectory:
     """Read a trajectory directory of schema /3 (or /2, /1) onto the band
     view of its run's grid; verifies the manifest keys, the config hash
@@ -422,18 +414,12 @@ def load_trajectory(path) -> Trajectory:
     schemas = (TRAJECTORY_SCHEMA, TRAJECTORY_SCHEMA_V2, TRAJECTORY_SCHEMA_V1)
     if schema not in schemas:
         raise FieldFormatError(f"unsupported trajectory schema {schema!r}, expected one of {', '.join(schemas)}")
-    echo = _key(manifest, "config", dict, where)
-    if _doc_hash(echo) != _key(manifest, "config_hash", str, where):
+    echo = _json_value(manifest, "config", dict, where)
+    if _doc_hash(echo) != _json_value(manifest, "config_hash", str, where):
         raise FieldFormatError(f"{where}: the config does not match its config_hash")
-    try:
-        cfg = SimConfig.from_json(echo)
-    except ValueError as exc:
-        raise FieldFormatError(f"{where}: invalid config echo: {exc}") from exc
-    try:
-        stamps = np.asarray(_key(manifest, "stamps", list, where), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise FieldFormatError(f"{where} key 'stamps' is not a list of numbers") from exc
-    count = _key(manifest, "snapshots", int, where)
+    cfg = SimConfig.from_json(echo)
+    stamps = np.asarray(_json_value(manifest, "stamps", (float,), where))
+    count = _json_value(manifest, "snapshots", int, where)
     if stamps.shape != (count,):
         raise FieldFormatError(f"{where} has {stamps.size} stamps for {count} snapshots")
     grid = cfg.make_grid()

@@ -166,11 +166,8 @@ def _mixed_norm_sq(stamps, fields, k: int, s: int, l2_weight: float) -> float:
     grid = fields[0].grid
     # (snapshots, components, S) coefficients
     coeffs = np.stack([f.to_fourier().data.reshape(f.data.shape[0], -1) for f in fields])
-    # |zeta|^{2i} for i = 0..k+1, one column each; integer-valued, so exact.
-    # Not grid.zeta_sq: cached on a loaded trajectory's grid, it outlives the
-    # call, and peak RSS over 45 lamb-n2N16 benchmark ops crept 2.7 MB higher
-    zsq = sum(grid.axis_frequency(a).astype(float) ** 2 for a in range(grid.dim))
-    zsq_powers = zsq.reshape(-1, 1) ** np.arange(k + 2)
+    # |zeta|^{2i} for i = 0..k+1, one column each; integer-valued, so exact
+    zsq_powers = grid.zeta_sq.reshape(-1, 1) ** np.arange(k + 2)
 
     total = 0.0
     for j in range(s + 1):

@@ -82,7 +82,23 @@ class SpectralGrid:
     broadcast-friendly shapes and must be treated as read-only.
     """
 
-    def __init__(self, n: int, N: int, banded: bool = False):
+    # one grid per (n, N, banded): every field, run and load on a lattice
+    # shares its cached arrays, and identity is equality (__reduce__ keeps
+    # it through copy and pickle)
+    _interned: dict = {}
+
+    def __new__(cls, n: int, N: int, banded: bool = False):
+        grid = cls._interned.get((n, N, banded))
+        if grid is None:
+            grid = super().__new__(cls)
+            grid._setup(n, N, banded)
+            cls._interned[(n, N, banded)] = grid
+        return grid
+
+    def __reduce__(self):
+        return SpectralGrid, (self.n, self.N, self.banded)
+
+    def _setup(self, n: int, N: int, banded: bool):
         if n < 1:
             raise ValueError(f"complex dimension must be >= 1, got {n}")
         if N < 4 or (N & (N - 1)) != 0:
@@ -112,39 +128,20 @@ class SpectralGrid:
         self._zeta_sq: np.ndarray | None = None
         self._dealias: np.ndarray | None = None
         self._inv_lap: np.ndarray | None = None
-        self._band: SpectralGrid | None = self if banded else None
-        self._full: SpectralGrid | None = None if banded else self
 
     def __repr__(self):
         return f"SpectralGrid(n={self.n}, N={self.N}{', banded=True' if self.banded else ''})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SpectralGrid)
-            and self.n == other.n
-            and self.N == other.N
-            and self.banded == other.banded
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.N, self.banded))
 
     @property
     def band(self) -> "SpectralGrid":
         """The band view: same n, N and samples, Fourier axes on the 2/3-rule
         modes only."""
-        if self._band is None:
-            self._band = SpectralGrid(self.n, self.N, banded=True)
-            self._band._full = self
-        return self._band
+        return SpectralGrid(self.n, self.N, banded=True)
 
     @property
     def full(self) -> "SpectralGrid":
         """The full-lattice view: same n, N and samples, every mode."""
-        if self._full is None:
-            self._full = SpectralGrid(self.n, self.N)
-            self._full._band = self
-        return self._full
+        return SpectralGrid(self.n, self.N)
 
     def gather(self, coeffs: np.ndarray) -> np.ndarray:
         """This grid's modes of full-lattice coefficients, as a new array
@@ -343,33 +340,7 @@ def _slabs(shape: tuple) -> list:
     return [slice(i, i + step) for i in range(0, shape[0], step)]
 
 
-# -- pointwise symbol/multiplier helpers ------------------------------------
-
-
-def dbar_symbol(j: int, zeta) -> complex:
-    """Eigenvalue of dbar_j on e^{i zeta.x}: (i/2)(zeta_j + i zeta_{j+n})."""
-    zeta = tuple(zeta)
-    n = len(zeta) // 2
-    if not 1 <= j <= n:
-        raise ValueError(f"direction j={j} outside 1..{n}")
-    return 0.5j * (zeta[j - 1] + 1j * zeta[j - 1 + n])
-
-
-def del_symbol(j: int, zeta) -> complex:
-    """Eigenvalue of del_j on e^{i zeta.x}: (i/2)(zeta_j - i zeta_{j+n})."""
-    zeta = tuple(zeta)
-    n = len(zeta) // 2
-    if not 1 <= j <= n:
-        raise ValueError(f"direction j={j} outside 1..{n}")
-    return 0.5j * (zeta[j - 1] - 1j * zeta[j - 1 + n])
-
-
-def heat_multiplier(mu: float, dt: float, zeta) -> float:
-    """Exact diffusion factor exp(-mu |zeta|^2 dt / 4) for one mode."""
-    if mu <= 0 or dt <= 0:
-        raise ValueError("viscosity and time step must be positive")
-    zsq = float(sum(z * z for z in zeta))
-    return float(np.exp(-mu * zsq * dt / 4.0))
+# -- lattice multipliers -----------------------------------------------------
 
 
 def heat_multiplier_grid(grid: SpectralGrid, mu: float, dt: float) -> np.ndarray:

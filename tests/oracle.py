@@ -1,4 +1,5 @@
-"""Brute-force dense-matrix oracle for the operator calculus.
+"""Test oracles for the operator calculus: a brute-force dense-matrix
+route, per-mode symbols and a sampled bound of B.
 
 Materializes dbar, dbar*, the form Laplacian and the projection as explicit
 matrices on tiny grids, in the physical basis (one grid point of one
@@ -16,8 +17,10 @@ which differentiates trigonometric interpolants exactly below the Nyquist
 mode and never touches the FFT path; agreement is therefore a genuine
 two-route check on band-limited (dealiased) fields.
 
-The single-mode matrices of dbar and the projection and a sampled bound of
-B serve the same checks; the solver never uses them.
+The per-mode symbols (dbar_symbol, del_symbol, heat_multiplier), the
+single-mode matrices of dbar and the projection and a sampled bound of B
+serve the same checks: the grid's symbol arrays are compared against them
+one mode at a time.  The solver never uses any of this.
 """
 
 import functools
@@ -25,15 +28,56 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dolbeault
-from .dynamics import linearized_b
-from .forms import BilinearSpec, FormField, insert_sign, index_of, l2_norm, multi_indices, num_components, random_form
-from .norms import sobolev_hs
-from .spectral import PHYSICAL, SpectralGrid, dbar_symbol
+from dolbeault_ns import dolbeault
+from dolbeault_ns.dynamics import linearized_b
+from dolbeault_ns.forms import (
+    BilinearSpec,
+    FormField,
+    index_of,
+    insert_sign,
+    l2_norm,
+    multi_indices,
+    num_components,
+    random_form,
+)
+from dolbeault_ns.norms import sobolev_hs
+from dolbeault_ns.spectral import FOURIER, PHYSICAL, SpectralGrid, apply_dealias
 
 SIZE_LIMIT = 100_000
 
 _OPERATORS = ("dbar", "dbar_star", "laplacian", "leray")
+
+
+# -- per-mode symbols ----------------------------------------------------------------
+
+
+def dbar_symbol(j: int, zeta) -> complex:
+    """Eigenvalue of dbar_j on e^{i zeta.x}: (i/2)(zeta_j + i zeta_{j+n})."""
+    zeta = tuple(zeta)
+    n = len(zeta) // 2
+    if not 1 <= j <= n:
+        raise ValueError(f"direction j={j} outside 1..{n}")
+    return 0.5j * (zeta[j - 1] + 1j * zeta[j - 1 + n])
+
+
+def del_symbol(j: int, zeta) -> complex:
+    """Eigenvalue of del_j on e^{i zeta.x}: (i/2)(zeta_j - i zeta_{j+n})."""
+    zeta = tuple(zeta)
+    n = len(zeta) // 2
+    if not 1 <= j <= n:
+        raise ValueError(f"direction j={j} outside 1..{n}")
+    return 0.5j * (zeta[j - 1] - 1j * zeta[j - 1 + n])
+
+
+def heat_multiplier(mu: float, dt: float, zeta) -> float:
+    """Exact diffusion factor exp(-mu |zeta|^2 dt / 4) for one mode."""
+    if mu <= 0 or dt <= 0:
+        raise ValueError("viscosity and time step must be positive")
+    zsq = float(sum(z * z for z in zeta))
+    return float(np.exp(-mu * zsq * dt / 4.0))
+
+
+# -- dense spectral construction ------------------------------------------------------
 
 
 @dataclass
@@ -189,7 +233,7 @@ def oracle_compare(tag: str, u: FormField) -> float:
     _check_size(grid.n, q_in, q_out, grid.N)
 
     dense = _fd_dense(tag, grid.n, q_op, grid.N)
-    u_phys = u.dealias().to_physical()
+    u_phys = FormField(grid, u.q, apply_dealias(grid, u.to_fourier().data), FOURIER).to_physical()
     via_dense = dense @ u_phys.data.reshape(-1)
     via_spectral = _spectral_apply(tag, u_phys).to_physical().data.reshape(-1)
     scale = float(np.linalg.norm(u_phys.data.reshape(-1)))

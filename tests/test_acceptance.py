@@ -30,8 +30,8 @@ from dolbeault_ns import (
 )
 from dolbeault_ns.io import InitialSpec, gen_initial, save_trajectory
 from dolbeault_ns.norms import energy_report, lps_exponent, lps_integral
-from dolbeault_ns.reference import dense_build, oracle_compare
 from dolbeault_ns.spectral import FOURIER
+from oracle import dense_build, oracle_compare
 
 LAMB = BilinearSpec.lamb()
 STOKES = BilinearSpec.stokes()

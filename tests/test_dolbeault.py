@@ -18,8 +18,8 @@ from dolbeault_ns import (
     random_form,
 )
 from dolbeault_ns import SpectralGrid
-from dolbeault_ns.reference import dbar_component_matrix, fiber_matrix
 from dolbeault_ns.spectral import FOURIER, PHYSICAL
+from oracle import dbar_component_matrix, fiber_matrix
 
 
 def _mode_field(grid, q, comp, zeta, amp=1.0):

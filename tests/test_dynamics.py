@@ -24,9 +24,9 @@ from dolbeault_ns import (
     step_etd_heun,
     verify_key1,
 )
-from dolbeault_ns.reference import b_continuity_ratio
 from dolbeault_ns.forms import CustomTerm
 from dolbeault_ns.spectral import FOURIER, PHYSICAL
+from oracle import b_continuity_ratio
 
 
 def _lattice(f):

@@ -373,7 +373,8 @@ def test_trajectory_round_trip(tmp_path):
     assert back.config == cfg
     assert np.array_equal(back.stamps, traj.stamps)
     for a, b in zip(back.velocities + back.pressures, traj.velocities + traj.pressures, strict=True):
-        assert a.grid == b.grid == cfg.make_grid()
+        # one shared grid per lattice: the run's, the loaded and make_grid()'s
+        assert a.grid is b.grid is cfg.make_grid()
         assert np.array_equal(a.data, b.data) and (a.q, a.rep) == (b.q, b.rep)
     for c in traj.diagnostics:
         assert np.array_equal(back.diagnostics[c], traj.diagnostics[c])
@@ -666,8 +667,12 @@ def test_cli_malformed_trajectory_exits_2(tmp_path, capsys, layout, name, change
     "change, word",
     [(lambda d: d.pop("blobs"), "'blobs'"),
      (lambda d: d["blobs"].pop(), "1 blobs for 2 components"),
-     (lambda d: d["blobs"][0].pop("crc32"), "'crc32'")],
-    ids=["no-blobs", "short-blobs", "no-crc32"],
+     (lambda d: d["blobs"][0].pop("crc32"), "'crc32'"),
+     (lambda d: d.update(representation="bogus"), "unknown representation flag 'bogus'"),
+     (lambda d: d.update(N=6), "N must be a power of two"),
+     # q = 5 with the (empty) component and blob lists that n = 2 has for it
+     (lambda d: d.update(q=5, components=[], blobs=[]), "bidegree q=5 outside 0..2")],
+    ids=["no-blobs", "short-blobs", "no-crc32", "bogus-representation", "N-6", "q-5"],
 )
 def test_cli_malformed_field_manifest_exits_2(tmp_path, capsys, grid8, rng, change, word):
     from dolbeault_ns import dbar
@@ -679,6 +684,8 @@ def test_cli_malformed_field_manifest_exits_2(tmp_path, capsys, grid8, rng, chan
     lines = captured.err.splitlines()
     assert captured.out == "" and len(lines) == 1 and word in lines[0], captured.err
     assert not (tmp_path / "p").exists()
+    with pytest.raises(FieldFormatError, match=word):
+        load_field(tmp_path / "F")
 
 
 # -- command line -----------------------------------------------------------------------
@@ -873,7 +880,12 @@ def test_cli_missing_config_is_usage_error(tmp_path):
      {"forcing": {"kind": "singel_mode"}},
      # |zeta_1| = 3 > N/3: on the lattice of N = 8, outside the 2/3-rule band
      {"forcing": {"kind": "single_mode", "zeta": [3, 0, 0, 0], "component": [1], "amplitude": [1.0, 0.0]}},
-     {"forcing": {"kind": "file", "path": "aliased-force"}}],
+     {"forcing": {"kind": "file", "path": "aliased-force"}},
+     # json reads NaN and Infinity, which no key takes
+     {"forcing": {"kind": "single_mode", "zeta": [1, 1, 0, 0], "component": [1], "amplitude": [float("inf"), 0.0]}},
+     {"forcing": {"kind": "single_mode", "zeta": [1, 1, 0, 0], "component": [1], "amplitude": [1.0, 0.0],
+                  "omega": float("nan")}},
+     {"nonlinearity": {"kind": "custom", "m1": {"entries": [{"K": [1], "A": [1, 2], "B": [2], "re": float("nan")}]}}}],
 )
 def test_cli_rejects_bad_config_with_exit_2(tmp_path, capsys, overrides):
     if overrides.get("forcing", {}).get("kind") == "file":
@@ -933,9 +945,13 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, command, doc, message):
      # sigma_2(zeta) = 0, so dbar u = 0: a pure gradient, which the projection removes
      ('{"kind": "single_mode", "zeta": [1, 0, 0, 0], "component": [1]}',
       "initial single_mode at zeta [1, 0, 0, 0] projects to zero"),
-     ('{"kind": "vortex_sheet"}', "unknown initial-condition kind 'vortex_sheet'")],
+     ('{"kind": "vortex_sheet"}', "unknown initial-condition kind 'vortex_sheet'"),
+     # json reads NaN and Infinity, which no key takes
+     ('{"kind": "single_mode", "zeta": [1, 1, 0, 0], "component": [1], "amplitude": Infinity}',
+      "initial key 'amplitude' must be a number, got inf"),
+     ('{"decay": NaN}', "initial key 'decay' must be a number, got nan")],
     ids=["list", "not-json", "zeta-int", "decay-str", "amplitude-short", "no-component", "zeta-outside-band",
-         "pure-gradient", "bad-kind"],
+         "pure-gradient", "bad-kind", "amplitude-infinite", "decay-nan"],
 )
 def test_cli_malformed_initial_exits_2(tmp_path, capsys, command, initial, message):
     cfg_path = _write_cfg(tmp_path, output_stride=1, T=0.02)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from dolbeault_ns import FormField, random_form
-from dolbeault_ns.reference import DenseOperator, dense_build, oracle_compare
 from dolbeault_ns.spectral import FOURIER
+from oracle import DenseOperator, dense_build, oracle_compare
 
 
 def test_dense_dimensions():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from dolbeault_ns import FormField, SpectralGrid, dbar_symbol, del_symbol, heat_multiplier, random_form
+from dolbeault_ns import FormField, SpectralGrid, random_form
 from dolbeault_ns.spectral import (
     FOURIER,
     PHYSICAL,
@@ -13,6 +15,7 @@ from dolbeault_ns.spectral import (
     apply_inv_laplacian,
     heat_multiplier_grid,
 )
+from oracle import dbar_symbol, del_symbol, heat_multiplier
 
 
 def test_grid_rejects_bad_sizes():
@@ -176,8 +179,10 @@ def test_band_view_layout(grid8, rng):
     band = grid8.band
     assert band is grid8.band and band.band is band
     assert band.full is grid8 and grid8.full is grid8
-    assert band != grid8 and band == SpectralGrid(2, 8, banded=True)
-    assert SpectralGrid(2, 8, banded=True).full == grid8
+    # one grid per (n, N, banded), through copy and pickle too
+    assert band is not grid8 and band is SpectralGrid(2, 8, banded=True) and grid8 is SpectralGrid(2, 8)
+    assert SpectralGrid(2, 8, banded=True).full is grid8 and SpectralGrid(2, 16) is not grid8
+    assert copy.deepcopy(grid8) is grid8 and pickle.loads(pickle.dumps(band)) is band
     # zero mode first, then 1..N//3, then -(N//3)..-1
     assert band.freq.tolist() == [0, 1, 2, -2, -1]
     assert band.fourier_shape == (5,) * 4 and band.shape == grid8.shape
