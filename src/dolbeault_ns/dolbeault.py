@@ -20,8 +20,6 @@ excluded from pressures, replacing the free-space decay and weight-function
 normalizations by the torus mean-zero convention.
 """
 
-import numpy as np
-
 from .forms import FormField, index_of, insert_sign, l2_norm, multi_indices
 from .spectral import FOURIER, PHYSICAL, apply_inv_laplacian
 

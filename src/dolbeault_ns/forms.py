@@ -232,6 +232,24 @@ def random_form(
     """Random band-limited Fourier field with |zeta|^{-decay} mode amplitudes."""
     shape = (num_components(grid.n, q),) + grid.fourier_shape
     coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return _shaped_modes(grid, q, coeffs, decay, band_limit, mean_zero)
+
+
+def _random_lattice_form(grid: SpectralGrid, q: int, rng: np.random.Generator, decay: float) -> FormField:
+    """random_form(grid.full, q, rng, decay).on(grid), bit for bit, without a
+    full-lattice field: the same draws, one full-lattice component at a time
+    (the real parts of every component, then the imaginary parts, the order
+    of random_form's two draws), keeping only grid's modes of each."""
+    parts = np.empty((2, num_components(grid.n, q)) + grid.fourier_shape)
+    for part in parts.reshape((-1,) + grid.fourier_shape):
+        part[...] = grid.gather(rng.standard_normal(grid.full.shape))
+    coeffs = (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
+    return _shaped_modes(grid, q, coeffs, decay, True, True)
+
+
+def _shaped_modes(grid, q, coeffs, decay, band_limit, mean_zero) -> FormField:
+    """Gaussian coefficients scaled by |zeta|^{-decay}, with the zero mode
+    and the modes outside the band optionally zeroed, as a Fourier field."""
     zsq = grid.zeta_sq.copy()
     zsq.flat[0] = 1.0
     coeffs *= zsq ** (-decay / 2.0)

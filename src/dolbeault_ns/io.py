@@ -53,7 +53,7 @@ import numpy as np
 
 from .dolbeault import leray_project
 from .dynamics import DIAGNOSTIC_COLUMNS, SimConfig, Trajectory
-from .forms import FormField, _json_object, _json_value, index_of, multi_indices, num_components, random_form
+from .forms import FormField, _json_object, _json_value, _random_lattice_form, index_of, multi_indices, num_components
 from .spectral import FOURIER, SpectralGrid
 
 FIELD_SCHEMA = "dolbeault-ns.field/1"
@@ -136,15 +136,16 @@ class InitialSpec:
 
 def gen_initial(spec: InitialSpec, config: SimConfig, grid: SpectralGrid | None = None) -> FormField:
     """Build a solenoidal, band-limited initial condition for the run, on
-    grid (default: the run's band view).  Random data is drawn on the full
-    lattice in every case, so that on a band view it is the band of the
-    full-lattice field bit for bit; a file is loaded on the full lattice."""
+    grid (default: the run's band view).  Random data is the full-lattice
+    draw in every case, so that on a band view it is the band of the
+    full-lattice field bit for bit, but only grid's modes of it are kept
+    (forms._random_lattice_form); a file is loaded on the full lattice."""
     if grid is None:
         grid = config.make_grid()
     q = config.q
     if spec.kind == "random_solenoidal":
         rng = np.random.default_rng(config.seed)
-        return leray_project(random_form(grid.full, q, rng, decay=spec.decay).on(grid))
+        return leray_project(_random_lattice_form(grid, q, rng, spec.decay))
     if spec.kind == "single_mode":
         if len(spec.component) != q:
             raise ValueError(f"initial component {list(spec.component)} is not a (0,{q}) index")

@@ -20,11 +20,15 @@ space derivatives counted per time derivative:
   pre:  the force norm of dbar p, plus sup-norm pieces switched on at the
         dimensional threshold 2s + k = n + 1.
 
-The double sum runs over the Fourier layout of the fields' own grid: one
-stack of the S coefficients of each snapshot, then, per multi-index
-alpha, one (snapshots x S) by (S x (k + 2)) product.  A run stores its
-fields on the band view (S is 6 % of the lattice at n = 3, N = 8); a
-full-lattice series sums over every mode.
+The double sum runs over the Fourier layout of the fields' own grid.  Per
+time-derivative order j, one pass streams the snapshots through the
+difference stencil, which holds only its window (3 snapshots for j = 1,
+4 for j = 2, one window per level for higher j), and fills one row of a
+(snapshots x S) matrix of |.|^2 densities per snapshot; then, per
+multi-index alpha, one (snapshots x S) by (S x (k + 2)) product.  The
+extra memory is about that one density matrix, not a copy of the series.
+A run stores its fields on the band view (S is 6 % of the lattice at
+n = 3, N = 8); a full-lattice series sums over every mode.
 
 The strong-solution monitor integrates ||u(t)||_{L^r}^s over time with
 2/s + 2n/r = 1, r > 2n; finiteness of that integral is the discrete
@@ -39,6 +43,7 @@ without importing scipy.integrate, whose import pulls in scipy.linalg,
 sparse, optimize and spatial.
 """
 
+import collections
 import itertools
 import json
 import math
@@ -49,7 +54,6 @@ import numpy as np
 from .dolbeault import dbar
 from .dynamics import _max_abs, lps_exponent
 from .forms import FormField, l2_inner
-from .spectral import FOURIER, PHYSICAL
 
 # -- single-field norms ----------------------------------------------------------
 
@@ -84,35 +88,46 @@ def lps_integral(traj, r: float) -> float:
 # -- time-difference stencils ----------------------------------------------------
 
 
-def _time_derivative(fields: list, j: int, h: float) -> list:
-    """j-th time derivative of a uniformly spaced list of arrays.
+def _time_derivative(snapshots, j: int, h: float):
+    """j-th time derivative of a uniformly spaced stream of arrays, yielded
+    one snapshot at a time.
 
     Second-order centered differences with one-sided second-order stencils
     at the ends for j in {1, 2}; higher j composes these (endpoint accuracy
-    then degrades by one order per extra composition).
+    then degrades by one order per extra composition).  Only the stencil's
+    window is held: 3 snapshots for j = 1, 4 for j = 2, one window per
+    level of a composition.  A stream too short for its stencil raises
+    ValueError when it runs out.
     """
     if j == 0:
-        return fields
+        yield from snapshots
+        return
+    if j > 2:
+        yield from _time_derivative(_time_derivative(snapshots, 2, h), j - 2, h)
+        return
+    stream = iter(snapshots)
+    # the stencil's window: the last j + 2 snapshots read
+    f = collections.deque(itertools.islice(stream, j + 2), maxlen=j + 2)
     if j == 1:
-        if len(fields) < 3:
+        if len(f) < 3:
             raise ValueError("first time derivative needs at least 3 snapshots")
-        out = []
-        out.append((-3.0 * fields[0] + 4.0 * fields[1] - fields[2]) / (2.0 * h))
-        for m in range(1, len(fields) - 1):
-            out.append((fields[m + 1] - fields[m - 1]) / (2.0 * h))
-        out.append((3.0 * fields[-1] - 4.0 * fields[-2] + fields[-3]) / (2.0 * h))
-        return out
-    if j == 2:
-        if len(fields) < 4:
-            raise ValueError("second time derivative needs at least 4 snapshots")
-        h2 = h * h
-        out = []
-        out.append((2.0 * fields[0] - 5.0 * fields[1] + 4.0 * fields[2] - fields[3]) / h2)
-        for m in range(1, len(fields) - 1):
-            out.append((fields[m + 1] - 2.0 * fields[m] + fields[m - 1]) / h2)
-        out.append((2.0 * fields[-1] - 5.0 * fields[-2] + 4.0 * fields[-3] - fields[-4]) / h2)
-        return out
-    return _time_derivative(_time_derivative(fields, 2, h), j - 2, h)
+        yield (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
+        yield (f[2] - f[0]) / (2.0 * h)
+        for snapshot in stream:
+            f.append(snapshot)
+            yield (f[-1] - f[-3]) / (2.0 * h)
+        yield (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+        return
+    if len(f) < 4:
+        raise ValueError("second time derivative needs at least 4 snapshots")
+    h2 = h * h
+    yield (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h2
+    yield (f[2] - 2.0 * f[1] + f[0]) / h2
+    yield (f[3] - 2.0 * f[2] + f[1]) / h2
+    for snapshot in stream:
+        f.append(snapshot)
+        yield (f[-1] - 2.0 * f[-2] + f[-3]) / h2
+    yield (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / h2
 
 
 def _alpha_indices(dim: int, max_order: int):
@@ -152,11 +167,13 @@ def _series(traj_like, attr: str):
     return stamps, fields
 
 
-def _mixed_norm_sq(stamps, fields, k: int, s: int, l2_weight: float) -> float:
+def _mixed_norm_sq(stamps, fields, k: int, s: int, l2_weight: float, apply=None) -> float:
     """Shared double sum over (i, alpha, j) for the vel/for scales.
 
     Each term is ||grad^i da dt^j u||_C^2 + l2_weight * ||grad^{i+1} da dt^j u||_L2^2,
-    summed over the modes of the fields' grid.
+    summed over the modes of the fields' grid; apply (bochner_pre passes
+    dbar) maps each snapshot first.  Per j, one pass over the snapshots
+    fills the (snapshots x S) density matrix a row at a time.
     """
     if k < 0 or s < 0:
         raise ValueError("k and s must be nonnegative")
@@ -164,14 +181,21 @@ def _mixed_norm_sq(stamps, fields, k: int, s: int, l2_weight: float) -> float:
         raise ValueError(f"need at least {2 * s + 1} snapshots for s = {s}")
     h = _uniform_spacing(stamps)
     grid = fields[0].grid
-    # (snapshots, components, S) coefficients
-    coeffs = np.stack([f.to_fourier().data.reshape(f.data.shape[0], -1) for f in fields])
+
+    def coefficients():
+        # (components, S) coefficients of one snapshot at a time
+        for f in fields:
+            f = (f if apply is None else apply(f)).to_fourier()
+            yield f.data.reshape(f.data.shape[0], -1)
+
     # |zeta|^{2i} for i = 0..k+1, one column each; integer-valued, so exact
     zsq_powers = grid.zeta_sq.reshape(-1, 1) ** np.arange(k + 2)
+    densities = np.empty((len(fields), grid.zeta_sq.size))
 
     total = 0.0
     for j in range(s + 1):
-        densities = np.sum(np.abs(np.asarray(_time_derivative(coeffs, j, h))) ** 2, axis=1)
+        for row, d in zip(densities, _time_derivative(coefficients(), j, h)):
+            np.sum(np.abs(d) ** 2, axis=0, out=row)
         for alpha in _alpha_indices(grid.dim, 2 * s - 2 * j):
             weight = np.ones(grid.fourier_shape)
             for axis, power in enumerate(alpha):
@@ -212,8 +236,7 @@ def bochner_pre(traj, k: int, s: int, n: int | None = None) -> float:
     stamps, fields = _series(traj, "pressures")
     if n is None:
         n = fields[0].grid.n
-    dbar_p = [dbar(p) for p in fields]
-    base = float(np.sqrt(_mixed_norm_sq(stamps, dbar_p, k, s, 1.0)))
+    base = float(np.sqrt(_mixed_norm_sq(stamps, fields, k, s, 1.0, dbar)))
     threshold = 2 * s + k
     if threshold <= n:
         return base

@@ -163,12 +163,6 @@ class SpectralGrid:
         shape[axis] = len(self.freq)
         return self.freq.reshape(shape)
 
-    def coordinate(self, axis: int) -> np.ndarray:
-        """Physical sample coordinates along a real axis, broadcastable."""
-        shape = [1] * self.dim
-        shape[axis] = self.N
-        return (self.dx * np.arange(self.N)).reshape(shape)
-
     @property
     def zeta_sq(self) -> np.ndarray:
         """|zeta|^2 over the lattice."""

@@ -21,6 +21,12 @@ The per-mode symbols (dbar_symbol, del_symbol, heat_multiplier), the
 single-mode matrices of dbar and the projection and a sampled bound of B
 serve the same checks: the grid's symbol arrays are compared against them
 one mode at a time.  The solver never uses any of this.
+
+The remaining references are the whole-series versions of what the
+package streams: the list-based time-difference stencils behind the mixed
+norms (time_derivative) and the full-lattice draw of random initial data
+(random_initial), plus the physical sample coordinates of a grid
+(coordinate).
 """
 
 import functools
@@ -291,3 +297,51 @@ def b_continuity_ratio(
         if den > 0.0:
             worst = max(worst, num / den)
     return worst
+
+
+# -- whole-series references ----------------------------------------------------------
+
+
+def coordinate(grid: SpectralGrid, axis: int) -> np.ndarray:
+    """Physical sample coordinates along a real axis, broadcastable."""
+    shape = [1] * grid.dim
+    shape[axis] = grid.N
+    return (grid.dx * np.arange(grid.N)).reshape(shape)
+
+
+def time_derivative(fields: list, j: int, h: float) -> list:
+    """j-th time derivative of a uniformly spaced list of arrays, as a list:
+    the reference of the streamed norms._time_derivative.
+
+    Second-order centered differences with one-sided second-order stencils
+    at the ends for j in {1, 2}; higher j composes these.
+    """
+    if j == 0:
+        return fields
+    if j == 1:
+        if len(fields) < 3:
+            raise ValueError("first time derivative needs at least 3 snapshots")
+        out = []
+        out.append((-3.0 * fields[0] + 4.0 * fields[1] - fields[2]) / (2.0 * h))
+        for m in range(1, len(fields) - 1):
+            out.append((fields[m + 1] - fields[m - 1]) / (2.0 * h))
+        out.append((3.0 * fields[-1] - 4.0 * fields[-2] + fields[-3]) / (2.0 * h))
+        return out
+    if j == 2:
+        if len(fields) < 4:
+            raise ValueError("second time derivative needs at least 4 snapshots")
+        h2 = h * h
+        out = []
+        out.append((2.0 * fields[0] - 5.0 * fields[1] + 4.0 * fields[2] - fields[3]) / h2)
+        for m in range(1, len(fields) - 1):
+            out.append((fields[m + 1] - 2.0 * fields[m] + fields[m - 1]) / h2)
+        out.append((2.0 * fields[-1] - 5.0 * fields[-2] + 4.0 * fields[-3] - fields[-4]) / h2)
+        return out
+    return time_derivative(time_derivative(fields, 2, h), j - 2, h)
+
+
+def random_initial(grid: SpectralGrid, q: int, seed: int, decay: float) -> FormField:
+    """Random solenoidal initial data on grid drawn as a whole full-lattice
+    field and then moved onto grid: the reference of io.gen_initial."""
+    rng = np.random.default_rng(seed)
+    return dolbeault.leray_project(random_form(grid.full, q, rng, decay=decay).on(grid))

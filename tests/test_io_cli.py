@@ -33,9 +33,10 @@ from dolbeault_ns import (
     solve_linearized,
 )
 from dolbeault_ns.cli import main
-from dolbeault_ns.forms import CustomTerm, num_components
+from dolbeault_ns.forms import CustomTerm, _random_lattice_form, num_components
 from dolbeault_ns.io import config_hash, load_config, save_config
 from dolbeault_ns.spectral import FOURIER, PHYSICAL, SpectralGrid
+from oracle import random_initial
 
 # no shrink phase: a derandomized failure reproduces as drawn
 PROPERTY = settings(derandomize=True, deadline=None, phases=(Phase.explicit, Phase.generate))
@@ -311,6 +312,21 @@ def test_gen_initial_on_band_is_gather_of_full_lattice(n, N, seeds):
         u = gen_initial(spec, cfg)
         assert u.grid == band and band.banded
         assert np.array_equal(u.data, band.gather(gen_initial(spec, cfg, full).data))
+
+
+@pytest.mark.parametrize("n, N, q", [(2, 16, 1), (3, 8, 1), (2, 8, 1), (3, 4, 2)])
+def test_random_initial_keeps_the_whole_lattice_draw(n, N, q):
+    # drawn one full-lattice component at a time and kept on the grid's
+    # modes only, it is the whole-lattice formula's field byte for byte,
+    # signs of zero included, on the band view and on the full lattice
+    cfg = SimConfig(n=n, q=q, N=N, mu=1.0, T=0.1, dt=0.01, seed=17)
+    spec = InitialSpec(kind="random_solenoidal", decay=2.5)
+    for grid in (SpectralGrid(n, N).band, SpectralGrid(n, N)):
+        drawn = _random_lattice_form(grid, q, np.random.default_rng(5), 2.5)
+        whole = random_form(grid.full, q, np.random.default_rng(5), decay=2.5).on(grid)
+        assert drawn.grid is grid and drawn.data.tobytes() == whole.data.tobytes()
+        u = gen_initial(spec, cfg, grid)
+        assert u.data.tobytes() == random_initial(grid, q, cfg.seed, spec.decay).data.tobytes()
 
 
 @pytest.mark.parametrize(

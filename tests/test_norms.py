@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -34,6 +35,7 @@ from dolbeault_ns.norms import (
     sobolev_hs,
 )
 from dolbeault_ns.spectral import FOURIER, PHYSICAL
+from oracle import time_derivative
 
 
 def _mode_field(grid, q, comp, zeta, amp=1.0):
@@ -327,15 +329,18 @@ def test_bochner_series_are_validated(grid8, grid3d):
     assert 0.0 < bochner_vel((stamps, fields), 0, 1, mu=0.0) < bochner_vel((stamps, fields), 0, 1, mu=0.5)
 
 
-def _reference_mixed_norm_sq(stamps, fields, k: int, s: int, l2_weight: float) -> float:
+def _reference_mixed_norm_sq(stamps, fields, k: int, s: int, l2_weight: float, apply=None) -> float:
     """A field-by-field evaluation of the mixed scales over every mode of
-    the fields' grid, kept as the oracle of norms._mixed_norm_sq (which
-    makes one matrix product per multi-index)."""
+    the fields' grid, on the whole series at once, kept as the oracle of
+    norms._mixed_norm_sq (which streams the snapshots and makes one matrix
+    product per multi-index)."""
     if k < 0 or s < 0:
         raise ValueError("k and s must be nonnegative")
     if len(fields) < 2 * s + 1:
         raise ValueError(f"need at least {2 * s + 1} snapshots for s = {s}")
     h = _uniform_spacing(stamps)
+    if apply is not None:
+        fields = [apply(f) for f in fields]
     grid = fields[0].grid
     vol = grid.volume
     zsq = grid.zeta_sq
@@ -343,7 +348,7 @@ def _reference_mixed_norm_sq(stamps, fields, k: int, s: int, l2_weight: float) -
 
     total = 0.0
     for j in range(s + 1):
-        dseries = _time_derivative(data, j, h)
+        dseries = time_derivative(data, j, h)
         densities = [np.sum(np.abs(d) ** 2, axis=0) for d in dseries]
         for alpha in _alpha_indices(grid.dim, 2 * s - 2 * j):
             weight = np.ones((), dtype=float)
@@ -408,6 +413,71 @@ def test_mixed_norms_match_full_lattice_oracle(n, N, physical, data):
     assert abs(got - want) <= 1e-13 * want
     if band_view:
         assert abs(got - lattice) <= 1e-15 * lattice
+
+
+@pytest.mark.parametrize("scale", ["vel", "for", "pre"])
+def test_mixed_norms_of_order_three_match_full_lattice_oracle(scale):
+    # the drawn examples above stop at s = 2; s = 3 also reaches j = 3, the
+    # streamed j = 1 stencil fed by the streamed j = 2 one
+    grid = SpectralGrid(2, 4)
+    rng = np.random.default_rng(13)
+    stamps = np.linspace(0.0, 0.5, 9)
+    fields = [random_form(grid, 0 if scale == "pre" else 1, rng, decay=1.0) for _ in stamps]
+    got = _norm_of(scale, (stamps, fields), 1, 3)
+    with mock.patch.object(norms, "_mixed_norm_sq", _reference_mixed_norm_sq):
+        want = _norm_of(scale, (stamps, fields), 1, 3)
+    assert want > 0.0
+    assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("j", [0, 1, 2, 3, 4])
+def test_streamed_time_derivative_equals_list_oracle(j):
+    rng = np.random.default_rng(j)
+    shortest = {0: 1, 1: 3}.get(j, 4)
+    for length in range(shortest, 13):
+        series = [rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7)) for _ in range(length)]
+        want = time_derivative(series, j, 0.125)
+        got = list(_time_derivative(iter(series), j, 0.125))
+        assert len(got) == len(want) == length
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), (j, length)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_streamed_time_derivative_rejects_short_series(j):
+    shortest = 3 if j == 1 else 4
+    for length in range(shortest):
+        series = [np.ones((2, 5)) * m for m in range(length)]
+        with pytest.raises(ValueError) as want:
+            time_derivative(series, j, 0.5)
+        with pytest.raises(ValueError) as got:
+            list(_time_derivative(series, j, 0.5))
+        assert str(got.value) == str(want.value)
+
+
+def test_mixed_norms_peak_memory_is_a_fraction_of_the_series():
+    # 101 band snapshots at n = 2, N = 8: the norms hold one (snapshots x S)
+    # density matrix (a quarter of the velocity series, half of the
+    # pressure series) and the stencil's window of a few snapshots, never a
+    # copy of the series (whole-series code peaked at 3.27x and 8.56x; the
+    # streamed code reads 0.30x and 0.66x)
+    band = SpectralGrid(2, 8).band
+    rng = np.random.default_rng(0)
+    stamps = np.linspace(0.0, 1.0, 101)
+    cases = (
+        (1, lambda x: bochner_vel(x, 0, 1, mu=0.5), 0.45),
+        (0, lambda x: bochner_pre(x, 0, 1), 0.85),
+    )
+    for q, norm, bound in cases:
+        fields = [random_form(band, q, rng) for _ in stamps]
+        nbytes = sum(f.data.nbytes for f in fields)
+        norm((stamps, fields))  # the grid's cached arrays are not the norm's
+        tracemalloc.start()
+        try:
+            norm((stamps, fields))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * nbytes, (q, peak / nbytes)
 
 
 @pytest.mark.parametrize("n, N", [(2, 4), (2, 8), (3, 4), (3, 8)])

@@ -15,7 +15,7 @@ from dolbeault_ns.spectral import (
     apply_inv_laplacian,
     heat_multiplier_grid,
 )
-from oracle import dbar_symbol, del_symbol, heat_multiplier
+from oracle import coordinate, dbar_symbol, del_symbol, heat_multiplier
 
 
 def test_grid_rejects_bad_sizes():
@@ -44,7 +44,7 @@ def test_transform_constant_field(grid8):
 
 
 def test_transform_pure_mode(grid8):
-    x1 = grid8.coordinate(0)
+    x1 = coordinate(grid8, 0)
     u = FormField(grid8, 0, np.broadcast_to(np.exp(1j * x1), (1,) + grid8.shape).copy(), PHYSICAL)
     uf = u.to_fourier()
     assert uf.data[(0,) + grid8.mode_index((1, 0, 0, 0))] == pytest.approx(1.0, abs=1e-13)
