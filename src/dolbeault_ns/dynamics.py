@@ -21,13 +21,16 @@ Phys. 176 (2002)):
 
 This is u_{m+1} = P [ E u_m + dt/2 (E k1 + k2) ] with k2 = P g(u_mid, .):
 P is linear, idempotent and commutes with E, so one projection serves k2
-and the new state.  A stage reads [u, dbar u] from one inverse FFT and
-forms M1 pointwise, one output component at a time, each transformed as
-soon as it is formed; the first stage reuses the samples the diagnostics
-of u_m already made, so a Lamb step makes 2 inverse FFT calls, one forward
-call per component and stage (4 at n = 2, 6 at n = 3) and 2 projections.
-A zero source (no M1 term, zero forcing) is stepped exactly,
-u_{m+1} = E u_m, with no transform and no projection.
+and the new state.  A stage is one streamed pass over the samples of
+[u, dbar u] (spectral.SlabStream): the last axis is inverse-transformed
+once, and slab by slab of last-axis indices the other axes are finished,
+M1 is formed pointwise one output component at a time and each component
+is transformed back into an accumulator; no buffer holds the samples
+whole.  The pass that takes the diagnostics of u_m also forms g(u_m, t_m),
+the first stage's source, so a Lamb step makes 2 passes, one forward
+field transform per component and stage (4 at n = 2, 6 at n = 3) and 2
+projections.  A zero source (no M1 term, zero forcing) is stepped
+exactly, u_{m+1} = E u_m, with no transform and no projection.
 
 Second order in dt, exact for the pure heat flow, unconditionally stable in
 the stiff linear part.  N and its linearization share one evaluator of the
@@ -40,11 +43,9 @@ Stages take M1 only.
 
 Pressure never enters the time stepping; it is reconstructed at output
 strides from the full f - N(u) (or f - B(w, u)) through pressure_recover().
-A snapshot evaluates Q on the samples the diagnostics of u already made
-(and on the cached samples of w), so it makes no inverse FFT and one
-forward FFT per component of M1 and M2.  The M1 part of those transforms
-is the next step's stage-1 source, so that stage forms no products and
-makes no transform.  The CFL
+Before a snapshot the diagnostics pass of u forms M2 as well (and reads
+the cached samples of w), so a snapshot makes no transform of its own;
+the M1 part of that pass is the next step's stage-1 source.  The CFL
 bound is checked before every step.
 
 Every stepped state is band-limited by the 2/3 rule, and a run lives on
@@ -77,7 +78,7 @@ from .forms import (
     num_components,
     random_form,
 )
-from .spectral import FOURIER, PHYSICAL, SpectralGrid, _slabs, heat_multiplier_grid
+from .spectral import FOURIER, PHYSICAL, SlabStream, SpectralGrid, _slabs, heat_multiplier_grid
 
 
 class BlowUpError(RuntimeError):
@@ -333,67 +334,92 @@ class Trajectory:
 # -- nonlinearity and linearization ---------------------------------------------
 
 
-def _samples(
-    u: FormField, with_dbar: bool, du: FormField | None = None, out: np.ndarray | None = None
-) -> np.ndarray:
+def _samples(u: FormField, with_dbar: bool, out: np.ndarray | None = None) -> np.ndarray:
     """Physical samples of u (Fourier), stacked over those of dbar u when
     with_dbar, from one inverse FFT (into out when given)."""
     if with_dbar:
-        return u.grid.ifft(np.concatenate((u.data, (dbar(u) if du is None else du).data)), out=out)
+        return u.grid.ifft(np.concatenate((u.data, dbar(u).data)), out=out)
     return u.grid.ifft(u.data, out=out)
 
 
 def _quadratic(
-    spec: BilinearSpec, grid: SpectralGrid, q: int, v: np.ndarray, w: np.ndarray | None = None, exact: bool = True
-) -> np.ndarray:
+    spec: BilinearSpec,
+    v: FormField,
+    w: np.ndarray | None = None,
+    exact: bool = True,
+    r: float | None = None,
+    out: np.ndarray | None = None,
+    du: FormField | None = None,
+) -> tuple:
     """The quadratic term Q(a, b) = M1(dbar a, b) + dbar M2(a, b) as
-    Fourier coefficients on the band view `grid`, in a new array:
+    Fourier coefficients on the band view of v (Fourier), in a new array:
 
         Q(v, v)           = N(v)        (w None)
         Q(w, v) + Q(v, w) = B(w, v)
 
-    v and w are physical samples stacked as _samples() makes them; the
-    dbar rows are read only for M1 terms.  Without exact the part dbar M2,
-    which P annihilates, is left out.  The products are formed one output
-    component at a time, M1's and then M2's, and each is band-transformed
-    as soon as it is formed, so the scratch is one component (two for B)
-    plus the slab-sized pieces of forms._contract and the band moves.
-    Returns (Q, Q1), where Q1 is the M1 part alone: Q itself when there is
-    no M2 part, None when there are no M1 terms.  Each field transforms on its own and sums in table order,
-    so Q1 is bit for bit what a call without exact gives.
+    w holds the physical samples of [w, dbar w] stacked as _samples() makes
+    them; the dbar rows are read only for M1 terms, and dbar v is du when
+    given.  Without exact the part dbar M2, which P annihilates, is left
+    out.  One pass over the samples of [v, dbar v] goes slab by slab
+    (spectral.SlabStream, through the flat buffer out when given): on each
+    slab the products are formed one output component at a time, M1's and
+    then M2's, and each is transformed on the slab as soon as it is formed.
+    With r the pass also takes _sample_diagnostics(v, r), summed over the
+    slabs.  Returns (Q, Q1, diagnostics): Q is None when there are no
+    products to form, Q1 is the M1 part alone (Q itself when there is no M2
+    part, None when there are no M1 terms), and diagnostics is None without
+    r.  Each field transforms on its own and sums in table order, so Q1 is
+    bit for bit what a call without exact gives.
     """
+    grid, q = v.grid, v.q
     m1_terms, m2_terms = spec.tables(grid.n, q)
     has_m1, has_m2 = bool(m1_terms), bool(m2_terms) and exact
     a = num_components(grid.n, q)
-    pairs = ((v, v),) if w is None else ((w, v), (v, w))
-
-    def blocks(first_q, first_rows):
-        return [
-            (FormField(grid, first_q, x[first_rows], PHYSICAL), FormField(grid, q, y[:a], PHYSICAL)) for x, y in pairs
-        ]
-
     parts = []
     if has_m1:
-        parts.append((apply_m1, blocks(q + 1, slice(a, None)), a))  # M1(dbar x, y)
+        parts.append((apply_m1, q + 1, slice(a, None), a))  # M1(dbar x, y)
     if has_m2:
-        parts.append((apply_m2, blocks(q, slice(None, a)), num_components(grid.n, q - 1)))  # M2(x, y)
-    if not parts:
-        return np.zeros((a,) + grid.fourier_shape, dtype=np.complex128), None
-    rows = [(apply, args, k) for apply, args, size in parts for k in range(size)]
-    hat = np.empty((len(rows),) + grid.fourier_shape, dtype=np.complex128)
-    buf = np.empty(grid.shape, dtype=np.complex128)
-    other = None if w is None else np.empty_like(buf)
-    for row, (apply, args, k) in enumerate(rows):
-        apply(spec, *args[0], k, buf)
-        if other is not None:
-            buf += apply(spec, *args[1], k, other)
-        hat[row] = grid.fft(buf, overwrite=True)
+        parts.append((apply_m2, q, slice(None, a), num_components(grid.n, q - 1)))  # M2(x, y)
+    rows = [(part, k) for part, (_, _, _, size) in enumerate(parts) for k in range(size)]
+    if not (rows or r is not None):
+        return None, None, None
+    coeffs = np.concatenate((v.data, (dbar(v) if du is None else du).data)) if has_m1 else v.data
+    stream = SlabStream(grid, coeffs, len(rows), out)
+    coeffs = du = None
+    peak, power = 0.0, 0.0
+    for s, x in stream:
+        if r is not None:
+            top, share = _sample_diagnostics(x[:a], r)
+            peak, power = float(np.maximum(peak, top)), power + share
+        if not rows:
+            continue
+        pairs = ((x, x),) if w is None else ((w[..., s], x), (x, w[..., s]))
+        args = [
+            [(FormField.slab(grid, first_q, y[first_rows]), FormField.slab(grid, q, z[:a])) for y, z in pairs]
+            for _, first_q, first_rows, _ in parts
+        ]
+        # made per slab, so that no product buffer lives through an inverse
+        prod = stream.values()
+        other = None if w is None else stream.values()
+        for row, (part, k) in enumerate(rows):
+            apply = parts[part][0]
+            for i, pair in enumerate(args[part]):
+                if i:
+                    prod += apply(spec, *pair, k, other)
+                else:
+                    apply(spec, *pair, k, prod)
+            stream.forward(row, prod)
+        args = prod = other = None
+    diagnostics = None if r is None else (peak, power)
+    if not rows:
+        return None, None, diagnostics
+    hat = stream.coefficients()
     if not has_m2:
-        return hat, hat
+        return hat, hat, diagnostics
     total = dbar(FormField(grid, q - 1, hat[a if has_m1 else 0 :], FOURIER)).data
     if has_m1:
         total += hat[:a]
-    return total, hat[:a] if has_m1 else None
+    return total, hat[:a] if has_m1 else None, diagnostics
 
 
 def _band_quadratic(spec: BilinearSpec, u: FormField, w: FormField | None = None) -> FormField:
@@ -401,12 +427,11 @@ def _band_quadratic(spec: BilinearSpec, u: FormField, w: FormField | None = None
     Fourier field on u's grid."""
     band = u.grid.band
     with_dbar = bool(spec.tables(band.n, u.q)[0])
-
-    def samples(x, what):
-        return _samples(x.on(band, what).to_fourier(), with_dbar)
-
-    out = _quadratic(spec, band, u.q, samples(u, "u"), None if w is None else samples(w, "w"))[0]
-    return FormField(band, u.q, out, FOURIER).on(u.grid)
+    v = u.on(band, "u").to_fourier()
+    w = None if w is None else _samples(w.on(band, "w").to_fourier(), with_dbar)
+    out = _quadratic(spec, v, w)[0]
+    out = FormField.zeros(band, u.q) if out is None else FormField(band, u.q, out, FOURIER)
+    return out.on(u.grid)
 
 
 def nonlinearity(u: FormField, spec: BilinearSpec) -> FormField:
@@ -517,30 +542,30 @@ class _EtdHeun:
 
     with base[m] the linearization point w at step m (base None: the
     nonlinear source; solve_linearized steps w = 0 with the Stokes table).
-    A stage reads v from the samples of [v, dbar v], made by physical() in
-    one inverse FFT, and _quadratic forms and transforms its products one
-    component at a time.  The run loop stores the samples of the current state
-    in `phys` (load()) when it records its diagnostics, and step() takes
-    them over, so the first stage costs no transform.  Without M1 products
-    the stages need no samples at all, and with a zero source a step is
-    exactly u <- E u.  source(..., exact=True) gives the full f - N(v) (or
-    f - B(w, v)), whose exact part is the pressure; the M1 part of its
-    transforms is g(v, t), which it keeps in `g1`, and step() takes that
-    over too, so after a snapshot the first stage forms no products at all.
+    source() evaluates it in one streamed pass of _quadratic over the
+    samples of [v, dbar v], slab by slab of last-axis indices.  The run
+    loop hands each recorded state to load(), whose pass also takes the
+    state's diagnostics and, before a snapshot, the full f - N(u) (or
+    f - B(w, u)), whose exact part is the pressure; the M1 part of its
+    transforms is g(u, t), which load() keeps in `g1` for step(), so the
+    first stage forms no products and makes no transform.  That source is
+    the one thing a step takes over.  Without M1 products the stages need
+    no samples at all, and with a zero source a step is exactly u <- E u.
 
     The kernel works on the band view of the run's grid: states, sources
     and multipliers hold the 2/3-rule modes only, and so does base[m],
     which solve_linearized moves onto the band with FormField.on once, at
-    entry.  It owns its sample stacks: the samples of the recorded state
-    and of each stage go to one buffer, those of w to another.  Fresh
-    stacks of that size come from mmap and go back to the system when
-    freed, so each would cost its pages in faults again.  The sample-sized
-    scratch of a step is _quadratic's one component (two for B) and the
-    contiguous copies of short-run lines in the band inverse (spectral
-    _along); the contraction, the band moves and the diagnostics of
-    record() (_sample_diagnostics) go through slab-sized pieces.  All of
-    it lives only inside its call: a buffer kept here would add to the
-    peak of every other phase of the run.
+    entry.  Every pass puts the samples of its slab in the kernel's one
+    slab buffer, rows x at most spectral._SLAB samples (a whole component
+    per row only where a component is one slab, n = 2, N <= 16); the
+    samples of w go whole to a buffer of their own, made once per step
+    index.  Fresh arrays of those sizes come from mmap and go back to the
+    system when freed, so each would cost its pages in faults again.  The
+    rest of a pass's scratch lives only inside the call: the last-axis
+    inverse of the band and one accumulator per output component
+    (N M^(2n-1) samples each), one or two slab-sized product buffers, and
+    the slab-sized pieces of forms._contract, the band moves and
+    _sample_diagnostics.
     """
 
     def __init__(self, config: SimConfig, grid: SpectralGrid, base=None):
@@ -552,24 +577,13 @@ class _EtdHeun:
         self.base = base
         self.m1, self.m2 = (bool(terms) for terms in self.spec.tables(self.grid.n, self.q))
         self.forced = self.forcing.kind != "zero"
-        self.phys = None
         self.g1 = None
         rows = num_components(self.grid.n, self.q) + (num_components(self.grid.n, self.q + 1) if self.m1 else 0)
-        self._stage_phys = np.empty((rows,) + self.grid.shape, dtype=np.complex128)
+        width = self.grid.slabs()[0]
+        self._slab = np.empty(rows * math.prod(self.grid.shape[:-1]) * (width.stop - width.start), dtype=np.complex128)
         # samples of [w, dbar w] at step _base_m
-        self._base_phys = None if base is None else np.empty_like(self._stage_phys)
+        self._base_phys = None if base is None else np.empty((rows,) + self.grid.shape, dtype=np.complex128)
         self._base_m = None
-
-    def physical(self, u: FormField, du: FormField | None = None) -> np.ndarray:
-        """Samples of u (Fourier), stacked over those of dbar u when the
-        stages form products, from one inverse FFT into the stage buffer."""
-        return _samples(u, self.m1, du, out=self._stage_phys)
-
-    def load(self, u: FormField, du: FormField | None = None):
-        """Hand the samples of u to the next step, dropping a stage source
-        kept for an earlier state."""
-        self.g1 = None
-        self.phys = self.physical(u, du)
 
     def _base_physical(self, t: float) -> np.ndarray:
         m = int(round(t / self.dt_base))
@@ -579,43 +593,60 @@ class _EtdHeun:
             self._base_m = m
         return self._base_phys
 
-    def source(self, phys: np.ndarray | None, t: float, exact: bool = False) -> np.ndarray:
-        """g(v, t) in Fourier space as a new array, from phys = physical(v);
-        with exact, the full f - N(v) (or f - B(w, v)), and g(v, t) from
-        the same transforms is kept in self.g1 when the stages need it."""
+    def source(
+        self, v: FormField | None, t: float, exact: bool = False, r: float | None = None, du: FormField | None = None
+    ) -> tuple:
+        """(g, g1, diagnostics) of v (Fourier) at t from one pass over its
+        samples: g = g(v, t) as a new array, or with exact the full f - N(v)
+        (or f - B(w, v)); g1 = g(v, t) from the same transforms when the
+        stages form products, else None; diagnostics = _sample_diagnostics
+        of v with r, else None.  v (and du = dbar v, when given) is read
+        only for those.  A pass for the diagnostics alone (r, no products,
+        not exact) gives g None."""
         grid = self.grid
-        if not (self.m1 or (exact and self.m2)):
-            return self.forcing.evaluate(grid, self.q, t).data.copy()
-        w = None if self.base is None else self._base_physical(t)
-        g, g1 = _quadratic(self.spec, grid, self.q, phys, w, exact)
+        products = self.m1 or (exact and self.m2)
+        g = g1 = diagnostics = None
+        if products or r is not None:
+            w = None if self.base is None or not products else self._base_physical(t)
+            g, g1, diagnostics = _quadratic(self.spec, v, w, exact, r, self._slab, du)
+        if not products:
+            # f alone, unless the pass was for the diagnostics only
+            if exact or r is None:
+                g = self.forcing.evaluate(grid, self.q, t).data.copy()
+            return g, None, diagnostics
         f = self.forcing.evaluate(grid, self.q, t).data if self.forced else None
         for part in (g,) if g1 is None or g1 is g else (g, g1):
             np.negative(part, out=part)
             if f is not None:
                 part += f
-        if exact:
-            self.g1 = g1
-        return g
+        return g, g1, diagnostics
+
+    def load(
+        self, u: FormField, t: float, exact: bool = False, r: float | None = None, du: FormField | None = None
+    ) -> tuple:
+        """Hand g(u, t) to the next step (when the stages need it) from one
+        pass over the samples of u; returns (F, diagnostics): F the full
+        f - N(u) (or f - B(w, u)) with exact, else None, and diagnostics
+        as source() gives them."""
+        g, self.g1, diagnostics = self.source(u, t, exact, r, du)
+        return (g if exact else None), diagnostics
 
     def step(self, u: FormField, t: float, dt: float, E: np.ndarray) -> FormField:
-        """Advance u (Fourier, solenoidal) from t by dt; self.phys must hold
-        physical(u) and is consumed, as is self.g1, g(u, t) if kept."""
+        """Advance u (Fourier, solenoidal) from t by dt; takes over self.g1,
+        g(u, t) when load() kept it, and forms it otherwise."""
         grid, q = self.grid, self.q
-        phys, self.phys = self.phys, None
         g1, self.g1 = self.g1, None
         if not (self.m1 or self.forced):
             return FormField(grid, q, E * u.data, FOURIER)
-        k1 = leray_project(FormField(grid, q, self.source(phys, t) if g1 is None else g1, FOURIER)).data
-        # stage 2 writes its samples over those of u
-        phys = None
+        k1 = leray_project(FormField(grid, q, self.source(u, t)[0] if g1 is None else g1, FOURIER)).data
+        g1 = mid = None
         if self.m1:
             mid = dt * k1
             mid += u.data
             mid *= E
-            phys = self.physical(FormField(grid, q, mid, FOURIER))
-            mid = None
-        g2 = self.source(phys, t + dt)
-        phys = None
+            mid = FormField(grid, q, mid, FOURIER)
+        g2 = self.source(mid, t + dt)[0]
+        mid = None
         k1 *= 0.5 * dt
         k1 += u.data
         k1 *= E
@@ -632,7 +663,6 @@ def step_etd_heun(u_m: FormField, t_m: float, config: SimConfig) -> FormField:
         raise ValueError("state does not match the configuration")
     kernel = _EtdHeun(config, grid)
     u = u_m.on(kernel.grid, "state").to_fourier()
-    kernel.load(u)
     out = kernel.step(u, t_m, config.dt, heat_multiplier_grid(kernel.grid, config.mu, config.dt))
     if not np.all(np.isfinite(out.data)):
         raise BlowUpError(t_m + config.dt)
@@ -680,15 +710,19 @@ def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool) -> 
     lps_accum = 0.0
     g_prev = None
 
-    def record(t, state):
-        """Append the diagnostics of state; leaves its samples in kernel.phys."""
+    velocities, pressures = [], []
+
+    def record(t, state, t_source, snapshot):
+        """Append the diagnostics of state at t and hand its source at
+        t_source to the kernel, in one pass over its samples; with snapshot,
+        store state and its pressure, recovered from the full f - N(u) (or
+        f - B(w, u)) of that pass.  Returns max |u|."""
         nonlocal lps_accum, g_prev
         du = dbar(state)
         energy = 0.5 * l2_norm(state) ** 2
         dbn = l2_norm(du) ** 2
         dbs = l2_norm(dbar_star(state))
-        kernel.load(state, du)
-        mx, power = _sample_diagnostics(kernel.phys[: state.data.shape[0]], r_lps)
+        F, (mx, power) = kernel.load(state, t_source, snapshot, r_lps, du)
         g = float((cell * power) ** (1.0 / r_lps)) ** s_lps
         if g_prev is not None:
             lps_accum += 0.5 * (g_prev + g) * (t - diag["t"][-1])
@@ -699,21 +733,14 @@ def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool) -> 
         diag["dbar_star_residual"].append(dbs)
         diag["max_abs_u"].append(mx)
         diag["lps_accum"].append(lps_accum)
+        if snapshot:
+            # dbar* annihilates the solenoidal part of F, so recovering p
+            # from F itself equals recovering it from F - P F
+            velocities.append(state)
+            pressures.append(pressure_recover(FormField(band, config.q, F, FOURIER), check=False))
         return mx
 
-    velocities, pressures = [], []
-
-    def snapshot(t, state):
-        # F = f - N(u) (or f - B(w, u)) from the samples record() left in
-        # kernel.phys; the next step takes over its M1 part.  dbar*
-        # annihilates the solenoidal part of F, so recovering p from F
-        # itself equals recovering it from F - P F
-        F = FormField(band, config.q, kernel.source(kernel.phys, t, exact=True), FOURIER)
-        velocities.append(state)
-        pressures.append(pressure_recover(F, check=False))
-
-    umax = record(0.0, u)
-    snapshot(0.0, u)
+    umax = record(0.0, u, 0.0, True)
 
     for k in range(intervals):
         t0 = k * interval_len
@@ -735,14 +762,16 @@ def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool) -> 
                         u, rows, lps_accum, g_prev = start
                         for column in diag.values():
                             del column[rows:]
-                        kernel.load(u)
+                        kernel.load(u, t0)
                         m, t = 0, t0
             u = kernel.step(u, t, dt, E)
             if not np.all(np.isfinite(u.data)):
                 raise BlowUpError(t + dt)
-            umax = record(t + dt, u)
             m += 1
-        snapshot((k + 1) * interval_len, u)
+            # the source goes to the next step at its t (a snapshot's t is
+            # the next interval's t0)
+            last = m == stride
+            umax = record(t + dt, u, (k + 1) * interval_len if last else t0 + m * dt, last)
 
     stamps = np.arange(intervals + 1) * interval_len
     diagnostics = {name: np.asarray(vals) for name, vals in diag.items()}

@@ -131,6 +131,18 @@ class FormField:
         shape = (num_components(grid.n, q),) + _rep_shape(grid, rep)
         return cls(grid, q, np.zeros(shape, dtype=np.complex128), rep)
 
+    @classmethod
+    def slab(cls, grid: SpectralGrid, q: int, data: np.ndarray) -> "FormField":
+        """Physical samples of one slab of last-axis indices (spectral.
+        SlabStream), shape (binom(n,q),) + grid.shape[:-1] + (width,): an
+        argument of apply_m1 and apply_m2 with k, the only maps that take it."""
+        want = (num_components(grid.n, q),) + grid.shape[:-1]
+        if data.shape[:-1] != want or not 0 < data.shape[-1] <= grid.N or data.dtype != np.complex128:
+            raise ValueError(f"slab samples have shape {data.shape} and dtype {data.dtype}, expected {want} + (width,)")
+        field = object.__new__(cls)
+        field.grid, field.q, field.data, field.rep = grid, q, data, PHYSICAL
+        return field
+
     @property
     def components(self) -> tuple:
         return multi_indices(self.grid.n, self.q)
@@ -449,7 +461,7 @@ def _contract(rows: tuple, first: np.ndarray, second: np.ndarray, out: np.ndarra
 def _apply(rows: tuple, first: np.ndarray, second: np.ndarray, grid: SpectralGrid, q: int, k, out):
     """The (0,q) field of the rows' contraction, or its component k (see apply_m1)."""
     if k is not None:
-        out = np.empty(grid.shape, dtype=np.complex128) if out is None else out
+        out = np.empty(second.shape[1:], dtype=np.complex128) if out is None else out
         _contract(rows[k], first, second, out)
         return out
     f = FormField(grid, q, np.empty((len(rows),) + grid.shape, dtype=np.complex128), PHYSICAL)
@@ -461,7 +473,8 @@ def _apply(rows: tuple, first: np.ndarray, second: np.ndarray, grid: SpectralGri
 def apply_m1(spec: BilinearSpec, omega: FormField, u: FormField, k: int | None = None, out=None):
     """Pointwise M1(omega, u): (0,q+1) x (0,q) -> (0,q), a new field formed
     one component at a time; with k, only component k, as an array of one
-    component's samples: out when given, else a new one."""
+    component's samples: out when given, else a new one.  With k the
+    arguments may hold the samples of one slab (FormField.slab)."""
     if omega.grid != u.grid:
         raise ValueError("grid mismatch")
     if omega.q != u.q + 1:

@@ -194,8 +194,18 @@ def _mixed_norm_sq(stamps, fields, k: int, s: int, l2_weight: float, apply=None)
 
     total = 0.0
     for j in range(s + 1):
-        for row, d in zip(densities, _time_derivative(coefficients(), j, h)):
-            np.sum(np.abs(d) ** 2, axis=0, out=row)
+        derivatives = _time_derivative(coefficients(), j, h)
+        for row in densities:
+            # |d|^2 summed over components in component order, as
+            # np.sum(axis=0) adds the rows, through one component's buffer;
+            # d goes before the stencil forms the next one (a zip of rows
+            # and derivatives would hold it until then)
+            d = next(derivatives)
+            np.square(np.abs(d[0], out=row), out=row)
+            square = np.empty_like(row) if len(d) > 1 else None
+            for component in d[1:]:
+                row += np.square(np.abs(component, out=square), out=square)
+            d = component = square = None
         for alpha in _alpha_indices(grid.dim, 2 * s - 2 * j):
             weight = np.ones(grid.fourier_shape)
             for axis, power in enumerate(alpha):

@@ -33,13 +33,25 @@ transformed; the others are all zero.  The inverse goes last axis first
 because numpy's FFT loop looks up its plan once per run of evenly spaced
 lines: pruning the outer axes keeps the runs of the inner axes whole,
 while axis 0 first made the band inverse at n = 3, N = 8 about 2.5 times
-slower.  The band moves go in slabs of the batch axis (see _move), so
-numpy's copy of the overlapping source holds about one slab (_SLAB
-samples), not the whole batch's.  Lines whose runs are still short go
-through a contiguous copy with their axis last (see _along).  Each line
-sees the same arithmetic in both views, so a band inverse equals the full
-inverse of the zero-padded coefficients, and a band forward equals the
-full forward transform followed by apply_dealias, bit for bit.
+slower.  The band moves and the contiguous copies of lines whose runs are
+still short (see _move and _along) go in slabs of the batch axis, so
+each copy holds about one slab (_SLAB samples), not the whole batch's.
+Each line sees the same arithmetic in both views, so a band inverse
+equals the full inverse of the zero-padded coefficients, and a band
+forward equals the full forward transform followed by apply_dealias, bit
+for bit.
+
+fft and ifft take the grid axes to transform (axes), so one loop serves
+the whole array and the split of a streamed pass (SlabStream, the slab
+decomposition of multidimensional FFTs; Pekurovsky, SIAM J. Sci. Comput.
+34 (2012)).  A pass inverse-transforms the last axis once, over the
+M^(2n-1) lines of the band, and finishes axes 2n-2..0 one slab of
+last-axis indices at a time; fields formed on a slab are forward-
+transformed along axes 0..2n-2 into an accumulator of N M^(2n-1) values
+per field, and along the last axis once at the end.  Those are the lines
+and line orders of the whole-array transforms, so streamed samples and
+coefficients are theirs bit for bit, and the 2/3-rule band keeps the
+last-axis halves small: (M/N)^(2n-1) of a component, 0.1 at n = 3, N = 8.
 
 All derivative action is diagonal here.  The one-dimensional Cauchy-Riemann
 operator along the j-th complex direction,
@@ -64,11 +76,13 @@ FOURIER = "fourier"
 # transposed copy (measured for N = 4, 8, 16 on a 2-vCPU host)
 _SHORT_RUN = 256
 
-# most samples per component that pointwise scratch and the band moves'
-# overlap copies hold at once (see _slabs and _move): a component is one
-# slab at n = 2, N <= 16, so small grids make no extra calls, and 4 slabs
-# at n = 3, N = 8, where whole-component temporaries set a run's peak RSS
-# (custom-n3N8 benchmark median 92.3 MB, 83.6 with slabs; 2-vCPU host)
+# most samples per component that pointwise scratch, the copies of the band
+# moves and short-run lines, and the slabs of a streamed pass hold at once
+# (see _slabs, _move, _along and SlabStream): a component is one slab at
+# n = 2, N <= 16, so small grids make no extra calls, and 4 slabs at n = 3,
+# N = 8, where whole-component buffers set a run's peak RSS (custom-n3N8
+# benchmark median 92.3 MB, 83.6 with slab-wise scratch, 61.6 with
+# streamed passes; 2-vCPU host)
 _SLAB = 1 << 16
 
 
@@ -122,6 +136,8 @@ class SpectralGrid:
         self.freq = freq
         self.freq.setflags(write=False)
         self.fourier_shape = (len(freq),) * self.dim
+        self._all_axes = tuple(range(self.dim))
+        self._band_index = (slice(0, len(freq)),) * self.dim
 
         self._sigma: dict[int, np.ndarray] = {}
         self._delta: dict[int, np.ndarray] = {}
@@ -235,7 +251,9 @@ class SpectralGrid:
 
     # -- transforms --------------------------------------------------------
 
-    def fft(self, values: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    def fft(
+        self, values: np.ndarray, overwrite: bool = False, axes: tuple | None = None, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """Physical samples -> mode amplitudes (1/N^{2n} normalization).
 
         Leading axes are a batch, so a stack of component fields is one
@@ -243,49 +261,152 @@ class SpectralGrid:
         N^{2n} is a power of two.  With overwrite the transform may work in
         the memory of `values`, which is then destroyed.  On a band view
         only the band is returned, equal to apply_dealias of the full
-        transform.
+        transform.  axes (ascending grid axes, default all) transforms only
+        those, in the order of the whole transform, and leaves the others
+        as they are; the result is written to out when given.
         """
         N, M, K = self.N, len(self.freq), self.N // 3
         first = values.ndim - self.dim
-        lead = (slice(None),) * first
+        axes, corner = self._corner(first, axes)
         own = overwrite and values.dtype == np.complex128
-        work = np.fft.fft(values, axis=first, norm="forward", out=values if own else None)
-        for a in range(self.dim):
-            # axes before a already hold their band in the first M places
-            lines = work[lead + (slice(0, M),) * a]
-            if a:
+        work = np.fft.fft(values, axis=first + axes[0], norm="forward", out=values if own else None)
+        for a in axes:
+            # transformed axes before a already hold their band in the first M places
+            lines = work[corner[: first + a]]
+            if a != axes[0]:
                 _along(np.fft.fft, lines, first + a)
             if self.banded:
                 _move(lines, first + a, slice(N - K, N), slice(K + 1, M))
-        return work[lead + (slice(0, M),) * self.dim].copy() if self.banded else work
+        corner = work[corner]
+        if out is not None:
+            out[...] = corner
+            return out
+        return corner.copy() if self.banded else work
 
-    def ifft(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def ifft(self, coeffs: np.ndarray, out: np.ndarray | None = None, axes: tuple | None = None) -> np.ndarray:
         """Mode amplitudes -> physical samples (no scaling) in a new array,
         or in out (complex128, of the samples' shape), which is returned;
         batch as in fft; the input is never written.  On a band view the
-        input holds the band."""
+        input holds the band.  axes (ascending grid axes, default all)
+        transforms only those, in the order of the whole transform; the
+        other axes keep their length."""
         N, M, K = self.N, len(self.freq), self.N // 3
         first = coeffs.ndim - self.dim
+        axes, corner = self._corner(first, axes)
         lead = (slice(None),) * first
-        shape = coeffs.shape[:first] + self.shape
+        shape = coeffs.shape[:first] + tuple(N if a in axes else coeffs.shape[first + a] for a in range(self.dim))
         if out is not None and (out.shape != shape or out.dtype != np.complex128):
             raise ValueError(f"out has shape {out.shape} and dtype {out.dtype}, expected {shape} complex128")
         if self.banded:
             work = np.empty(shape, dtype=np.complex128) if out is None else out
-            work[lead + (slice(0, M),) * self.dim] = coeffs
+            work[corner] = coeffs
         else:
-            work = np.fft.ifft(coeffs, axis=-1, norm="forward", out=out)
-        for a in reversed(range(self.dim)):
-            # axes before a still hold their band in the first M places; the
-            # places after those stand for zero modes, whose lines would
-            # transform to zero, and are left alone until their axis's turn
-            lines = work[lead + (slice(0, M),) * a]
+            work = np.fft.ifft(coeffs, axis=first + axes[-1], norm="forward", out=out)
+        for a in reversed(axes):
+            # transformed axes before a still hold their band in the first M
+            # places; the places after those stand for zero modes, whose lines
+            # would transform to zero, and are left alone until their axis's turn
+            lines = work[corner[: first + a]]
             if self.banded:
                 _move(lines, first + a, slice(K + 1, M), slice(N - K, N))
                 lines[lead + (slice(None),) * a + (slice(K + 1, N - K),)] = 0.0
-            if self.banded or a < self.dim - 1:
+            if self.banded or a != axes[-1]:
                 _along(np.fft.ifft, lines, first + a)
         return work
+
+    def _corner(self, first: int, axes) -> tuple:
+        """(axes, index): the grid axes to transform (all for None) and the
+        index of the first M places of those axes, all places of the
+        others, after `first` batch axes; its first first + a entries
+        index the axes before grid axis a."""
+        if axes is None:
+            return self._all_axes, (slice(None),) * first + self._band_index
+        axes = tuple(axes)
+        band = slice(0, len(self.freq))
+        return axes, (slice(None),) * first + tuple(band if a in axes else slice(None) for a in range(self.dim))
+
+    def slabs(self) -> list:
+        """Slices of last-axis sample indices, each holding at most _SLAB
+        samples per component, or one index when that holds more: the
+        pieces a streamed pass (SlabStream) goes through."""
+        return _slabs(self.shape)
+
+
+class SlabStream:
+    """One pass over the samples of coefficients (batch + fourier_shape),
+    one slab of last-axis indices at a time, and the forward transforms of
+    `fields` fields formed on those slabs.
+
+    Iterating yields (slab, samples), the samples of that slab of
+    last-axis indices (shape batch + (N,)*(2n-1) + (width,)) in the first
+    places of one flat complex128 buffer, out when given.  values() gives
+    an array for one field on the current slab, forward(row, values) transforms the values
+    of field `row` on the current slab (destroying them), and
+    coefficients() returns every field's band coefficients once the last
+    slab is done.  The inverse transforms the last axis once, over the
+    M^(2n-1) lines of the band, and each slab finishes the other axes; the
+    forward transforms axes 0..2n-2 of each slab into an accumulator of
+    N M^(2n-1) values per field and the last axis once at the end.  These
+    are the lines and line orders of the whole-array ifft and fft, so every
+    sample and coefficient is theirs bit for bit.  A grid of one slab
+    (n = 2, N <= 16) makes the whole-array calls: one ifft, and one fft
+    per field.
+    """
+
+    def __init__(self, grid: SpectralGrid, coeffs: np.ndarray, fields: int, out: np.ndarray | None = None):
+        self.grid = grid
+        self.slabs = grid.slabs()
+        self.whole = len(self.slabs) == 1
+        self.lead = coeffs.shape[: coeffs.ndim - grid.dim]
+        size = math.prod(self.lead + grid.shape[:-1]) * (self.slabs[0].stop - self.slabs[0].start)
+        self.out = np.empty(size, dtype=np.complex128) if out is None else out[:size]
+        last = (grid.dim - 1,)
+        # the last-axis inverse of the band, shared by every slab
+        self.coeffs = coeffs if self.whole else grid.ifft(coeffs, axes=last)
+        M = len(grid.freq)
+        self.hat_shape = (fields,) + (grid.fourier_shape if self.whole else (M,) * (grid.dim - 1) + (grid.N,))
+        self.hat = None
+        self.slab = None
+
+    def __iter__(self):
+        grid, rest = self.grid, tuple(range(self.grid.dim - 1))
+        for s in self.slabs:
+            self.slab = s
+            shape = self.lead + grid.shape[:-1] + (s.stop - s.start,)
+            out = _view(self.out, shape)
+            if self.whole:
+                samples = grid.ifft(self.coeffs, out=out)
+            else:
+                samples = grid.ifft(self.coeffs[..., s], out=out, axes=rest)
+            if s is self.slabs[-1]:
+                self.coeffs = None
+            yield s, samples
+
+    def values(self) -> np.ndarray:
+        """A new array for the values of one field on the current slab."""
+        return np.empty(self.grid.shape[:-1] + (self.slab.stop - self.slab.start,), dtype=np.complex128)
+
+    def forward(self, row: int, values: np.ndarray):
+        """Transform the values of field row on the current slab, which
+        are destroyed; the accumulators are made at the first call."""
+        if self.hat is None:
+            self.hat = np.empty(self.hat_shape, dtype=np.complex128)
+        if self.whole:
+            self.hat[row] = self.grid.fft(values, overwrite=True)
+        else:
+            rest = tuple(range(self.grid.dim - 1))
+            self.grid.fft(values, overwrite=True, axes=rest, out=self.hat[row][..., self.slab])
+
+    def coefficients(self) -> np.ndarray:
+        """The fields' band coefficients, shape (fields,) + fourier_shape."""
+        if self.whole:
+            return self.hat
+        return self.grid.fft(self.hat, overwrite=True, axes=(self.grid.dim - 1,))
+
+
+def _view(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """A C-contiguous array of this shape on the first places of a flat buffer."""
+    return buffer[: math.prod(shape)].reshape(shape)
 
 
 def _along(transform, x: np.ndarray, axis: int):
@@ -296,16 +417,19 @@ def _along(transform, x: np.ndarray, axis: int):
     N times their size in samples; lines along the last axis of a
     contiguous array are one run.  Runs of fewer than _SHORT_RUN samples,
     and the last-axis lines of a strided view, cost more in lookups than a
-    copy does, so they go through a contiguous copy with the axis last.
+    copy does, so they go through a contiguous copy with the axis last;
+    the copy goes in slabs of the first axis (see _slabs) when axis is not
+    that one, so it holds at most _SLAB samples, or those of one index.
     """
     run = x.shape[axis] * math.prod(x.shape[axis + 1 :])
     if (x.flags.c_contiguous and axis == x.ndim - 1) or (axis < x.ndim - 1 and run >= _SHORT_RUN):
         transform(x, axis=axis, norm="forward", out=x)
         return
     lines = x.swapaxes(axis, -1)
-    tmp = lines.copy()
-    transform(tmp, axis=-1, norm="forward", out=tmp)
-    lines[...] = tmp
+    for s in _slabs(x.shape) if axis and x.size > _SLAB else [slice(None)]:
+        tmp = lines[s].copy()
+        transform(tmp, axis=-1, norm="forward", out=tmp)
+        lines[s] = tmp
 
 
 def _move(lines: np.ndarray, axis: int, src: slice, dst: slice):
@@ -331,7 +455,7 @@ def _slabs(shape: tuple) -> list:
     most _SLAB samples, or one index when that holds more: the pieces that
     pointwise arithmetic with slab-sized scratch goes through."""
     step = max(1, _SLAB // math.prod(shape[1:]))
-    return [slice(i, i + step) for i in range(0, shape[0], step)]
+    return [slice(i, min(i + step, shape[0])) for i in range(0, shape[0], step)]
 
 
 # -- lattice multipliers -----------------------------------------------------

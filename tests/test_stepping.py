@@ -393,59 +393,94 @@ def test_lamb_step_counts_inverse_calls_and_forward_field_transforms(monkeypatch
 
 
 @pytest.mark.parametrize("case", ["lamb", "linearized", "stokes"])
-def test_kernel_reuses_its_sample_buffers(case):
+def test_kernel_reuses_its_sample_buffers(case, monkeypatch):
     # every stack of samples the kernel makes goes to one of its two
-    # buffers; fresh stacks of that size would each fault their pages in
-    grid = SpectralGrid(2, 8)
-    cfg = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.03, dt=0.01, nonlinearity=STOKES if case == "stokes" else LAMB)
+    # buffers, the slab samples of a pass to the slab buffer (rows x one
+    # slab) and those of w to the base buffer; fresh stacks of that size
+    # would each fault their pages in.  At n = 2, N = 4 a component is one
+    # slab, and 4 once _SLAB is cut to a quarter of one
+    grid = SpectralGrid(2, 4)
+    cfg = SimConfig(n=2, q=1, N=4, mu=0.2, T=0.03, dt=0.01, nonlinearity=STOKES if case == "stokes" else LAMB)
+    u0 = _initial(grid, 1, 1)
     base = None
     if case == "linearized":
         base = [FormField(grid.band, 1, grid.band.gather(f.data), FOURIER) for f in [_initial(grid, 1, 2)] * 4]
-    kernel = dynamics._EtdHeun(cfg, grid, base)
-    seen, base_seen = [], []
-    physical, base_physical = kernel.physical, kernel._base_physical
+    samples, ifft = [], SpectralGrid.ifft
 
-    def recorded(*args):
-        seen.append(physical(*args))
-        return seen[-1]
+    def recorded(self, coeffs, out=None, axes=None):
+        result = ifft(self, coeffs, out, axes)
+        if axes != (self.dim - 1,):  # not the last-axis inverse of a pass
+            samples.append(result)
+        return result
 
-    def base_recorded(t):
-        base_seen.append(base_physical(t))
-        return base_seen[-1]
-
-    kernel.physical, kernel._base_physical = recorded, base_recorded
-    traj = dynamics._run_loop(cfg, _initial(grid, 1, 1), kernel, cfl=True)
-    assert len(seen) == (2 if case != "stokes" else 1) * cfg.steps + 1
-    assert all(np.shares_memory(s, seen[0]) for s in seen)
-    assert bool(base_seen) == (base is not None)
-    assert all(np.shares_memory(s, base_seen[0]) and not np.shares_memory(s, seen[0]) for s in base_seen)
-    # and keeps none of them in the trajectory
-    for f in traj.velocities + traj.pressures:
-        assert f.grid is kernel.grid and not np.shares_memory(f.data, seen[0])
+    monkeypatch.setattr(SpectralGrid, "ifft", recorded)
+    rows = 3 if case != "stokes" else 2
+    for slabs in (1, 4):
+        monkeypatch.setattr(spectral, "_SLAB", 4**4 // slabs)
+        samples.clear()
+        kernel = dynamics._EtdHeun(cfg, grid, base)
+        assert kernel._slab.size == rows * 4**4 // slabs
+        traj = dynamics._run_loop(cfg, u0, kernel, cfl=True)
+        passes = (2 if case != "stokes" else 1) * cfg.steps + 1
+        in_slab = [x for x in samples if np.shares_memory(x, kernel._slab)]
+        assert len(in_slab) == passes * slabs
+        assert all(x.shape[0] == rows and x.size == kernel._slab.size for x in in_slab)
+        in_base = [x for x in samples if base is not None and np.shares_memory(x, kernel._base_phys)]
+        assert len(in_base) == (cfg.steps + 1 if base is not None else 0)
+        assert len(in_slab) + len(in_base) == len(samples)
+        # and keeps none of them in the trajectory
+        for f in traj.velocities + traj.pressures:
+            assert f.grid is kernel.grid and not np.shares_memory(f.data, kernel._slab)
 
 
 @pytest.mark.parametrize(
-    "case, bound", [("N stage", 1.5), ("N exact", 1.65), ("B", 2.65)], ids=["N stage", "N exact", "B"]
+    "case, bound", [("N stage", 1.45), ("N exact", 1.55), ("B", 1.85)], ids=["N stage", "N exact", "B"]
 )
 def test_quadratic_scratch_stays_within_a_few_components(case, bound):
-    # Q is formed and transformed one output component at a time, and each
-    # component's contraction goes through slab-sized scratch: the peak
-    # rise of one call, in sample-sized components at n = 3, N = 8 (Lamb),
-    # reads 1.43 (N stage), 1.57 (N exact) and 2.57 (B); whole-component
-    # contraction scratch reads 3.18, 3.24 and 4.24, and forming whole M1
-    # and M2 outputs before one transform 7.0, 9.0 and 10.0
+    # one pass goes slab by slab of last-axis indices, and forms and
+    # transforms Q one output component at a time on each slab, through
+    # slab-sized contraction scratch: the peak rise of one call from band
+    # coefficients, with the kernel's slab buffer given, in sample-sized
+    # components at n = 3, N = 8 (Lamb), reads 1.36 (N stage), 1.46
+    # (N exact) and 1.74 (B), its own inverse transforms included; the
+    # products alone of whole-array samples read 1.43, 1.57 and 2.57 before
     grid = SpectralGrid(3, 8).band
     rng = np.random.default_rng(4)
-    v, w = (dynamics._samples(leray_project(random_form(grid, 1, rng)), True) for _ in range(2))
-    args = {"N stage": {"exact": False}, "N exact": {}, "B": {"w": w}}[case]
-    dynamics._quadratic(LAMB, grid, 1, v, **args)
+    v, w = (leray_project(random_form(grid, 1, rng)) for _ in range(2))
+    slab = np.empty(6 * 8**5 * 2, dtype=np.complex128)
+    assert slab.size == 6 * 8**5 * (grid.slabs()[0].stop - grid.slabs()[0].start)
+    args = {"N stage": {"exact": False}, "N exact": {}, "B": {"w": dynamics._samples(w, True)}}[case]
+    dynamics._quadratic(LAMB, v, out=slab, **args)
     tracemalloc.start()
     try:
-        dynamics._quadratic(LAMB, grid, 1, v, **args)
+        dynamics._quadratic(LAMB, v, out=slab, **args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / v[0].nbytes <= bound
+    assert peak / (16 * grid.size) <= bound
+
+
+def test_streamed_run_peak_stays_within_four_components():
+    # a run holds no sample-sized stage buffer: the passes go through slabs
+    # of last-axis indices (4 per component at n = 3, N = 8), so a two-step
+    # Lamb run with its tensor spelled out peaks at 3.82 sample-sized
+    # components in tracemalloc, its 3 snapshots included (3.91 for the 4
+    # steps at stride 2 of custom-n3N8); holding the samples of [u, dbar u]
+    # for the run (6 components) read 8.38
+    m1 = [CustomTerm(k=(k,), a=tuple(sorted((j, k))), b=(j,), coeff=1.0 if j < k else -1.0, conj_u=True)
+          for k in range(1, 4) for j in range(1, 4) if j != k]
+    m2 = [CustomTerm(k=(), a=(j,), b=(j,), coeff=1.0, conj_u=True) for j in range(1, 4)]
+    cfg = SimConfig(n=3, q=1, N=8, mu=0.1, T=2e-3, dt=1e-3, nonlinearity=BilinearSpec.custom(m1, m2))
+    grid = SpectralGrid(3, 8).band
+    u0 = 0.5 * leray_project(random_form(grid, 1, np.random.default_rng(3)))
+    simulate(cfg, u0)
+    tracemalloc.start()
+    try:
+        simulate(cfg, u0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (16 * grid.size) <= 4.0
 
 
 def test_sample_diagnostics_scratch_is_three_slabs():
