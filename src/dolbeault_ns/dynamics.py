@@ -68,9 +68,10 @@ from .dolbeault import dbar, dbar_star, leray_project, pressure_recover
 from .forms import (
     BilinearSpec,
     FormField,
-    apply_m1,
+    _json_amplitude,
     _json_object,
     _json_value,
+    apply_m1,
     apply_m2,
     index_of,
     l2_inner,
@@ -78,7 +79,7 @@ from .forms import (
     num_components,
     random_form,
 )
-from .spectral import FOURIER, PHYSICAL, SlabStream, SpectralGrid, _slabs, heat_multiplier_grid
+from .spectral import FOURIER, PHYSICAL, SlabStream, SpectralGrid, heat_multiplier_grid
 
 
 class BlowUpError(RuntimeError):
@@ -190,14 +191,11 @@ class ForcingSpec:
     def from_json(cls, doc: dict) -> "ForcingSpec":
         kind = _json_value(_json_object(doc, "forcing"), "kind", str, "forcing", "zero")
         if kind == "single_mode":
-            amp = _json_value(doc, "amplitude", (float,), "forcing", (0.0, 0.0))
-            if len(amp) != 2:
-                raise ValueError(f"forcing key 'amplitude' must be [re, im], got {list(amp)!r:.40}")
             return cls(
                 kind=kind,
                 zeta=_json_value(doc, "zeta", (int,), "forcing"),
                 component=_json_value(doc, "component", (int,), "forcing"),
-                amplitude=complex(*amp),
+                amplitude=_json_amplitude(doc, "forcing", 0j),
                 omega=_json_value(doc, "omega", float, "forcing", 0.0),
             )
         if kind == "file":
@@ -495,41 +493,25 @@ def verify_key1(
 # -- time stepping ---------------------------------------------------------------
 
 
-def _max_abs(u_phys_data: np.ndarray) -> float:
-    """Max over grid points of the pointwise modulus of the form."""
-    return _sample_diagnostics(u_phys_data)[0]
-
-
 def _sample_diagnostics(u_phys: np.ndarray, r: float | None = None) -> tuple:
-    """(max over grid points of sqrt(sum_J |u_J|^2), sum over components
-    and points of |u_J|^r) of stacked samples u_phys; the sum is 0.0
-    without r.
-
-    The arithmetic goes one slab of the first grid axis at a time
-    (spectral._slabs), component by component, in three slab buffers: the
-    moduli, their squares, summed in component order as np.sum(axis=0)
-    sums them, so the max is bit for bit that of whole-array arithmetic,
-    and the moduli raised to r in place.
-    """
-    slabs = _slabs(u_phys.shape[1:])
-    modulus, square, total = (np.empty(u_phys[0][slabs[0]].shape) for _ in range(3))
-    peak, power = None, 0.0
-    for s in slabs:
-        stack = u_phys[:, s]
-        rows = stack.shape[1]
-        m, sq, acc = modulus[:rows], square[:rows], total[:rows]
-        for J, component in enumerate(stack):
-            np.abs(component, out=m)
-            if J:
-                np.multiply(m, m, out=sq)
-                acc += sq
-            else:
-                np.multiply(m, m, out=acc)
-            if r is not None:
-                power += np.power(m, r, out=m).sum()
-        top = acc.max()
-        peak = top if peak is None else np.maximum(peak, top)
-    return float(np.sqrt(peak)), float(power)
+    """(max over points of sqrt(sum_J |u_J|^2), sum over components and
+    points of |u_J|^r) of stacked samples u_phys (a slab of a pass in a run,
+    a snapshot in norms.bochner_pre); the sum is 0.0 without r.  Three
+    buffers of one component hold the moduli (raised to r in place) and
+    their squares, summed in component order as np.sum(axis=0) sums them,
+    so the max is bit for bit that of whole-array arithmetic."""
+    modulus, square, total = (np.empty(u_phys.shape[1:]) for _ in range(3))
+    power = 0.0
+    for J, component in enumerate(u_phys):
+        np.abs(component, out=modulus)
+        if J:
+            np.multiply(modulus, modulus, out=square)
+            total += square
+        else:
+            np.multiply(modulus, modulus, out=total)
+        if r is not None:
+            power += np.power(modulus, r, out=modulus).sum()
+    return float(np.sqrt(total.max())), float(power)
 
 
 class _EtdHeun:
@@ -542,30 +524,18 @@ class _EtdHeun:
 
     with base[m] the linearization point w at step m (base None: the
     nonlinear source; solve_linearized steps w = 0 with the Stokes table).
-    source() evaluates it in one streamed pass of _quadratic over the
-    samples of [v, dbar v], slab by slab of last-axis indices.  The run
-    loop hands each recorded state to load(), whose pass also takes the
-    state's diagnostics and, before a snapshot, the full f - N(u) (or
-    f - B(w, u)), whose exact part is the pressure; the M1 part of its
-    transforms is g(u, t), which load() keeps in `g1` for step(), so the
-    first stage forms no products and makes no transform.  That source is
-    the one thing a step takes over.  Without M1 products the stages need
-    no samples at all, and with a zero source a step is exactly u <- E u.
+    States, sources, multipliers and base[m] (moved there once, at entry)
+    live on the band view of the run's grid.
 
-    The kernel works on the band view of the run's grid: states, sources
-    and multipliers hold the 2/3-rule modes only, and so does base[m],
-    which solve_linearized moves onto the band with FormField.on once, at
-    entry.  Every pass puts the samples of its slab in the kernel's one
-    slab buffer, rows x at most spectral._SLAB samples (a whole component
-    per row only where a component is one slab, n = 2, N <= 16); the
-    samples of w go whole to a buffer of their own, made once per step
-    index.  Fresh arrays of those sizes come from mmap and go back to the
-    system when freed, so each would cost its pages in faults again.  The
-    rest of a pass's scratch lives only inside the call: the last-axis
-    inverse of the band and one accumulator per output component
-    (N M^(2n-1) samples each), one or two slab-sized product buffers, and
-    the slab-sized pieces of forms._contract, the band moves and
-    _sample_diagnostics.
+    source() evaluates g in one streamed pass of _quadratic over the
+    samples of [v, dbar v].  The run loop hands each recorded state to
+    load(), whose pass also takes its diagnostics and, before a snapshot,
+    the full f - N(u) (or f - B(w, u)) for the pressure, and keeps the M1
+    part, g(u, t), in `g1` for step() to take over as its first stage's
+    source.  Without M1 products a step makes no pass, and with a zero
+    source it is exactly u <- E u.  Two buffers outlive a pass: `_slab`,
+    the samples of one slab, and `_base_phys`, the samples of [w, dbar w]
+    at one step index; the rest of a pass's scratch lives in _quadratic.
     """
 
     def __init__(self, config: SimConfig, grid: SpectralGrid, base=None):
@@ -580,8 +550,9 @@ class _EtdHeun:
         self.g1 = None
         rows = num_components(self.grid.n, self.q) + (num_components(self.grid.n, self.q + 1) if self.m1 else 0)
         width = self.grid.slabs()[0]
+        # reused by every pass: a fresh one each faulted its pages in (custom-n3N8 1.033x slower, 2-vCPU host)
         self._slab = np.empty(rows * math.prod(self.grid.shape[:-1]) * (width.stop - width.start), dtype=np.complex128)
-        # samples of [w, dbar w] at step _base_m
+        # [w, dbar w] at step _base_m, whole: streaming them cost 6 % of linearize-n2N8's solve time
         self._base_phys = None if base is None else np.empty((rows,) + self.grid.shape, dtype=np.complex128)
         self._base_m = None
 
@@ -635,6 +606,7 @@ class _EtdHeun:
         """Advance u (Fourier, solenoidal) from t by dt; takes over self.g1,
         g(u, t) when load() kept it, and forms it otherwise."""
         grid, q = self.grid, self.q
+        # taken over: as an argument g1 lived through stage 2 (n = 3, N = 8 peak 3.91 -> 4.09 components)
         g1, self.g1 = self.g1, None
         if not (self.m1 or self.forced):
             return FormField(grid, q, E * u.data, FOURIER)

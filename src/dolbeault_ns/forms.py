@@ -30,13 +30,12 @@ R-bilinear rather than C-bilinear.
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import FOURIER, PHYSICAL, SpectralGrid, _slabs, apply_dealias
+from .spectral import FOURIER, PHYSICAL, SpectralGrid, apply_dealias
 
 # -- multi-index algebra -----------------------------------------------------
 
@@ -354,9 +353,7 @@ class BilinearSpec:
         return doc
 
     @classmethod
-    def from_json(cls, doc) -> "BilinearSpec":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
+    def from_json(cls, doc: dict) -> "BilinearSpec":
         kind = _json_value(_json_object(doc, "nonlinearity"), "kind", str, "nonlinearity", None)
         if kind in (KIND_STOKES, KIND_LAMB):
             return cls(kind)
@@ -428,34 +425,33 @@ def _contract(rows: tuple, first: np.ndarray, second: np.ndarray, out: np.ndarra
     is set; zero for no entries.  A coefficient of +-1 becomes the sign of
     the accumulation, which rounds the same.
 
-    The products are pointwise, so they go one slab of the first grid axis
-    at a time (spectral._slabs).  The first entry is formed in out, its
-    conjugate in place; later entries, and a first one that needs both a
-    general coefficient and a conjugate, go through slab-sized scratch.
+    The products are pointwise over the whole of out: one slab of a
+    streamed pass (spectral.SlabStream) in a run, a whole component
+    elsewhere.  The first entry is formed in out, its conjugate in place;
+    later entries, and a first one that needs both a general coefficient
+    and a conjugate, go through scratch of out's size.
     """
     if not rows:
         out.fill(0.0)
         return
     tmp = scaled = None
-    for s in _slabs(out.shape):
-        acc = out[s]
-        for i, (a, b, coeff, conj_u) in enumerate(rows):
-            x, y = first[a][s], second[b][s]
-            if i:
-                tmp = np.empty_like(acc) if tmp is None else tmp
-            target = tmp[: len(acc)] if i else acc
-            if coeff not in (1, -1):
-                if conj_u:
-                    scaled = np.empty_like(acc) if scaled is None else scaled
-                x = np.multiply(coeff, x, out=scaled[: len(acc)] if conj_u else target)
+    for i, (a, b, coeff, conj_u) in enumerate(rows):
+        x, y = first[a], second[b]
+        if i:
+            tmp = np.empty_like(out) if tmp is None else tmp
+        target = tmp if i else out
+        if coeff not in (1, -1):
             if conj_u:
-                y = np.conj(y, out=target)
-            np.multiply(x, y, out=target)
-            if i:
-                (np.subtract if coeff == -1 else np.add)(acc, target, out=acc)
-            elif coeff == -1:
-                # 0 - x, as a sum started from zero rounds
-                np.subtract(0.0, acc, out=acc)
+                scaled = np.empty_like(out) if scaled is None else scaled
+            x = np.multiply(coeff, x, out=scaled if conj_u else target)
+        if conj_u:
+            y = np.conj(y, out=target)
+        np.multiply(x, y, out=target)
+        if i:
+            (np.subtract if coeff == -1 else np.add)(out, target, out=out)
+        elif coeff == -1:
+            # 0 - x, as a sum started from zero rounds
+            np.subtract(0.0, out, out=out)
 
 
 def _apply(rows: tuple, first: np.ndarray, second: np.ndarray, grid: SpectralGrid, q: int, k, out):
@@ -527,6 +523,17 @@ def _json_value(doc: dict, key: str, kind, where: str, default=_REQUIRED):
     elif isinstance(value, kind):
         return value
     raise ValueError(f"{where} key {key!r} must be {_KIND_NAMES[kind]}, got {value!r:.40}")
+
+
+def _json_amplitude(doc: dict, where: str, default: complex) -> complex:
+    """doc["amplitude"], a number or [re, im], as a complex number, or
+    default when the key is absent; ValueError naming the key otherwise."""
+    if not isinstance(doc.get("amplitude"), list):
+        return complex(_json_value(doc, "amplitude", float, where, default))
+    amp = _json_value(doc, "amplitude", (float,), where)
+    if len(amp) != 2:
+        raise ValueError(f"{where} key 'amplitude' must be [re, im], got {list(amp)!r:.40}")
+    return complex(*amp)
 
 
 def _is_number(value, kind) -> bool:

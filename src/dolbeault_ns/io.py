@@ -53,7 +53,16 @@ import numpy as np
 
 from .dolbeault import leray_project
 from .dynamics import DIAGNOSTIC_COLUMNS, SimConfig, Trajectory
-from .forms import FormField, _json_object, _json_value, _random_lattice_form, index_of, multi_indices, num_components
+from .forms import (
+    FormField,
+    _json_amplitude,
+    _json_object,
+    _json_value,
+    _random_lattice_form,
+    index_of,
+    multi_indices,
+    num_components,
+)
 from .spectral import FOURIER, SpectralGrid
 
 FIELD_SCHEMA = "dolbeault-ns.field/1"
@@ -118,18 +127,12 @@ class InitialSpec:
         def get(key, kind, default):
             return _json_value(doc, key, kind, "initial", default)
 
-        if isinstance(doc.get("amplitude"), list):
-            amp = get("amplitude", (float,), None)
-            if len(amp) != 2:
-                raise ValueError(f"initial key 'amplitude' must be [re, im], got {list(amp)!r:.40}")
-        else:
-            amp = (get("amplitude", float, 1.0), 0.0)
         return cls(
             kind=get("kind", str, "random_solenoidal"),
             decay=get("decay", float, 3.0),
             zeta=get("zeta", (int,), ()),
             component=get("component", (int,), ()),
-            amplitude=complex(*amp),
+            amplitude=_json_amplitude(doc, "initial", 1 + 0j),
             path=get("path", str, ""),
         )
 

@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dolbeault import dbar
-from .dynamics import _max_abs, lps_exponent
+from .dynamics import _sample_diagnostics, lps_exponent
 from .forms import FormField, l2_inner
 
 # -- single-field norms ----------------------------------------------------------
@@ -237,20 +237,20 @@ def bochner_for(traj, k: int, s: int) -> float:
     return float(np.sqrt(_mixed_norm_sq(stamps, fields, k, s, 1.0)))
 
 
-def bochner_pre(traj, k: int, s: int, n: int | None = None) -> float:
+def bochner_pre(traj, k: int, s: int) -> float:
     """Pressure-scale norm with the three-case sup-norm augmentation.
 
-    The base piece is the force norm of dbar p; at 2s + k = n + 1 the
-    L^2-in-time sup norm is added, above it also the uniform sup norm.
+    The base piece is the force norm of dbar p; at 2s + k = n + 1 (n the
+    grid's) the L^2-in-time sup norm is added, above it also the uniform
+    sup norm.
     """
     stamps, fields = _series(traj, "pressures")
-    if n is None:
-        n = fields[0].grid.n
+    n = fields[0].grid.n
     base = float(np.sqrt(_mixed_norm_sq(stamps, fields, k, s, 1.0, dbar)))
     threshold = 2 * s + k
     if threshold <= n:
         return base
-    cb = np.array([_max_abs(p.to_physical().data) for p in fields])
+    cb = np.array([_sample_diagnostics(p.to_physical().data)[0] for p in fields])
     l2_cb = float(np.sqrt(np.trapezoid(cb**2, stamps)))
     if threshold == n + 1:
         return base + l2_cb
@@ -325,7 +325,7 @@ class NormReport:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
-def energy_report(traj, forcing=None) -> NormReport:
+def energy_report(traj) -> NormReport:
     """Energy-inequality bookkeeping for a finished run.
 
     The balance being monitored is, per time interval,
@@ -360,8 +360,7 @@ def energy_report(traj, forcing=None) -> NormReport:
     u_norm = float(np.sqrt(2.0 * energy[-1] + 2.0 * cfg.mu * _simpson(dissipation, t)))
     u_sup = float(np.sqrt(2.0 * np.max(energy)))
 
-    frc = forcing if forcing is not None else cfg.forcing
-    if frc is None or frc.kind == "zero":
+    if cfg.forcing.kind == "zero":
         work = np.zeros(len(traj.stamps))
     else:
         grid = traj.velocities[0].grid
@@ -370,7 +369,7 @@ def energy_report(traj, forcing=None) -> NormReport:
                 float(
                     np.real(
                         l2_inner(
-                            frc.evaluate(grid, cfg.q, float(tm)).to_physical(),
+                            cfg.forcing.evaluate(grid, cfg.q, float(tm)).to_physical(),
                             um.to_physical(),
                         )
                     )

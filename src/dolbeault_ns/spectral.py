@@ -76,13 +76,11 @@ FOURIER = "fourier"
 # transposed copy (measured for N = 4, 8, 16 on a 2-vCPU host)
 _SHORT_RUN = 256
 
-# most samples per component that pointwise scratch, the copies of the band
-# moves and short-run lines, and the slabs of a streamed pass hold at once
-# (see _slabs, _move, _along and SlabStream): a component is one slab at
+# most samples per component in a slab of a streamed pass (SlabStream, via
+# SpectralGrid.slabs) and in the copies of the band moves and short-run
+# lines (_move, _along), the users of _slabs: a component is one slab at
 # n = 2, N <= 16, so small grids make no extra calls, and 4 slabs at n = 3,
-# N = 8, where whole-component buffers set a run's peak RSS (custom-n3N8
-# benchmark median 92.3 MB, 83.6 with slab-wise scratch, 61.6 with
-# streamed passes; 2-vCPU host)
+# N = 8, where whole-component buffers would set a run's peak memory
 _SLAB = 1 << 16
 
 
@@ -356,6 +354,7 @@ class SlabStream:
     def __init__(self, grid: SpectralGrid, coeffs: np.ndarray, fields: int, out: np.ndarray | None = None):
         self.grid = grid
         self.slabs = grid.slabs()
+        # one slab: whole-array calls; streaming it raised lamb-n2N16's solve peak from 8.18 to 8.52 MB
         self.whole = len(self.slabs) == 1
         self.lead = coeffs.shape[: coeffs.ndim - grid.dim]
         size = math.prod(self.lead + grid.shape[:-1]) * (self.slabs[0].stop - self.slabs[0].start)
@@ -425,6 +424,7 @@ def _along(transform, x: np.ndarray, axis: int):
     if (x.flags.c_contiguous and axis == x.ndim - 1) or (axis < x.ndim - 1 and run >= _SHORT_RUN):
         transform(x, axis=axis, norm="forward", out=x)
         return
+    # transforming such lines in place made custom-n3N8 1.23x slower (2-vCPU host)
     lines = x.swapaxes(axis, -1)
     for s in _slabs(x.shape) if axis and x.size > _SLAB else [slice(None)]:
         tmp = lines[s].copy()
@@ -452,8 +452,8 @@ def _move(lines: np.ndarray, axis: int, src: slice, dst: slice):
 
 def _slabs(shape: tuple) -> list:
     """Slices along the first axis of an array of this shape, each holding at
-    most _SLAB samples, or one index when that holds more: the pieces that
-    pointwise arithmetic with slab-sized scratch goes through."""
+    most _SLAB samples, or one index when that holds more: the slabs of a
+    streamed pass and the pieces the copies of _move and _along go through."""
     step = max(1, _SLAB // math.prod(shape[1:]))
     return [slice(i, min(i + step, shape[0])) for i in range(0, shape[0], step)]
 

@@ -26,7 +26,8 @@ The remaining references are the whole-series versions of what the
 package streams: the list-based time-difference stencils behind the mixed
 norms (time_derivative) and the full-lattice draw of random initial data
 (random_initial), plus the physical sample coordinates of a grid
-(coordinate).
+(coordinate).  q2_custom is the (0,2) tensor pair with live M1 products
+that the stepping tests and the solution-map Taylor gate share.
 """
 
 import functools
@@ -38,6 +39,7 @@ from dolbeault_ns import dolbeault
 from dolbeault_ns.dynamics import linearized_b
 from dolbeault_ns.forms import (
     BilinearSpec,
+    CustomTerm,
     FormField,
     index_of,
     insert_sign,
@@ -345,3 +347,21 @@ def random_initial(grid: SpectralGrid, q: int, seed: int, decay: float) -> FormF
     field and then moved onto grid: the reference of io.gen_initial."""
     rng = np.random.default_rng(seed)
     return dolbeault.leray_project(random_form(grid.full, q, rng, decay=decay).on(grid))
+
+
+def q2_custom() -> BilinearSpec:
+    """A (0,2) tensor pair at n = 3 with live M1 products: the two M1 terms
+    are antisymmetric in (B, K) against conj(v_B) conj(v_K), so the
+    energy pairing cancels pointwise."""
+    abc = (1, 2, 3)
+    m1 = [
+        CustomTerm(k=(1, 2), a=abc, b=(1, 3), coeff=1.0 + 0.5j, conj_u=True),
+        CustomTerm(k=(1, 3), a=abc, b=(1, 2), coeff=-1.0 - 0.5j, conj_u=True),
+        CustomTerm(k=(2, 3), a=abc, b=(1, 2), coeff=0.75, conj_u=True),
+        CustomTerm(k=(1, 2), a=abc, b=(2, 3), coeff=-0.75, conj_u=True),
+    ]
+    m2 = [
+        CustomTerm(k=(1,), a=(1, 2), b=(1, 2), coeff=1.0, conj_u=True),
+        CustomTerm(k=(3,), a=(2, 3), b=(1, 3), coeff=0.5j, conj_u=True),
+    ]
+    return BilinearSpec.custom(m1, m2)

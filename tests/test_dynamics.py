@@ -28,7 +28,7 @@ from dolbeault_ns import (
 )
 from dolbeault_ns.forms import CustomTerm
 from dolbeault_ns.spectral import FOURIER, PHYSICAL
-from oracle import b_continuity_ratio
+from oracle import b_continuity_ratio, q2_custom
 
 
 def _lattice(f):
@@ -101,6 +101,22 @@ def test_config_json_numbers():
     for key, bad in (("N", 8.5), ("q", True), ("mu", "0.2"), ("seed", None), ("output_stride", [1])):
         with pytest.raises(ValueError, match=f"config key '{key}' must be"):
             SimConfig.from_json({"n": 2, "q": 1, "N": 8, "mu": 0.2, "T": 0.1, "dt": 0.01, key: bad})
+
+
+def test_forcing_amplitude_is_a_number_or_re_im():
+    # forcing reads `amplitude` by the rule of the initial data, and still
+    # writes [re, im]
+    doc = {"kind": "single_mode", "zeta": [0, 1, 0, 0], "component": [1]}
+    frc = ForcingSpec.from_json({**doc, "amplitude": 0.5})
+    assert frc.amplitude == 0.5 + 0j and isinstance(frc.amplitude, complex)
+    assert frc.to_json()["amplitude"] == [0.5, 0.0]
+    assert ForcingSpec.from_json(frc.to_json()) == frc
+    assert ForcingSpec.from_json({**doc, "amplitude": [0.5, -1]}).amplitude == 0.5 - 1j
+    assert ForcingSpec.from_json(doc).amplitude == 0j
+    for bad, message in ((float("nan"), "a number"), ("0.5", "a number"), ([1.0, 0.0, 2.0], r"\[re, im\]"),
+                         ([float("nan"), 0.0], "a list of numbers")):
+        with pytest.raises(ValueError, match=f"forcing key 'amplitude' must be {message}"):
+            ForcingSpec.from_json({**doc, "amplitude": bad})
 
 
 def test_forcing_validation(grid8):
@@ -588,30 +604,33 @@ def test_solution_map_taylor_remainder_levels_off_at_second_order():
     # the relative remainder r(eps) = |S(u0 + eps v) - S(u0) - eps L v| /
     # (eps |L v|) falls as O(eps) until it levels off at the plateau where
     # L differs from the exact derivative of the discrete map.  That
-    # plateau is second order in dt: measured 8.27e-5, 2.08e-5 and 5.23e-6
-    # at dt = 8e-3, 4e-3, 2e-3 (3.97 and 3.99 per halving); r falls by
-    # 9.8-10.0 from eps = 1e-2 to 1e-3, and r(1e-6) and r(1e-7) agree to
-    # within 6e-4 relative
-    plateaus = []
-    for dt in (8e-3, 4e-3, 2e-3):
-        def config(seed):
-            return SimConfig(n=2, q=1, N=8, mu=0.2, T=0.2, dt=dt, nonlinearity=LAMB, seed=seed)
+    # plateau is second order in dt at dt = 8e-3, 4e-3, 2e-3, for the Lamb
+    # table at n = 2, N = 8 and a q = 2 table at n = 3, N = 4.  Measured
+    # plateaus: 8.27e-5, 2.08e-5, 5.23e-6 (3.97 and 3.99 per halving) and
+    # 9.22e-5, 2.31e-5, 5.78e-6 (3.99 and 4.00); r falls by 9.5-10.0 from
+    # eps = 1e-2 to 1e-3, and r(1e-6) and r(1e-7) agree to within 2.2e-3
+    # relative
+    for n, q, N, spec in ((2, 1, 8, LAMB), (3, 2, 4, q2_custom())):
+        plateaus = []
+        for dt in (8e-3, 4e-3, 2e-3):
+            def config(seed):
+                return SimConfig(n=n, q=q, N=N, mu=0.2, T=0.2, dt=dt, nonlinearity=spec, seed=seed)
 
-        u0, v = (gen_initial(InitialSpec(), config(seed)) for seed in (3, 7))
-        base = simulate(config(3), u0)
-        lv = solve_linearized(base, config(3), v).velocities[-1]
+            u0, v = (gen_initial(InitialSpec(), config(seed)) for seed in (3, 7))
+            base = simulate(config(3), u0)
+            lv = solve_linearized(base, config(3), v).velocities[-1]
 
-        def remainder(eps):
-            s = simulate(config(3), u0 + eps * v).velocities[-1]
-            return l2_norm(s - base.velocities[-1] - eps * lv) / (eps * l2_norm(lv))
+            def remainder(eps):
+                s = simulate(config(3), u0 + eps * v).velocities[-1]
+                return l2_norm(s - base.velocities[-1] - eps * lv) / (eps * l2_norm(lv))
 
-        r = {eps: remainder(eps) for eps in (1e-2, 1e-3, 1e-6, 1e-7)}
-        assert 9.0 < r[1e-2] / r[1e-3] < 11.0
-        assert abs(r[1e-6] / r[1e-7] - 1.0) < 1e-2
-        assert r[1e-3] > 3.0 * r[1e-7]
-        plateaus.append(r[1e-7])
-    for coarse, fine in zip(plateaus, plateaus[1:]):
-        assert 3.5 < coarse / fine < 4.5
+            r = {eps: remainder(eps) for eps in (1e-2, 1e-3, 1e-6, 1e-7)}
+            assert 9.0 < r[1e-2] / r[1e-3] < 11.0
+            assert abs(r[1e-6] / r[1e-7] - 1.0) < 1e-2
+            assert r[1e-3] > 3.0 * r[1e-7]
+            plateaus.append(r[1e-7])
+        for coarse, fine in zip(plateaus, plateaus[1:]):
+            assert 3.5 < coarse / fine < 4.5
 
 
 def test_linearized_requires_dense_base(grid8, rng):

@@ -327,10 +327,11 @@ def test_component_contraction_equals_whole_table_loop(n, q, kind, data):
 
 @pytest.mark.parametrize("n, N, slab", [(3, 8, None), (2, 4, 3 * 4**3)], ids=["n3-N8", "short-last-slab"])
 def test_contraction_over_several_slabs_equals_whole_table_loop(n, N, slab, monkeypatch):
-    # a component goes through slab-sized scratch one slab at a time: 4
-    # slabs at n = 3, N = 8, and a slab of 3 rows leaves a short last one;
-    # first entries of every kind (sign, general coefficient, each with and
-    # without conjugate) and later entries of every kind keep the bits
+    # a component handed over one slab at a time, as a streamed pass does
+    # (spectral.SlabStream): 4 slabs at n = 3, N = 8, and a slab of 3 rows
+    # leaves a short last one; first entries of every kind (sign, general
+    # coefficient, each with and without conjugate) and later entries of
+    # every kind keep the bits, per slab and on whole components
     if slab is not None:
         monkeypatch.setattr(spectral, "_SLAB", slab)
     ks, pairs = multi_indices(n, 1), multi_indices(n, 2)
@@ -344,4 +345,12 @@ def test_contraction_over_several_slabs_equals_whole_table_loop(n, N, slab, monk
     grid = SpectralGrid(n, N)
     rng = np.random.default_rng(12)
     omega, u = (random_form(grid, p, rng, decay=1.0).to_physical() for p in (2, 1))
-    assert np.array_equal(apply_m1(spec, omega, u).data, _reference_apply(n, terms, omega, u, 1, grid))
+    want = _reference_apply(n, terms, omega, u, 1, grid)
+    assert np.array_equal(apply_m1(spec, omega, u).data, want)
+    slabs = grid.slabs()
+    widths = [s.stop - s.start for s in slabs]
+    assert widths == ([2] * 4 if slab is None else [3, 1])
+    for s in slabs:
+        first, second = (FormField.slab(grid, f.q, np.ascontiguousarray(f.data[..., s])) for f in (omega, u))
+        for k in range(len(want)):
+            assert np.array_equal(apply_m1(spec, first, second, k), want[k][..., s])

@@ -901,7 +901,10 @@ def test_cli_missing_config_is_usage_error(tmp_path):
      {"forcing": {"kind": "single_mode", "zeta": [1, 1, 0, 0], "component": [1], "amplitude": [float("inf"), 0.0]}},
      {"forcing": {"kind": "single_mode", "zeta": [1, 1, 0, 0], "component": [1], "amplitude": [1.0, 0.0],
                   "omega": float("nan")}},
-     {"nonlinearity": {"kind": "custom", "m1": {"entries": [{"K": [1], "A": [1, 2], "B": [2], "re": float("nan")}]}}}],
+     {"nonlinearity": {"kind": "custom", "m1": {"entries": [{"K": [1], "A": [1, 2], "B": [2], "re": float("nan")}]}}},
+     # a number amplitude is admitted, but not a non-finite one or three parts
+     {"forcing": {"kind": "single_mode", "zeta": [1, 1, 0, 0], "component": [1], "amplitude": float("nan")}},
+     {"forcing": {"kind": "single_mode", "zeta": [1, 1, 0, 0], "component": [1], "amplitude": [1.0, 0.0, 2.0]}}],
 )
 def test_cli_rejects_bad_config_with_exit_2(tmp_path, capsys, overrides):
     if overrides.get("forcing", {}).get("kind") == "file":

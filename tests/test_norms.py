@@ -286,9 +286,9 @@ def test_bochner_pre_case_split(grid8):
     lam, T_end = 0.3, 1.0
     stamps, fields = _decaying_mode_series(grid8, (1, 0, 0, 0), 1.0, lam, T_end, 32, q=0)
 
-    base_only = bochner_pre((stamps, fields), 0, 1, n=2)      # 2s+k = 2 <= n
-    with_l2 = bochner_pre((stamps, fields), 1, 1, n=2)        # 2s+k = 3 = n+1
-    with_both = bochner_pre((stamps, fields), 2, 1, n=2)      # 2s+k = 4 > n+1
+    base_only = bochner_pre((stamps, fields), 0, 1)      # 2s+k = 2 <= n
+    with_l2 = bochner_pre((stamps, fields), 1, 1)        # 2s+k = 3 = n+1
+    with_both = bochner_pre((stamps, fields), 2, 1)      # 2s+k = 4 > n+1
 
     cb = np.array([np.exp(-lam * t) for t in stamps])
     l2_cb = np.sqrt(np.trapezoid(cb**2, stamps))
@@ -306,7 +306,7 @@ def test_bochner_pre_case_split(grid8):
 def test_bochner_pre_zero_trajectory(grid8):
     stamps = np.linspace(0, 1, 5)
     fields = [FormField.zeros(grid8, 0, FOURIER) for _ in stamps]
-    assert bochner_pre((stamps, fields), 0, 1, n=2) == 0.0
+    assert bochner_pre((stamps, fields), 0, 1) == 0.0
 
 
 def test_bochner_series_are_validated(grid8, grid3d):

@@ -35,6 +35,7 @@ from dolbeault_ns import (
 )
 from dolbeault_ns.forms import apply_m1, apply_m2
 from dolbeault_ns.spectral import FOURIER, PHYSICAL, apply_dealias, heat_multiplier_grid
+from oracle import q2_custom
 
 LAMB = BilinearSpec.lamb()
 STOKES = BilinearSpec.stokes()
@@ -94,29 +95,11 @@ def _nonlinear_source(config):
     return source
 
 
-def _q2_custom():
-    """A (0,2) tensor pair at n = 3 with live M1 products: the two M1 terms
-    are antisymmetric in (B, K) against conj(v_B) conj(v_K), so the
-    energy pairing cancels pointwise."""
-    abc = (1, 2, 3)
-    m1 = [
-        CustomTerm(k=(1, 2), a=abc, b=(1, 3), coeff=1.0 + 0.5j, conj_u=True),
-        CustomTerm(k=(1, 3), a=abc, b=(1, 2), coeff=-1.0 - 0.5j, conj_u=True),
-        CustomTerm(k=(2, 3), a=abc, b=(1, 2), coeff=0.75, conj_u=True),
-        CustomTerm(k=(1, 2), a=abc, b=(2, 3), coeff=-0.75, conj_u=True),
-    ]
-    m2 = [
-        CustomTerm(k=(1,), a=(1, 2), b=(1, 2), coeff=1.0, conj_u=True),
-        CustomTerm(k=(3,), a=(2, 3), b=(1, 3), coeff=0.5j, conj_u=True),
-    ]
-    return BilinearSpec.custom(m1, m2)
-
-
 @pytest.mark.parametrize(
     "n, q, N, spec, steps",
     [
         (2, 1, 8, LAMB, 10),
-        (3, 2, 4, _q2_custom(), 5),
+        (3, 2, 4, q2_custom(), 5),
         (4, 1, 4, LAMB, 3),
     ],
     ids=["lamb-n2", "custom-q2-n3", "lamb-n4"],
@@ -213,7 +196,7 @@ def _full_grid_quadratic(spec, x, y=None):
 
 @pytest.mark.parametrize(
     "n, q, N, spec",
-    [(2, 1, 8, LAMB), (3, 1, 4, LAMB), (4, 1, 4, LAMB), (3, 2, 4, _q2_custom()),
+    [(2, 1, 8, LAMB), (3, 1, 4, LAMB), (4, 1, 4, LAMB), (3, 2, 4, q2_custom()),
      (2, 1, 8, BilinearSpec.custom(LAMB.tables(2, 1)[0], []))],
     ids=["lamb-n2", "lamb-n3", "lamb-n4", "q2-custom-n3", "m1-only-n2"],
 )
@@ -434,7 +417,9 @@ def test_kernel_reuses_its_sample_buffers(case, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "case, bound", [("N stage", 1.45), ("N exact", 1.55), ("B", 1.85)], ids=["N stage", "N exact", "B"]
+    "case, bound",
+    [("N stage", 1.45), ("N exact", 1.55), ("B", 1.85), ("diagnostics", 0.7)],
+    ids=["N stage", "N exact", "B", "diagnostics"],
 )
 def test_quadratic_scratch_stays_within_a_few_components(case, bound):
     # one pass goes slab by slab of last-axis indices, and forms and
@@ -443,17 +428,22 @@ def test_quadratic_scratch_stays_within_a_few_components(case, bound):
     # coefficients, with the kernel's slab buffer given, in sample-sized
     # components at n = 3, N = 8 (Lamb), reads 1.36 (N stage), 1.46
     # (N exact) and 1.74 (B), its own inverse transforms included; the
-    # products alone of whole-array samples read 1.43, 1.57 and 2.57 before
+    # products alone of whole-array samples read 1.43, 1.57 and 2.57 before.
+    # A Stokes pass for max |u| and sum |u_J|^r alone (record() of a Stokes
+    # run) reads 0.66: the last-axis inverse and three real buffers of one
+    # slab; whole-array moduli, squares and powers read 3.5
     grid = SpectralGrid(3, 8).band
     rng = np.random.default_rng(4)
     v, w = (leray_project(random_form(grid, 1, rng)) for _ in range(2))
     slab = np.empty(6 * 8**5 * 2, dtype=np.complex128)
     assert slab.size == 6 * 8**5 * (grid.slabs()[0].stop - grid.slabs()[0].start)
-    args = {"N stage": {"exact": False}, "N exact": {}, "B": {"w": dynamics._samples(w, True)}}[case]
-    dynamics._quadratic(LAMB, v, out=slab, **args)
+    spec = STOKES if case == "diagnostics" else LAMB
+    args = {"N stage": {"exact": False}, "N exact": {}, "B": {"w": dynamics._samples(w, True)},
+            "diagnostics": {"exact": False, "r": 7}}[case]
+    dynamics._quadratic(spec, v, out=slab, **args)
     tracemalloc.start()
     try:
-        dynamics._quadratic(LAMB, v, out=slab, **args)
+        dynamics._quadratic(spec, v, out=slab, **args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -483,22 +473,6 @@ def test_streamed_run_peak_stays_within_four_components():
     assert peak / (16 * grid.size) <= 4.0
 
 
-def test_sample_diagnostics_scratch_is_three_slabs():
-    # record() reads max |u| and sum |u_J|^r of the 3 velocity components
-    # at n = 3, N = 8 in three slab buffers, an eighth of a component each;
-    # whole-array moduli, squares and powers read 3.5 components
-    grid = SpectralGrid(3, 8).band
-    u = leray_project(random_form(grid, 1, np.random.default_rng(8))).to_physical().data
-    dynamics._sample_diagnostics(u, 7)
-    tracemalloc.start()
-    try:
-        dynamics._sample_diagnostics(u, 7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / u[0].nbytes < 0.5
-
-
 @pytest.mark.parametrize(
     "n, N, slab",
     [(2, 4, None), (2, 8, None), (2, 16, None), (3, 4, None), (3, 8, None), (4, 4, None)]
@@ -506,8 +480,10 @@ def test_sample_diagnostics_scratch_is_three_slabs():
 )
 def test_sample_diagnostics_equal_whole_array_arithmetic(n, N, slab, monkeypatch):
     # max |u| sums the squared moduli in component order, bit for bit as
-    # np.sum(axis=0) does; the power sum only regroups a sum.  n = 3, N = 8
-    # is 4 slabs per component, and a slab of 3 rows leaves a short last one
+    # np.sum(axis=0) does; the power sum only regroups a sum.  Both hold on
+    # whole samples and in a streamed pass (_quadratic with r), which takes
+    # them slab by slab of last-axis indices: 4 slabs per component at
+    # n = 3, N = 8, and slabs of 3 indices leave a short last one
     if slab is not None:
         monkeypatch.setattr(spectral, "_SLAB", slab)
     grid = SpectralGrid(n, N)
@@ -521,16 +497,29 @@ def test_sample_diagnostics_equal_whole_array_arithmetic(n, N, slab, monkeypatch
             want = np.sum(np.abs(u) ** r)
             assert abs(power - want) <= 1e-14 * want
         assert dynamics._sample_diagnostics(u) == (want_max, 0.0)
-        assert dynamics._max_abs(u) == want_max
+    for q in (0, 1, 2):  # 1, n and n(n-1)/2 components
+        v = random_form(grid.band, q, rng, decay=1.0)
+        u = grid.band.ifft(v.data)
+        want_max = np.sqrt(np.max(np.sum(np.abs(u) ** 2, axis=0)))
+        for r in (2 * n + 1, 7.5):
+            mx, power = dynamics._quadratic(STOKES, v, exact=False, r=r)[2]
+            assert mx == want_max
+            want = np.sum(np.abs(u) ** r)
+            assert abs(power - want) <= 1e-14 * want
+
 
 def test_max_abs_column_matches_stored_velocities():
     # record() takes max |u| from the band samples it makes for the next
-    # step; at a snapshot row that is _max_abs of the stored field
-    frc = ForcingSpec(kind="single_mode", zeta=(0, 1, 0, 0), component=(1,), amplitude=0.5)
-    cfg = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.05, dt=0.01, nonlinearity=LAMB, forcing=frc, output_stride=5)
-    traj = simulate(cfg, _initial(SpectralGrid(2, 8), 1, seed=3))
-    for m, u in enumerate(traj.velocities):
-        assert traj.diagnostics["max_abs_u"][m * cfg.output_stride] == dynamics._max_abs(u.to_physical().data)
+    # step; at a snapshot row that is max |u| of the stored field, also
+    # where a pass goes through 4 slabs per component (n = 3, N = 8)
+    for n, T, stride in ((2, 0.05, 5), (3, 0.02, 1)):
+        zeta = (0, 1) + (0,) * (2 * n - 2)
+        frc = ForcingSpec(kind="single_mode", zeta=zeta, component=(1,), amplitude=0.5)
+        cfg = SimConfig(n=n, q=1, N=8, mu=0.2, T=T, dt=0.01, nonlinearity=LAMB, forcing=frc, output_stride=stride)
+        traj = simulate(cfg, _initial(SpectralGrid(n, 8), 1, seed=3))
+        for m, u in enumerate(traj.velocities):
+            want = dynamics._sample_diagnostics(u.to_physical().data)[0]
+            assert traj.diagnostics["max_abs_u"][m * cfg.output_stride] == want
 
 
 @pytest.mark.parametrize("case", ["lamb-forced", "m2-only-custom", "linearized"])
@@ -538,7 +527,7 @@ def test_snapshot_pressure_matches_recovery_from_scratch(case):
     # a snapshot evaluates the quadratic term on the diagnostics' samples;
     # it must give the pressure of the exact part of f - N(u) (or f - B(w, u))
     if case == "m2-only-custom":
-        n, q, N, spec, forcing = 3, 2, 4, BilinearSpec.custom([], _q2_custom().m2_terms), ForcingSpec()
+        n, q, N, spec, forcing = 3, 2, 4, BilinearSpec.custom([], q2_custom().m2_terms), ForcingSpec()
     else:
         n, q, N, spec = 2, 1, 8, LAMB
         forcing = ForcingSpec(kind="single_mode", zeta=(1, 0, 0, 1), component=(2,), amplitude=0.5 - 0.3j, omega=2.0)
