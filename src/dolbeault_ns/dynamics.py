@@ -60,7 +60,7 @@ arguments of the public N and B, which answer on their argument's grid.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -68,9 +68,8 @@ from .dolbeault import dbar, dbar_star, leray_project, pressure_recover
 from .forms import (
     BilinearSpec,
     FormField,
-    _json_amplitude,
+    _json_fields,
     _json_object,
-    _json_value,
     apply_m1,
     apply_m2,
     index_of,
@@ -129,7 +128,7 @@ class ForcingSpec:
     amplitude: complex = 0.0
     omega: float = 0.0
     path: str = ""
-    _loaded: FormField | None = field(default=None, repr=False, compare=False)
+    _loaded: FormField | None = field(default=None, init=False, repr=False, compare=False)
 
     def validate_for(self, grid: SpectralGrid, q: int):
         """Check the force against the run; it must be band-limited, since
@@ -189,20 +188,12 @@ class ForcingSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ForcingSpec":
-        kind = _json_value(_json_object(doc, "forcing"), "kind", str, "forcing", "zero")
-        if kind == "single_mode":
-            return cls(
-                kind=kind,
-                zeta=_json_value(doc, "zeta", (int,), "forcing"),
-                component=_json_value(doc, "component", (int,), "forcing"),
-                amplitude=_json_amplitude(doc, "forcing", 0j),
-                omega=_json_value(doc, "omega", float, "forcing", 0.0),
-            )
-        if kind == "file":
-            return cls(kind=kind, path=_json_value(doc, "path", str, "forcing", ""))
-        if kind != "zero":
-            raise ValueError(f"unknown forcing kind {kind!r}")
-        return cls(kind="zero")
+        _json_object(doc, "forcing")
+        required = ("zeta", "component") if doc.get("kind") == "single_mode" else ()
+        spec = cls(**_json_fields(cls, doc, "forcing", required))
+        if spec.kind not in ("zero", "single_mode", "file"):
+            raise ValueError(f"unknown forcing kind {spec.kind!r}")
+        return spec
 
 
 @dataclass
@@ -263,46 +254,14 @@ class SimConfig:
         return r, lps_exponent(self.n, r)
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "N": self.N,
-            "mu": self.mu,
-            "T": self.T,
-            "dt": self.dt,
-            "nonlinearity": self.nonlinearity.to_json(),
-            "forcing": self.forcing.to_json(),
-            "output_stride": self.output_stride,
-            "cfl_safety": self.cfl_safety,
-            "cfl_mode": self.cfl_mode,
-            "seed": self.seed,
-            "lps_r": self.lps_r,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {key: value.to_json() if hasattr(value, "to_json") else value for key, value in doc.items()}
 
     @classmethod
     def from_json(cls, doc: dict) -> "SimConfig":
         """The config of a JSON object; a missing required key or an
         ill-typed value raises ValueError naming the key."""
-        _json_object(doc, "a config")
-
-        def get(key, kind, *default):
-            return _json_value(doc, key, kind, "config", *default)
-
-        return cls(
-            n=get("n", int),
-            q=get("q", int),
-            N=get("N", int),
-            mu=get("mu", float),
-            T=get("T", float),
-            dt=get("dt", float),
-            nonlinearity=BilinearSpec.from_json(get("nonlinearity", dict, {"kind": "stokes"})),
-            forcing=ForcingSpec.from_json(get("forcing", dict, {"kind": "zero"})),
-            output_stride=get("output_stride", int, 1),
-            cfl_safety=get("cfl_safety", float, 0.5),
-            cfl_mode=get("cfl_mode", str, "fail"),
-            seed=get("seed", int, 0),
-            lps_r=None if doc.get("lps_r") is None else get("lps_r", float),
-        )
+        return cls(**_json_fields(cls, _json_object(doc, "a config"), "config"))
 
 
 DIAGNOSTIC_COLUMNS = (

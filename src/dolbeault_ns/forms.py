@@ -28,9 +28,11 @@ the energy balance.  Conjugation of the second argument makes both maps
 R-bilinear rather than C-bilinear.
 """
 
+import dataclasses
 import functools
 import itertools
 import math
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -525,15 +527,40 @@ def _json_value(doc: dict, key: str, kind, where: str, default=_REQUIRED):
     raise ValueError(f"{where} key {key!r} must be {_KIND_NAMES[kind]}, got {value!r:.40}")
 
 
-def _json_amplitude(doc: dict, where: str, default: complex) -> complex:
-    """doc["amplitude"], a number or [re, im], as a complex number, or
-    default when the key is absent; ValueError naming the key otherwise."""
-    if not isinstance(doc.get("amplitude"), list):
-        return complex(_json_value(doc, "amplitude", float, where, default))
-    amp = _json_value(doc, "amplitude", (float,), where)
-    if len(amp) != 2:
-        raise ValueError(f"{where} key 'amplitude' must be [re, im], got {list(amp)!r:.40}")
-    return complex(*amp)
+def _json_fields(cls, doc: dict, where: str, required: tuple = ()) -> dict:
+    """The keyword arguments of dataclass cls that the JSON object doc
+    holds, in field order, each read as its field's type: a tuple as a list
+    of integers, a complex number as a number or [re, im], an optional type
+    as null or that type, and a type with from_json as a JSON object handed
+    to it.  A missing key keeps its field's default; a field without one,
+    or one named in required, raises ValueError naming the key.  Fields
+    outside __init__ are not read."""
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if not f.init:
+            continue
+        if f.name in doc:
+            kwargs[f.name] = _json_typed(doc, f.name, f.type, where)
+        elif f.name in required or (f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING):
+            raise ValueError(f"{where} lacks the required key {f.name!r}")
+    return kwargs
+
+
+def _json_typed(doc: dict, key: str, kind, where: str):
+    """doc[key] read as the annotated type kind (see _json_fields)."""
+    options = typing.get_args(kind)
+    if type(None) in options:
+        return None if doc[key] is None else _json_typed(doc, key, options[0], where)
+    if hasattr(kind, "from_json"):
+        return kind.from_json(_json_value(doc, key, dict, where))
+    if kind is complex:
+        if not isinstance(doc[key], list):
+            return complex(_json_value(doc, key, float, where))
+        parts = _json_value(doc, key, (float,), where)
+        if len(parts) != 2:
+            raise ValueError(f"{where} key {key!r} must be [re, im], got {list(parts)!r:.40}")
+        return complex(*parts)
+    return _json_value(doc, key, (int,) if kind is tuple else kind, where)
 
 
 def _is_number(value, kind) -> bool:

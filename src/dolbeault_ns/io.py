@@ -55,7 +55,7 @@ from .dolbeault import leray_project
 from .dynamics import DIAGNOSTIC_COLUMNS, SimConfig, Trajectory
 from .forms import (
     FormField,
-    _json_amplitude,
+    _json_fields,
     _json_object,
     _json_value,
     _random_lattice_form,
@@ -105,7 +105,8 @@ class InitialSpec:
                            rejected
       taylor_green_analog- q = 1 low-mode stencil u_k = sin(x_k + x_{k+n}),
                            projected
-      file               - load a stored field
+
+    A stored initial field is not a kind: the CLI loads it with --u0.
     """
 
     kind: str = "random_solenoidal"
@@ -113,28 +114,12 @@ class InitialSpec:
     zeta: tuple = ()
     component: tuple = ()
     amplitude: complex = 1.0
-    path: str = ""
 
     @classmethod
-    def from_json(cls, doc) -> "InitialSpec":
-        """The spec of a JSON object (or its text); an ill-typed value
-        raises ValueError naming the key.  amplitude is a number or
-        [re, im]."""
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        _json_object(doc, "initial")
-
-        def get(key, kind, default):
-            return _json_value(doc, key, kind, "initial", default)
-
-        return cls(
-            kind=get("kind", str, "random_solenoidal"),
-            decay=get("decay", float, 3.0),
-            zeta=get("zeta", (int,), ()),
-            component=get("component", (int,), ()),
-            amplitude=_json_amplitude(doc, "initial", 1 + 0j),
-            path=get("path", str, ""),
-        )
+    def from_json(cls, doc: dict) -> "InitialSpec":
+        """The spec of a JSON object; an ill-typed value raises ValueError
+        naming the key.  amplitude is a number or [re, im]."""
+        return cls(**_json_fields(cls, _json_object(doc, "initial"), "initial"))
 
 
 def gen_initial(spec: InitialSpec, config: SimConfig, grid: SpectralGrid | None = None) -> FormField:
@@ -142,7 +127,7 @@ def gen_initial(spec: InitialSpec, config: SimConfig, grid: SpectralGrid | None 
     grid (default: the run's band view).  Random data is the full-lattice
     draw in every case, so that on a band view it is the band of the
     full-lattice field bit for bit, but only grid's modes of it are kept
-    (forms._random_lattice_form); a file is loaded on the full lattice."""
+    (forms._random_lattice_form)."""
     if grid is None:
         grid = config.make_grid()
     q = config.q
@@ -179,8 +164,6 @@ def gen_initial(spec: InitialSpec, config: SimConfig, grid: SpectralGrid | None 
             u.data[(ci,) + grid.mode_index(plus)] = -0.5j
             u.data[(ci,) + grid.mode_index(minus)] = 0.5j
         return leray_project(u)
-    if spec.kind == "file":
-        return load_field(spec.path, grid=grid.full)
     raise ValueError(f"unknown initial-condition kind {spec.kind!r}")
 
 

@@ -262,6 +262,16 @@ def test_config_json_round_trip_property(forcing_kind, data):
     assert SimConfig.from_json(doc) == cfg
 
 
+def test_from_json_of_the_required_keys_keeps_every_default():
+    assert SimConfig.from_json(dict(_CFG)) == SimConfig(**_CFG)
+    single_mode = {"kind": "single_mode", "zeta": (1, 1, 0, 0), "component": (1,)}
+    assert ForcingSpec.from_json(single_mode) == ForcingSpec(**single_mode)
+    assert InitialSpec.from_json({}) == InitialSpec()
+    for key in ("zeta", "component"):
+        with pytest.raises(ValueError, match=f"forcing lacks the required key '{key}'"):
+            ForcingSpec.from_json({k: v for k, v in single_mode.items() if k != key})
+
+
 def test_gen_initial_deterministic(grid8):
     cfg = SimConfig(n=2, q=1, N=8, mu=1.0, T=0.1, dt=0.01, seed=21)
     spec = InitialSpec(kind="random_solenoidal", decay=3.0)
@@ -728,9 +738,11 @@ def test_cli_verify_passes(capsys):
 
 
 def test_cli_verify_single_op(capsys):
-    assert main(["verify", "--op", "dbar", "--n", "3", "--q", "1", "--N", "8", "--trials", "3"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert list(report["checks"]) == ["dbar"]
+    # laplacian and pressure are selectable on their own, at q >= 2 too
+    for op, q, N in (("dbar", "1", "8"), ("laplacian", "2", "4"), ("pressure", "2", "4")):
+        assert main(["verify", "--op", op, "--n", "3", "--q", q, "--N", N, "--trials", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report["checks"]) == [op]
 
 
 def test_cli_verify_usage_error(capsys):
@@ -968,9 +980,11 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, command, doc, message):
      # json reads NaN and Infinity, which no key takes
      ('{"kind": "single_mode", "zeta": [1, 1, 0, 0], "component": [1], "amplitude": Infinity}',
       "initial key 'amplitude' must be a number, got inf"),
-     ('{"decay": NaN}', "initial key 'decay' must be a number, got nan")],
+     ('{"decay": NaN}', "initial key 'decay' must be a number, got nan"),
+     # a stored initial field is --u0, not a kind
+     ('{"kind": "file", "path": "x"}', "unknown initial-condition kind 'file'")],
     ids=["list", "not-json", "zeta-int", "decay-str", "amplitude-short", "no-component", "zeta-outside-band",
-         "pure-gradient", "bad-kind", "amplitude-infinite", "decay-nan"],
+         "pure-gradient", "bad-kind", "amplitude-infinite", "decay-nan", "file-kind"],
 )
 def test_cli_malformed_initial_exits_2(tmp_path, capsys, command, initial, message):
     cfg_path = _write_cfg(tmp_path, output_stride=1, T=0.02)
@@ -1003,6 +1017,18 @@ def test_cli_u0_loads_on_the_full_lattice(tmp_path, capsys):
     capsys.readouterr()
     assert main(simulate_u0 + [str(tmp_path / "c")]) == 2
     assert "not solenoidal/band-limited" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "linearize"])
+def test_cli_u0_and_initial_exclude_each_other(tmp_path, capsys, command):
+    cfg_path = _write_cfg(tmp_path)
+    where = ["--out"] if command == "simulate" else ["--base-traj", str(tmp_path / "base"), "--out"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg_path), "--u0", str(tmp_path / "u0"),
+              "--initial", '{"kind": "taylor_green_analog"}'] + where + [str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_bad_subcommand_exits_2():
