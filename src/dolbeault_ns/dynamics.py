@@ -340,9 +340,7 @@ def _quadratic(
     rows = [(part, k) for part, (_, _, _, size) in enumerate(parts) for k in range(size)]
     if not (rows or r is not None):
         return None, None, None
-    coeffs = np.concatenate((v.data, (dbar(v) if du is None else du).data)) if has_m1 else v.data
-    stream = SlabStream(grid, coeffs, len(rows), out)
-    coeffs = du = None
+    stream = SlabStream(grid, (v.data, (dbar(v) if du is None else du).data) if has_m1 else (v.data,), len(rows), out)
     peak, power = 0.0, 0.0
     for s, x in stream:
         if r is not None:
@@ -356,8 +354,8 @@ def _quadratic(
             for _, first_q, first_rows, _ in parts
         ]
         # made per slab, so that no product buffer lives through an inverse
-        prod = stream.values()
-        other = None if w is None else stream.values()
+        prod = np.empty_like(x[0])
+        other = None if w is None else np.empty_like(x[0])
         for row, (part, k) in enumerate(rows):
             apply = parts[part][0]
             for i, pair in enumerate(args[part]):
@@ -439,8 +437,8 @@ def verify_key1(
         m1 = apply_m1(spec, dbar(w).to_physical(), v)
         pairing = abs(l2_inner(m1, v))
         scale = l2_norm(m1) * l2_norm(v)
-        if scale > 0.0:
-            worst = max(worst, pairing / scale)
+        if scale != 0.0:  # a NaN pairing or scale propagates
+            worst = float(np.maximum(worst, pairing / scale))
     return {
         "max_normalized_pairing": worst,
         "trials": trials,
@@ -508,9 +506,8 @@ class _EtdHeun:
         self.forced = self.forcing.kind != "zero"
         self.g1 = None
         rows = num_components(self.grid.n, self.q) + (num_components(self.grid.n, self.q + 1) if self.m1 else 0)
-        width = self.grid.slabs()[0]
         # reused by every pass: a fresh one each faulted its pages in (custom-n3N8 1.033x slower, 2-vCPU host)
-        self._slab = np.empty(rows * math.prod(self.grid.shape[:-1]) * (width.stop - width.start), dtype=np.complex128)
+        self._slab = np.empty(SlabStream.size(self.grid, rows), dtype=np.complex128)
         # [w, dbar w] at step _base_m, whole: streaming them cost 6 % of linearize-n2N8's solve time
         self._base_phys = None if base is None else np.empty((rows,) + self.grid.shape, dtype=np.complex128)
         self._base_m = None

@@ -45,13 +45,13 @@ fft and ifft take the grid axes to transform (axes), so one loop serves
 the whole array and the split of a streamed pass (SlabStream, the slab
 decomposition of multidimensional FFTs; Pekurovsky, SIAM J. Sci. Comput.
 34 (2012)).  A pass inverse-transforms the last axis once, over the
-M^(2n-1) lines of the band, and finishes axes 2n-2..0 one slab of
-last-axis indices at a time; fields formed on a slab are forward-
-transformed along axes 0..2n-2 into an accumulator of N M^(2n-1) values
-per field, and along the last axis once at the end.  Those are the lines
-and line orders of the whole-array transforms, so streamed samples and
-coefficients are theirs bit for bit, and the 2/3-rule band keeps the
-last-axis halves small: (M/N)^(2n-1) of a component, 0.1 at n = 3, N = 8.
+M^(2n-1) lines of the band, and the other axes one slab of last-axis
+indices at a time (at most _PASS samples over all of the pass's rows);
+the forward goes axes 0..2n-2 slab by slab into an accumulator, and the
+last axis once at the end.  These are the lines and line orders of the
+whole-array transforms, so streamed samples and coefficients are theirs
+bit for bit.  The 2/3-rule band keeps the last-axis halves, which also
+hold the accumulators, small: (M/N)^(2n-1) of a component, 0.1 at n = 3.
 
 All derivative action is diagonal here.  The one-dimensional Cauchy-Riemann
 operator along the j-th complex direction,
@@ -76,12 +76,14 @@ FOURIER = "fourier"
 # transposed copy (measured for N = 4, 8, 16 on a 2-vCPU host)
 _SHORT_RUN = 256
 
-# most samples per component in a slab of a streamed pass (SlabStream, via
-# SpectralGrid.slabs) and in the copies of the band moves and short-run
-# lines (_move, _along), the users of _slabs: a component is one slab at
-# n = 2, N <= 16, so small grids make no extra calls, and 4 slabs at n = 3,
-# N = 8, where whole-component buffers would set a run's peak memory
+# most samples in one of the copies of the band moves and short-run lines
+# (_move, _along): a copy of several fields goes in slabs of its first axis
 _SLAB = 1 << 16
+
+# most samples over all rows of a slab of a streamed pass (SpectralGrid.slabs):
+# every pass at n = 2, N <= 16 is one slab (no extra calls); at n = 3, N = 8,
+# where whole components would set a run's peak, 2 indices of 3 rows or 1 of 6
+_PASS = 3 << 16
 
 
 class SpectralGrid:
@@ -323,56 +325,65 @@ class SpectralGrid:
         band = slice(0, len(self.freq))
         return axes, (slice(None),) * first + tuple(band if a in axes else slice(None) for a in range(self.dim))
 
-    def slabs(self) -> list:
-        """Slices of last-axis sample indices, each holding at most _SLAB
-        samples per component, or one index when that holds more: the
-        pieces a streamed pass (SlabStream) goes through."""
-        return _slabs(self.shape)
+    def slabs(self, rows: int) -> list:
+        """Slices of last-axis sample indices, each holding at most _PASS
+        samples over `rows` rows, or one index when that holds more: the
+        pieces a streamed pass (SlabStream) of that many rows goes through."""
+        return _slabs((self.N, rows * math.prod(self.shape[:-1])), _PASS)
 
 
 class SlabStream:
-    """One pass over the samples of coefficients (batch + fourier_shape),
-    one slab of last-axis indices at a time, and the forward transforms of
-    `fields` fields formed on those slabs.
+    """One pass over the samples of coefficient stacks (parts, each
+    (rows,) + fourier_shape, read as one stack), slab by slab of last-axis
+    indices (SpectralGrid.slabs of all the rows), and the forward
+    transforms of `fields` fields formed on the slabs.
 
-    Iterating yields (slab, samples), the samples of that slab of
-    last-axis indices (shape batch + (N,)*(2n-1) + (width,)) in the first
-    places of one flat complex128 buffer, out when given.  values() gives
-    an array for one field on the current slab, forward(row, values) transforms the values
-    of field `row` on the current slab (destroying them), and
-    coefficients() returns every field's band coefficients once the last
-    slab is done.  The inverse transforms the last axis once, over the
-    M^(2n-1) lines of the band, and each slab finishes the other axes; the
-    forward transforms axes 0..2n-2 of each slab into an accumulator of
-    N M^(2n-1) values per field and the last axis once at the end.  These
-    are the lines and line orders of the whole-array ifft and fft, so every
-    sample and coefficient is theirs bit for bit.  A grid of one slab
-    (n = 2, N <= 16) makes the whole-array calls: one ifft, and one fft
-    per field.
+    Iterating yields (slab, samples), the samples of that slab (shape
+    (rows,) + (N,)*(2n-1) + (width,)) in the first places of one flat
+    complex128 buffer, out when given.  forward(row, values) transforms
+    the values of field `row` on the current slab (destroying them), and
+    coefficients() returns every field's band coefficients after the last
+    slab, bit for bit those of the whole-array transforms (module
+    docstring).  Each part's last-axis inverse goes into its rows of one
+    array, whose first rows then hold the fields' accumulators (slab s of
+    every row is read before slab s of any field is written), unless
+    fields outnumber rows.  A pass of one slab (every pass at n = 2,
+    N <= 16) makes the whole-array calls: one ifft of the stacked parts,
+    and one fft per field.
     """
 
-    def __init__(self, grid: SpectralGrid, coeffs: np.ndarray, fields: int, out: np.ndarray | None = None):
+    def __init__(self, grid: SpectralGrid, parts: tuple, fields: int, out: np.ndarray | None = None):
         self.grid = grid
-        self.slabs = grid.slabs()
+        self.rows = sum(len(part) for part in parts)
+        self.slabs = grid.slabs(self.rows)
         # one slab: whole-array calls; streaming it raised lamb-n2N16's solve peak from 8.18 to 8.52 MB
         self.whole = len(self.slabs) == 1
-        self.lead = coeffs.shape[: coeffs.ndim - grid.dim]
-        size = math.prod(self.lead + grid.shape[:-1]) * (self.slabs[0].stop - self.slabs[0].start)
+        size = self.size(grid, self.rows)
         self.out = np.empty(size, dtype=np.complex128) if out is None else out[:size]
-        last = (grid.dim - 1,)
-        # the last-axis inverse of the band, shared by every slab
-        self.coeffs = coeffs if self.whole else grid.ifft(coeffs, axes=last)
-        M = len(grid.freq)
-        self.hat_shape = (fields,) + (grid.fourier_shape if self.whole else (M,) * (grid.dim - 1) + (grid.N,))
-        self.hat = None
-        self.slab = None
+        if self.whole:
+            self.coeffs = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        else:
+            # the last-axis inverse of the band, shared by every slab
+            self.coeffs = np.empty((self.rows,) + grid.fourier_shape[:-1] + (grid.N,), dtype=np.complex128)
+            start = 0
+            for part in parts:
+                start += len(part)
+                grid.ifft(part, out=self.coeffs[start - len(part) : start], axes=(grid.dim - 1,))
+        self.hat_shape = (fields,) + self.coeffs.shape[1:]
+        self.hat = None if self.whole or fields > self.rows else self.coeffs[:fields]
+
+    @staticmethod
+    def size(grid: SpectralGrid, rows: int) -> int:
+        """Samples in the buffer of one slab of a pass over `rows` rows."""
+        width = grid.slabs(rows)[0]
+        return rows * math.prod(grid.shape[:-1]) * (width.stop - width.start)
 
     def __iter__(self):
         grid, rest = self.grid, tuple(range(self.grid.dim - 1))
         for s in self.slabs:
             self.slab = s
-            shape = self.lead + grid.shape[:-1] + (s.stop - s.start,)
-            out = _view(self.out, shape)
+            shape = (self.rows,) + grid.shape[:-1] + (s.stop - s.start,)
+            out = self.out[: math.prod(shape)].reshape(shape)
             if self.whole:
                 samples = grid.ifft(self.coeffs, out=out)
             else:
@@ -381,13 +392,9 @@ class SlabStream:
                 self.coeffs = None
             yield s, samples
 
-    def values(self) -> np.ndarray:
-        """A new array for the values of one field on the current slab."""
-        return np.empty(self.grid.shape[:-1] + (self.slab.stop - self.slab.start,), dtype=np.complex128)
-
     def forward(self, row: int, values: np.ndarray):
         """Transform the values of field row on the current slab, which
-        are destroyed; the accumulators are made at the first call."""
+        are destroyed; new accumulators are made at the first call."""
         if self.hat is None:
             self.hat = np.empty(self.hat_shape, dtype=np.complex128)
         if self.whole:
@@ -401,11 +408,6 @@ class SlabStream:
         if self.whole:
             return self.hat
         return self.grid.fft(self.hat, overwrite=True, axes=(self.grid.dim - 1,))
-
-
-def _view(buffer: np.ndarray, shape: tuple) -> np.ndarray:
-    """A C-contiguous array of this shape on the first places of a flat buffer."""
-    return buffer[: math.prod(shape)].reshape(shape)
 
 
 def _along(transform, x: np.ndarray, axis: int):
@@ -426,7 +428,7 @@ def _along(transform, x: np.ndarray, axis: int):
         return
     # transforming such lines in place made custom-n3N8 1.23x slower (2-vCPU host)
     lines = x.swapaxes(axis, -1)
-    for s in _slabs(x.shape) if axis and x.size > _SLAB else [slice(None)]:
+    for s in _slabs(x.shape, _SLAB) if axis and x.size > _SLAB else [slice(None)]:
         tmp = lines[s].copy()
         transform(tmp, axis=-1, norm="forward", out=tmp)
         lines[s] = tmp
@@ -443,18 +445,18 @@ def _move(lines: np.ndarray, axis: int, src: slice, dst: slice):
     at = (slice(None),) * axis
     width = src.stop - src.start
     if axis and lines.size // lines.shape[axis] * width > _SLAB:
-        for s in _slabs(lines.shape[:axis] + (width,) + lines.shape[axis + 1 :]):
+        for s in _slabs(lines.shape[:axis] + (width,) + lines.shape[axis + 1 :], _SLAB):
             chunk = lines[s]
             chunk[at + (dst,)] = chunk[at + (src,)]
     else:
         lines[at + (dst,)] = lines[at + (src,)]
 
 
-def _slabs(shape: tuple) -> list:
+def _slabs(shape: tuple, most: int) -> list:
     """Slices along the first axis of an array of this shape, each holding at
-    most _SLAB samples, or one index when that holds more: the slabs of a
-    streamed pass and the pieces the copies of _move and _along go through."""
-    step = max(1, _SLAB // math.prod(shape[1:]))
+    most `most` samples (_PASS for a streamed pass, _SLAB for the copies of
+    _move and _along), or one index when that holds more."""
+    step = max(1, most // math.prod(shape[1:]))
     return [slice(i, min(i + step, shape[0])) for i in range(0, shape[0], step)]
 
 

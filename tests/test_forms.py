@@ -327,13 +327,14 @@ def test_component_contraction_equals_whole_table_loop(n, q, kind, data):
 
 @pytest.mark.parametrize("n, N, slab", [(3, 8, None), (2, 4, 3 * 4**3)], ids=["n3-N8", "short-last-slab"])
 def test_contraction_over_several_slabs_equals_whole_table_loop(n, N, slab, monkeypatch):
-    # a component handed over one slab at a time, as a streamed pass does
-    # (spectral.SlabStream): 4 slabs at n = 3, N = 8, and a slab of 3 rows
-    # leaves a short last one; first entries of every kind (sign, general
-    # coefficient, each with and without conjugate) and later entries of
-    # every kind keep the bits, per slab and on whole components
+    # a component handed over one slab at a time, as a streamed pass of 3
+    # rows does (spectral.SlabStream): 4 slabs at n = 3, N = 8, and slabs
+    # of 3 indices (slab samples per row) leave a short last one; first
+    # entries of every kind (sign, general coefficient, each with and
+    # without conjugate) and later entries of every kind keep the bits, per
+    # slab and on whole components
     if slab is not None:
-        monkeypatch.setattr(spectral, "_SLAB", slab)
+        monkeypatch.setattr(spectral, "_PASS", 3 * slab)
     ks, pairs = multi_indices(n, 1), multi_indices(n, 2)
     kinds = [(2.0 - 0.5j, True), (1, False), (0.5 + 1j, False), (-1, True), (-1, False), (-0.75j, True), (1, True)]
     terms = [
@@ -347,7 +348,7 @@ def test_contraction_over_several_slabs_equals_whole_table_loop(n, N, slab, monk
     omega, u = (random_form(grid, p, rng, decay=1.0).to_physical() for p in (2, 1))
     want = _reference_apply(n, terms, omega, u, 1, grid)
     assert np.array_equal(apply_m1(spec, omega, u).data, want)
-    slabs = grid.slabs()
+    slabs = grid.slabs(3)
     widths = [s.stop - s.start for s in slabs]
     assert widths == ([2] * 4 if slab is None else [3, 1])
     for s in slabs:

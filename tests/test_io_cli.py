@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -752,6 +753,40 @@ def test_cli_verify_usage_error(capsys):
         assert main(["verify", "--op", op, "--n", "2", "--q", "1", "--N", "4", "--trials", trials]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--trials" in captured.err
+
+
+@pytest.mark.parametrize("op", ["laplacian", "leray", "frechet", "key1"])
+def test_cli_verify_fails_on_a_nan_draw(op, monkeypatch, capsys):
+    # a NaN that is not the first value of a worst-of fails its check, where
+    # max() dropped it: the second laplacian draw of three, the second of
+    # _leray's residuals, the second eps of frechet and the second key1
+    # pairing; each reports a NaN residual and verify exits 1
+    import dolbeault_ns.cli as cli
+    import dolbeault_ns.dynamics as dynamics
+
+    calls = []
+
+    def nan_at_second_call(real):
+        def call(*args, **kwargs):
+            calls.append(op)
+            value = real(*args, **kwargs)
+            return float("nan") if len(calls) == 2 else value
+
+        return call
+
+    if op == "laplacian":
+        tol, draw = cli.CHECKS[op]
+        monkeypatch.setitem(cli.CHECKS, op, (tol, nan_at_second_call(draw)))
+    owner, name = {"leray": (cli, "l2_inner"), "frechet": (cli, "frechet_residual"),
+                   "key1": (dynamics, "l2_inner")}.get(op, (None, None))
+    if owner is not None:
+        monkeypatch.setattr(owner, name, nan_at_second_call(getattr(owner, name)))
+    if op == "leray":
+        assert math.isnan(cli._leray(SpectralGrid(2, 4), 1, np.random.default_rng(0), None))
+        calls.clear()
+    assert main(["verify", "--op", op, "--n", "2", "--q", "1", "--N", "4", "--trials", "3"]) == 1
+    check = json.loads(capsys.readouterr().out)["checks"][op]
+    assert check["pass"] is False and math.isnan(check["residual"])
 
 
 @pytest.mark.parametrize("flag, want", [([], 100), (["--trials", "5"], 5)])

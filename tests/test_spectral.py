@@ -254,21 +254,44 @@ def test_band_inverse_moves_its_negative_frequencies_in_slabs():
     assert np.array_equal(out, band.full.ifft(band.scatter(c)))
 
 
+def test_pass_slabs_follow_the_rows_of_the_pass():
+    # a slab of a streamed pass holds at most _PASS = 3 * 2^16 samples over
+    # all of the pass's rows, or one last-axis index: every pass at n = 2,
+    # N <= 16 is one whole-array slab; n = 2, N = 32 goes in 16 slabs of 2
+    # indices (a 2-row pass in slabs of 3); at n = 3, N = 8 a 3-row pass
+    # (Stokes) goes in 4 slabs, a 4-row one ([u, dbar u] at q = 2) and a
+    # 6-row one ([u, dbar u] at q = 1) in 8, so a 6-row slab buffer is 3 MiB
+    for N in (4, 8, 16):
+        for rows in (1, 2, 3):
+            assert SpectralGrid(2, N).band.slabs(rows) == [slice(0, N)]
+    assert SpectralGrid(2, 32).band.slabs(3) == [slice(i, i + 2) for i in range(0, 32, 2)]
+    assert len(SpectralGrid(2, 32).band.slabs(2)) == 11
+    band = SpectralGrid(3, 8).band
+    assert band.slabs(3) == [slice(i, i + 2) for i in range(0, 8, 2)]
+    for rows in (4, 6):
+        assert band.slabs(rows) == [slice(i, i + 1) for i in range(8)]
+    assert 16 * spectral.SlabStream.size(band, 6) == 3 << 20
+
+
 @pytest.mark.parametrize(
     "n, N, slab, count",
     [(2, 8, None, 1), (2, 8, 3 * 8**3, 3), (2, 16, None, 1), (3, 4, 4**5, 4), (3, 8, None, 4),
      (3, 8, 3 * 8**5, 3), (4, 4, None, 1), (4, 4, 3 * 4**7, 2)],
 )
 def test_streamed_transforms_equal_whole_transforms(n, N, slab, count, monkeypatch):
-    # a pass inverse-transforms the last axis once and finishes the other
-    # axes slab by slab of last-axis indices; the forward transforms axes
-    # 0..2n-2 of each slab into an accumulator and the last axis once.
-    # These are the lines and line orders of the whole-array transforms, so
-    # each slab's samples and the accumulated coefficients are theirs bit
-    # for bit, on the band and on the full lattice.  A slab of 3 indices
-    # leaves a short last one; one slab makes the whole-array calls
+    # a pass inverse-transforms the last axis of each of its parts once,
+    # into its rows of one array, and finishes the other axes slab by slab
+    # of last-axis indices; the forward transforms axes 0..2n-2 of each slab
+    # into an accumulator and the last axis once.  These are the lines and
+    # line orders of the whole-array transforms, so each slab's samples and
+    # the accumulated coefficients are theirs bit for bit, on the band and
+    # on the full lattice.  The pass has 3 rows in two parts and slab is
+    # the budget per row (_PASS / 3); slabs of 3 indices leave a short last
+    # one, and one slab makes the whole-array calls.  Up to 3 fields the
+    # accumulators of a split pass are the first rows of its last-axis
+    # inverse; 4 fields get an array of their own
     if slab is not None:
-        monkeypatch.setattr(spectral, "_SLAB", slab)
+        monkeypatch.setattr(spectral, "_PASS", 3 * slab)
     calls, fft, ifft = [], SpectralGrid.fft, SpectralGrid.ifft
 
     def counted(transform):
@@ -280,41 +303,45 @@ def test_streamed_transforms_equal_whole_transforms(n, N, slab, count, monkeypat
 
     rng = np.random.default_rng(10 * n + N)
     for grid in (SpectralGrid(n, N), SpectralGrid(n, N).band):
-        slabs = grid.slabs()
+        slabs = grid.slabs(3)
         assert len(slabs) == count and [s.start for s in slabs] == list(range(0, N, slabs[0].stop))
-        most = max(spectral._SLAB, N ** (2 * n - 1))
-        assert slabs[-1].stop == N and all(N ** (2 * n - 1) * (s.stop - s.start) <= most for s in slabs)
+        most = max(spectral._PASS, 3 * N ** (2 * n - 1))
+        assert slabs[-1].stop == N and all(3 * N ** (2 * n - 1) * (s.stop - s.start) <= most for s in slabs)
         last, rest = (grid.dim - 1,), tuple(range(grid.dim - 1))
-        c = rng.standard_normal((2,) + grid.fourier_shape) + 1j * rng.standard_normal((2,) + grid.fourier_shape)
-        x = rng.standard_normal((2,) + grid.shape) + 1j * rng.standard_normal((2,) + grid.shape)
+        c = rng.standard_normal((3,) + grid.fourier_shape) + 1j * rng.standard_normal((3,) + grid.fourier_shape)
+        x = rng.standard_normal((4,) + grid.shape) + 1j * rng.standard_normal((4,) + grid.shape)
         kept, samples, coeffs = c.copy(), grid.ifft(c), grid.fft(x)
         # the pieces on their own
         pencil = grid.ifft(c, axes=last)
-        acc = np.full((2,) + pencil.shape[1:], np.nan + 0j)
+        acc = np.full((4,) + pencil.shape[1:], np.nan + 0j)
         for s in slabs:
             assert np.array_equal(grid.ifft(pencil[..., s], axes=rest), samples[..., s])
             assert grid.fft(x[..., s], axes=rest, out=acc[..., s]).base is acc
         assert np.array_equal(grid.fft(acc, axes=last), coeffs)
         # and a pass, through its flat buffer
-        monkeypatch.setattr(SpectralGrid, "fft", counted(fft))
-        monkeypatch.setattr(SpectralGrid, "ifft", counted(ifft))
-        calls.clear()
-        buffer = np.full(2 * math.prod(grid.shape[:-1]) * (slabs[0].stop - slabs[0].start), np.nan + 0j)
-        stream = spectral.SlabStream(grid, c, 2, buffer)
-        seen = []
-        for s, part in stream:
-            seen.append(s)
-            assert np.shares_memory(part, buffer) and np.array_equal(part, samples[..., s])
-            for row in range(2):
-                values = stream.values()
-                values[...] = x[row][..., s]
-                stream.forward(row, values)
-        assert seen == slabs
-        assert np.array_equal(stream.coefficients(), coeffs)
-        assert np.array_equal(c, kept)
-        if count == 1:
-            assert calls == [("ifft", None), ("fft", None), ("fft", None)]
-        else:
-            assert calls == [("ifft", last)] + [("ifft", rest), ("fft", rest), ("fft", rest)] * count + [("fft", last)]
-        monkeypatch.setattr(SpectralGrid, "fft", fft)
-        monkeypatch.setattr(SpectralGrid, "ifft", ifft)
+        for fields in (2, 3, 4):
+            monkeypatch.setattr(SpectralGrid, "fft", counted(fft))
+            monkeypatch.setattr(SpectralGrid, "ifft", counted(ifft))
+            calls.clear()
+            buffer = np.full(spectral.SlabStream.size(grid, 3), np.nan + 0j)
+            assert buffer.size == 3 * math.prod(grid.shape[:-1]) * (slabs[0].stop - slabs[0].start)
+            stream = spectral.SlabStream(grid, (c[:2], c[2:]), fields, buffer)
+            assert (stream.hat is not None) == (count > 1 and fields <= 3)
+            seen = []
+            for s, part in stream:
+                seen.append(s)
+                assert np.shares_memory(part, buffer) and np.array_equal(part, samples[..., s])
+                for row in range(fields):
+                    values = np.empty_like(part[0])
+                    values[...] = x[row][..., s]
+                    stream.forward(row, values)
+            assert seen == slabs
+            assert np.array_equal(stream.coefficients(), coeffs[:fields])
+            assert np.array_equal(c, kept)
+            if count == 1:
+                assert calls == [("ifft", None)] + [("fft", None)] * fields
+            else:
+                per_slab = [("ifft", rest)] + [("fft", rest)] * fields
+                assert calls == [("ifft", last)] * 2 + per_slab * count + [("fft", last)]
+            monkeypatch.setattr(SpectralGrid, "fft", fft)
+            monkeypatch.setattr(SpectralGrid, "ifft", ifft)

@@ -380,8 +380,8 @@ def test_kernel_reuses_its_sample_buffers(case, monkeypatch):
     # every stack of samples the kernel makes goes to one of its two
     # buffers, the slab samples of a pass to the slab buffer (rows x one
     # slab) and those of w to the base buffer; fresh stacks of that size
-    # would each fault their pages in.  At n = 2, N = 4 a component is one
-    # slab, and 4 once _SLAB is cut to a quarter of one
+    # would each fault their pages in.  At n = 2, N = 4 a pass is one
+    # slab, and 4 once _PASS is cut to a quarter of its rows' samples
     grid = SpectralGrid(2, 4)
     cfg = SimConfig(n=2, q=1, N=4, mu=0.2, T=0.03, dt=0.01, nonlinearity=STOKES if case == "stokes" else LAMB)
     u0 = _initial(grid, 1, 1)
@@ -399,7 +399,7 @@ def test_kernel_reuses_its_sample_buffers(case, monkeypatch):
     monkeypatch.setattr(SpectralGrid, "ifft", recorded)
     rows = 3 if case != "stokes" else 2
     for slabs in (1, 4):
-        monkeypatch.setattr(spectral, "_SLAB", 4**4 // slabs)
+        monkeypatch.setattr(spectral, "_PASS", rows * 4**4 // slabs)
         samples.clear()
         kernel = dynamics._EtdHeun(cfg, grid, base)
         assert kernel._slab.size == rows * 4**4 // slabs
@@ -418,26 +418,29 @@ def test_kernel_reuses_its_sample_buffers(case, monkeypatch):
 
 @pytest.mark.parametrize(
     "case, bound",
-    [("N stage", 1.45), ("N exact", 1.55), ("B", 1.85), ("diagnostics", 0.7)],
+    [("N stage", 0.9), ("N exact", 1.25), ("B", 1.25), ("diagnostics", 0.7)],
     ids=["N stage", "N exact", "B", "diagnostics"],
 )
 def test_quadratic_scratch_stays_within_a_few_components(case, bound):
     # one pass goes slab by slab of last-axis indices, and forms and
     # transforms Q one output component at a time on each slab, through
-    # slab-sized contraction scratch: the peak rise of one call from band
+    # slab-sized contraction scratch, into accumulators that share the
+    # memory of its last-axis inverse: the peak rise of one call from band
     # coefficients, with the kernel's slab buffer given, in sample-sized
-    # components at n = 3, N = 8 (Lamb), reads 1.36 (N stage), 1.46
-    # (N exact) and 1.74 (B), its own inverse transforms included; the
-    # products alone of whole-array samples read 1.43, 1.57 and 2.57 before.
-    # A Stokes pass for max |u| and sum |u_J|^r alone (record() of a Stokes
-    # run) reads 0.66: the last-axis inverse and three real buffers of one
-    # slab; whole-array moduli, squares and powers read 3.5
+    # components at n = 3, N = 8 (Lamb, 8 slabs of the 6 rows of
+    # [v, dbar v]), reads 0.82 (N stage), 1.14 (N exact) and 1.14 (B), its
+    # own inverse transforms included; 4 slabs with accumulators of their
+    # own read 1.36, 1.46 and 1.74, and the products alone of whole-array
+    # samples 1.43, 1.57 and 2.57.  A Stokes pass for max |u| and
+    # sum |u_J|^r alone (record() of a Stokes run, 4 slabs of 3 rows)
+    # reads 0.66: the last-axis inverse and three real buffers of one slab;
+    # whole-array moduli, squares and powers read 3.5
     grid = SpectralGrid(3, 8).band
     rng = np.random.default_rng(4)
     v, w = (leray_project(random_form(grid, 1, rng)) for _ in range(2))
-    slab = np.empty(6 * 8**5 * 2, dtype=np.complex128)
-    assert slab.size == 6 * 8**5 * (grid.slabs()[0].stop - grid.slabs()[0].start)
     spec = STOKES if case == "diagnostics" else LAMB
+    slab = np.empty(spectral.SlabStream.size(grid, 3 if case == "diagnostics" else 6), dtype=np.complex128)
+    assert slab.size == 6 * 8**5
     args = {"N stage": {"exact": False}, "N exact": {}, "B": {"w": dynamics._samples(w, True)},
             "diagnostics": {"exact": False, "r": 7}}[case]
     dynamics._quadratic(spec, v, out=slab, **args)
@@ -450,17 +453,53 @@ def test_quadratic_scratch_stays_within_a_few_components(case, bound):
     assert peak / (16 * grid.size) <= bound
 
 
-def test_streamed_run_peak_stays_within_four_components():
+@pytest.mark.parametrize("case", ["lamb-short-last-slab", "q2-fields-outnumber-rows"])
+def test_split_pass_equals_one_slab_pass(case, monkeypatch):
+    # a split pass keeps its forward accumulators in the first rows of its
+    # last-axis inverse when its fields do not outnumber its rows: Lamb's 4
+    # exact fields at n = 3 and the 6 rows of [v, dbar v], here in slabs of
+    # 3 indices with a short last one.  The q = 2 table at n = 3 has 4 rows
+    # (3 of v, 1 of dbar v) and 6 fields (3 of M1, 3 of M2), so its 8
+    # slabs accumulate into an array of their own.  N and B, and their M1
+    # parts, equal those of the one-slab pass bit for bit; so does max |u|,
+    # while the power sum regroups with the slabs
+    q, spec, budget = (1, LAMB, 6 * 8**5 * 3) if case.startswith("lamb") else (2, q2_custom(), spectral._PASS)
+    grid = SpectralGrid(3, 8).band
+    rng = np.random.default_rng(7)
+    v, w = (leray_project(random_form(grid, q, rng)) for _ in range(2))
+    w = dynamics._samples(w, True)
+    made, init = [], spectral.SlabStream.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append((len(self.slabs), self.hat is not None))
+
+    monkeypatch.setattr(spectral.SlabStream, "__init__", recorded)
+    results = {}
+    for label, most in (("whole", 1 << 30), ("split", budget)):
+        monkeypatch.setattr(spectral, "_PASS", most)
+        made.clear()
+        results[label] = [dynamics._quadratic(spec, v, w=base, r=7) for base in (None, w)]
+        assert made == ([(1, False)] * 2 if label == "whole" else [(3, True)] * 2 if q == 1 else [(8, False)] * 2)
+    for (Q, Q1, (top, power)), (want, want1, (want_top, want_power)) in zip(results["split"], results["whole"]):
+        assert np.array_equal(Q, want) and np.array_equal(Q1, want1)
+        assert top == want_top and abs(power - want_power) <= 1e-14 * want_power
+
+
+def test_streamed_run_peak_stays_within_three_components():
     # a run holds no sample-sized stage buffer: the passes go through slabs
-    # of last-axis indices (4 per component at n = 3, N = 8), so a two-step
-    # Lamb run with its tensor spelled out peaks at 3.82 sample-sized
-    # components in tracemalloc, its 3 snapshots included (3.91 for the 4
-    # steps at stride 2 of custom-n3N8); holding the samples of [u, dbar u]
-    # for the run (6 components) read 8.38
+    # of last-axis indices (8 slabs of the 6 rows of [u, dbar u] at n = 3,
+    # N = 8), into accumulators in the memory of their last-axis inverse,
+    # so 4 steps at stride 2 of the Lamb run with its tensor spelled out
+    # (the shape of the custom-n3N8 benchmark) peak at 2.77 sample-sized
+    # components in tracemalloc, its 3 snapshots included; 4 slabs of a
+    # component with accumulators of their own read 3.91, and holding the
+    # samples of [u, dbar u] for the run (6 components) read 8.38
     m1 = [CustomTerm(k=(k,), a=tuple(sorted((j, k))), b=(j,), coeff=1.0 if j < k else -1.0, conj_u=True)
           for k in range(1, 4) for j in range(1, 4) if j != k]
     m2 = [CustomTerm(k=(), a=(j,), b=(j,), coeff=1.0, conj_u=True) for j in range(1, 4)]
-    cfg = SimConfig(n=3, q=1, N=8, mu=0.1, T=2e-3, dt=1e-3, nonlinearity=BilinearSpec.custom(m1, m2))
+    cfg = SimConfig(n=3, q=1, N=8, mu=0.1, T=4e-3, dt=1e-3, output_stride=2,
+                    nonlinearity=BilinearSpec.custom(m1, m2))
     grid = SpectralGrid(3, 8).band
     u0 = 0.5 * leray_project(random_form(grid, 1, np.random.default_rng(3)))
     simulate(cfg, u0)
@@ -470,7 +509,7 @@ def test_streamed_run_peak_stays_within_four_components():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (16 * grid.size) <= 4.0
+    assert peak / (16 * grid.size) <= 3.0
 
 
 @pytest.mark.parametrize(
@@ -482,10 +521,12 @@ def test_sample_diagnostics_equal_whole_array_arithmetic(n, N, slab, monkeypatch
     # max |u| sums the squared moduli in component order, bit for bit as
     # np.sum(axis=0) does; the power sum only regroups a sum.  Both hold on
     # whole samples and in a streamed pass (_quadratic with r), which takes
-    # them slab by slab of last-axis indices: 4 slabs per component at
-    # n = 3, N = 8, and slabs of 3 indices leave a short last one
+    # them slab by slab of last-axis indices: at n = 3, N = 8 a pass of 1
+    # row goes in slabs of 6 indices and one of 3 rows in 4 slabs, and the
+    # cut budgets (slab samples per pass) put a 1-row pass in slabs of 3
+    # indices, with a short last one
     if slab is not None:
-        monkeypatch.setattr(spectral, "_SLAB", slab)
+        monkeypatch.setattr(spectral, "_PASS", slab)
     grid = SpectralGrid(n, N)
     rng = np.random.default_rng(10 * n + N)
     for a in (1, 2, 3):
@@ -511,7 +552,7 @@ def test_sample_diagnostics_equal_whole_array_arithmetic(n, N, slab, monkeypatch
 def test_max_abs_column_matches_stored_velocities():
     # record() takes max |u| from the band samples it makes for the next
     # step; at a snapshot row that is max |u| of the stored field, also
-    # where a pass goes through 4 slabs per component (n = 3, N = 8)
+    # where the 6 rows of [u, dbar u] go through 8 slabs (n = 3, N = 8)
     for n, T, stride in ((2, 0.05, 5), (3, 0.02, 1)):
         zeta = (0, 1) + (0,) * (2 * n - 2)
         frc = ForcingSpec(kind="single_mode", zeta=zeta, component=(1,), amplitude=0.5)
