@@ -137,13 +137,17 @@ def hodge_split(u: FormField) -> tuple:
     return sol, u - sol
 
 
-def pressure_recover(F: FormField, check: bool = True, tol: float = 1e-8) -> FormField:
+# most relative solenoidal residual pressure_recover accepts in its source
+_PRESSURE_TOL = 1e-8
+
+
+def pressure_recover(F: FormField, check: bool = True) -> FormField:
     """Solve dbar p = F for the (0,q-1) pressure p = dbar* inv_laplacian F.
 
-    Requires P F ~ 0 (F purely exact and mean-zero); the relative solenoidal
-    residual is measured and a diagnostic error raised above `tol`.  The
-    zero mode of p is pinned to 0, which fixes the additive constant and
-    makes the recovered pressure unique.
+    Requires P F ~ 0 (F purely exact and mean-zero); with check the relative
+    solenoidal residual is measured and a diagnostic error raised above
+    _PRESSURE_TOL.  The zero mode of p is pinned to 0, which fixes the
+    additive constant and makes the recovered pressure unique.
     """
     if not 1 <= F.q <= F.grid.n:
         raise ValueError(f"pressure recovery needs 1 <= q <= n, got q={F.q}")
@@ -152,8 +156,8 @@ def pressure_recover(F: FormField, check: bool = True, tol: float = 1e-8) -> For
         scale = l2_norm(Ff)
         if scale > 0.0:
             residual = l2_norm(leray_project(Ff)) / scale
-            if residual > tol:
-                raise PressureConsistencyError(residual, tol)
+            if residual > _PRESSURE_TOL:
+                raise PressureConsistencyError(residual, _PRESSURE_TOL)
     p = dbar_star(inv_laplacian(Ff))
     p.data[(slice(None),) + (0,) * F.grid.dim] = 0.0
     return _match_rep(p, F)

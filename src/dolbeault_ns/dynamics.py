@@ -144,7 +144,7 @@ class ForcingSpec:
             return
         if self.kind == "file":
             if not self.path:
-                raise ValueError("file forcing needs a path")
+                raise ValueError(f"file forcing needs a path, got {self.path!r}")
             self._stored(grid, q)
             return
         raise ValueError(f"unknown forcing kind {self.kind!r}")
@@ -158,7 +158,7 @@ class ForcingSpec:
             self._loaded = f.on(f.grid.band, "forcing file").to_fourier()
         f = self._loaded
         if f.q != q or (f.grid.n, f.grid.N) != (grid.n, grid.N):
-            raise ValueError("forcing file does not match the run's grid/bidegree")
+            raise ValueError(f"forcing file with q={f.q} on {f.grid.full} does not match q={q} on {grid.full}")
         return f
 
     def evaluate(self, grid: SpectralGrid, q: int, t: float) -> FormField:
@@ -233,7 +233,7 @@ class SimConfig:
         if round(steps) % self.output_stride != 0:
             raise ValueError("output_stride must divide the number of steps")
         if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError("cfl_safety must lie in (0, 1]")
+            raise ValueError(f"cfl_safety must lie in (0, 1], got {self.cfl_safety!r}")
         if self.cfl_mode not in ("fail", "shrink"):
             raise ValueError(f"cfl_mode must be 'fail' or 'shrink', got {self.cfl_mode!r}")
         if self.lps_r is not None:
@@ -321,12 +321,14 @@ def _quadratic(
     (spectral.SlabStream, through the flat buffer out when given): on each
     slab the products are formed one output component at a time, M1's and
     then M2's, and each is transformed on the slab as soon as it is formed.
-    With r the pass also takes _sample_diagnostics(v, r), summed over the
-    slabs.  Returns (Q, Q1, diagnostics): Q is None when there are no
-    products to form, Q1 is the M1 part alone (Q itself when there is no M2
-    part, None when there are no M1 terms), and diagnostics is None without
-    r.  Each field transforms on its own and sums in table order, so Q1 is
-    bit for bit what a call without exact gives.
+    With r the pass also takes _sample_diagnostics(v, r): the max over the
+    slabs and the exact sum (math.fsum) of the N per-index power sums, so
+    neither depends on the slabs.  Returns (Q, Q1, diagnostics): Q is None
+    when there are no products to form, Q1 is the M1 part alone (Q itself
+    when there is no M2 part, None when there are no M1 terms), and
+    diagnostics is None without r.  Each field transforms on its own and
+    sums in table order, so Q1 is bit for bit what a call without exact
+    gives.
     """
     grid, q = v.grid, v.q
     m1_terms, m2_terms = spec.tables(grid.n, q)
@@ -341,11 +343,11 @@ def _quadratic(
     if not (rows or r is not None):
         return None, None, None
     stream = SlabStream(grid, (v.data, (dbar(v) if du is None else du).data) if has_m1 else (v.data,), len(rows), out)
-    peak, power = 0.0, 0.0
+    peak, power = 0.0, np.empty(grid.N)
     for s, x in stream:
         if r is not None:
-            top, share = _sample_diagnostics(x[:a], r)
-            peak, power = float(np.maximum(peak, top)), power + share
+            top, power[s] = _sample_diagnostics(x[:a], r)
+            peak = float(np.maximum(peak, top))
         if not rows:
             continue
         pairs = ((x, x),) if w is None else ((w[..., s], x), (x, w[..., s]))
@@ -365,7 +367,7 @@ def _quadratic(
                     apply(spec, *pair, k, prod)
             stream.forward(row, prod)
         args = prod = other = None
-    diagnostics = None if r is None else (peak, power)
+    diagnostics = None if r is None else (peak, math.fsum(power))
     if not rows:
         return None, None, diagnostics
     hat = stream.coefficients()
@@ -397,28 +399,25 @@ def nonlinearity(u: FormField, spec: BilinearSpec) -> FormField:
 def linearized_b(w: FormField, u: FormField, spec: BilinearSpec) -> FormField:
     """Symmetrized B(w, u) of band-limited w, u; N(w + v) = N(w) + B(w, v) + N(v)."""
     if w.grid != u.grid or w.q != u.q:
-        raise ValueError("B needs two (0,q) forms on one grid")
+        raise ValueError(f"B needs two (0,q) forms on one grid, got q={w.q} on {w.grid} and q={u.q} on {u.grid}")
     return _band_quadratic(spec, u, w)
 
 
 def frechet_residual(w: FormField, v: FormField, eps: float, spec: BilinearSpec) -> float:
     """||N(w + eps v) - N(w) - eps B(w, v)||; equals eps^2 ||N(v)|| exactly."""
     if eps < 0:
-        raise ValueError("eps must be nonnegative")
+        raise ValueError(f"eps must be nonnegative, got {eps!r}")
     if eps == 0.0:
         return 0.0
     lhs = nonlinearity(w + eps * v, spec) - nonlinearity(w, spec) - eps * linearized_b(w, v, spec)
     return l2_norm(lhs)
 
 
-def verify_key1(
-    spec: BilinearSpec,
-    grid: SpectralGrid,
-    q: int,
-    trials: int = 100,
-    seed: int = 0,
-    tol: float = 1e-10,
-) -> dict:
+# most normalized pairing verify_key1 passes
+_KEY1_TOL = 1e-10
+
+
+def verify_key1(spec: BilinearSpec, grid: SpectralGrid, q: int, trials: int = 100, seed: int = 0) -> dict:
     """Empirical check of the energy-cancellation hypothesis.
 
     Draws random band-limited w and random solenoidal v and measures the
@@ -428,7 +427,7 @@ def verify_key1(
     Returns a report dict with the max over trials and a PASS flag.
     """
     if trials < 1:
-        raise ValueError("need at least one trial")
+        raise ValueError(f"need at least one trial, got {trials}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
@@ -442,8 +441,8 @@ def verify_key1(
     return {
         "max_normalized_pairing": worst,
         "trials": trials,
-        "tol": tol,
-        "pass": worst < tol,
+        "tol": _KEY1_TOL,
+        "pass": worst < _KEY1_TOL,
     }
 
 
@@ -451,14 +450,17 @@ def verify_key1(
 
 
 def _sample_diagnostics(u_phys: np.ndarray, r: float | None = None) -> tuple:
-    """(max over points of sqrt(sum_J |u_J|^2), sum over components and
-    points of |u_J|^r) of stacked samples u_phys (a slab of a pass in a run,
-    a snapshot in norms.bochner_pre); the sum is 0.0 without r.  Three
-    buffers of one component hold the moduli (raised to r in place) and
-    their squares, summed in component order as np.sum(axis=0) sums them,
-    so the max is bit for bit that of whole-array arithmetic."""
+    """(max over points of sqrt(sum_J |u_J|^2), with r the sums over
+    components and points of |u_J|^r per last-axis index, else None) of
+    stacked samples u_phys (a slab of a pass in a run, a snapshot in
+    norms.bochner_pre).  Three buffers of one component hold the moduli
+    and their squares, summed in component order as np.sum(axis=0) sums
+    them, so the max is bit for bit that of whole-array arithmetic; the
+    powers go into the squares' buffer with each last-axis index's samples
+    in one row, so an index's sum is the same whatever slab holds it."""
     modulus, square, total = (np.empty(u_phys.shape[1:]) for _ in range(3))
-    power = 0.0
+    width = u_phys.shape[-1]
+    power = None if r is None else np.zeros(width)
     for J, component in enumerate(u_phys):
         np.abs(component, out=modulus)
         if J:
@@ -467,8 +469,8 @@ def _sample_diagnostics(u_phys: np.ndarray, r: float | None = None) -> tuple:
         else:
             np.multiply(modulus, modulus, out=total)
         if r is not None:
-            power += np.power(modulus, r, out=modulus).sum()
-    return float(np.sqrt(total.max())), float(power)
+            power += np.power(modulus.reshape(-1, width).T, r, out=square.reshape(width, -1)).sum(axis=1)
+    return float(np.sqrt(total.max())), power
 
 
 class _EtdHeun:
@@ -588,7 +590,7 @@ def step_etd_heun(u_m: FormField, t_m: float, config: SimConfig) -> FormField:
     band-limited u_m at t_m."""
     grid = u_m.grid
     if (grid.n, grid.N) != (config.n, config.N) or u_m.q != config.q:
-        raise ValueError("state does not match the configuration")
+        raise ValueError(f"state with q={u_m.q} on {grid} does not match n={config.n}, N={config.N}, q={config.q}")
     kernel = _EtdHeun(config, grid)
     u = u_m.on(kernel.grid, "state").to_fourier()
     out = kernel.step(u, t_m, config.dt, heat_multiplier_grid(kernel.grid, config.mu, config.dt))
@@ -602,7 +604,7 @@ def _prepare_initial(config: SimConfig, u0: FormField) -> FormField:
     Physical samples are transformed on the full lattice, so that a mode
     outside the band counts as moved on a band view too."""
     if u0.q != config.q:
-        raise ValueError("initial data does not match the configuration")
+        raise ValueError(f"initial data with q={u0.q} does not match q={config.q}")
     band = u0.grid.band
     u0f = u0.on(u0.grid.full).to_fourier() if u0.rep == PHYSICAL else u0
     coeffs = u0f.data if u0f.grid.banded else band.gather(u0f.data)
@@ -634,9 +636,9 @@ def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool) -> 
     interval_len = stride * config.dt
     E = heat_multiplier_grid(band, config.mu, dt)
 
+    # the lps_accum column holds ||u||_{L^r}^s of each recorded state until
+    # the loop ends, and then its integral
     diag = {name: [] for name in DIAGNOSTIC_COLUMNS}
-    lps_accum = 0.0
-    g_prev = None
 
     velocities, pressures = [], []
 
@@ -645,22 +647,17 @@ def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool) -> 
         t_source to the kernel, in one pass over its samples; with snapshot,
         store state and its pressure, recovered from the full f - N(u) (or
         f - B(w, u)) of that pass.  Returns max |u|."""
-        nonlocal lps_accum, g_prev
         du = dbar(state)
         energy = 0.5 * l2_norm(state) ** 2
         dbn = l2_norm(du) ** 2
         dbs = l2_norm(dbar_star(state))
         F, (mx, power) = kernel.load(state, t_source, snapshot, r_lps, du)
-        g = float((cell * power) ** (1.0 / r_lps)) ** s_lps
-        if g_prev is not None:
-            lps_accum += 0.5 * (g_prev + g) * (t - diag["t"][-1])
-        g_prev = g
+        diag["lps_accum"].append(float((cell * power) ** (1.0 / r_lps)) ** s_lps)
         diag["t"].append(t)
         diag["energy"].append(energy)
         diag["dbar_norm_sq"].append(dbn)
         diag["dbar_star_residual"].append(dbs)
         diag["max_abs_u"].append(mx)
-        diag["lps_accum"].append(lps_accum)
         if snapshot:
             # dbar* annihilates the solenoidal part of F, so recovering p
             # from F itself equals recovering it from F - P F
@@ -672,7 +669,7 @@ def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool) -> 
 
     for k in range(intervals):
         t0 = k * interval_len
-        start = (u, len(diag["t"]), lps_accum, g_prev)
+        start = (u, len(diag["t"]))
         m = 0
         while m < stride:
             t = t0 + m * dt
@@ -687,7 +684,7 @@ def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool) -> 
                     stride = stride * factor
                     E = heat_multiplier_grid(band, config.mu, dt)
                     if m > 0:
-                        u, rows, lps_accum, g_prev = start
+                        u, rows = start
                         for column in diag.values():
                             del column[rows:]
                         kernel.load(u, t0)
@@ -703,10 +700,17 @@ def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool) -> 
 
     stamps = np.arange(intervals + 1) * interval_len
     diagnostics = {name: np.asarray(vals) for name, vals in diag.items()}
+    # the trapezoid rule, one interval after another
+    g = diagnostics["lps_accum"]
+    diagnostics["lps_accum"] = np.concatenate(([0.0], np.cumsum(0.5 * (g[:-1] + g[1:]) * np.diff(diagnostics["t"]))))
     return Trajectory(stamps, velocities, pressures, diagnostics, config)
 
 
-def _pairing_cancels(m1_terms: tuple, tol: float = 1e-12) -> bool:
+# most |sum of a monomial's coefficients| / sum |c| that _pairing_cancels takes for zero
+_PAIRING_TOL = 1e-12
+
+
+def _pairing_cancels(m1_terms: tuple) -> bool:
     """Exact sufficient test that (M1(omega, v), v) vanishes pointwise.
 
     A term c[K][A][B] contributes c omega_A v_B conj(v_K) to the pointwise
@@ -720,7 +724,7 @@ def _pairing_cancels(m1_terms: tuple, tol: float = 1e-12) -> bool:
         key = (tuple(t.a), t.conj_u) + ((min(b, k), max(b, k)) if t.conj_u else (b, k))
         sums[key] = sums.get(key, 0.0) + complex(t.coeff)
     total = sum(abs(complex(t.coeff)) for t in m1_terms)
-    return all(abs(s) <= tol * total for s in sums.values())
+    return all(abs(s) <= _PAIRING_TOL * total for s in sums.values())
 
 
 def simulate(config: SimConfig, u0: FormField) -> Trajectory:
@@ -733,7 +737,7 @@ def simulate(config: SimConfig, u0: FormField) -> Trajectory:
     """
     grid = u0.grid
     if (grid.n, grid.N) != (config.n, config.N):
-        raise ValueError("initial data grid does not match the configuration")
+        raise ValueError(f"initial data on {grid} does not match n={config.n}, N={config.N}")
     config.forcing.validate_for(grid, config.q)
     spec = config.nonlinearity
     if not _pairing_cancels(spec.tables(config.n, config.q)[0]):
@@ -755,7 +759,7 @@ def solve_linearized(w: Trajectory | None, config: SimConfig, u0: FormField) -> 
     """
     grid = u0.grid
     if (grid.n, grid.N) != (config.n, config.N):
-        raise ValueError("initial data grid does not match the configuration")
+        raise ValueError(f"initial data on {grid} does not match n={config.n}, N={config.N}")
     config.forcing.validate_for(grid, config.q)
 
     if w is None:
@@ -767,7 +771,7 @@ def solve_linearized(w: Trajectory | None, config: SimConfig, u0: FormField) -> 
     base = []
     for m, v in enumerate(w.velocities):
         if (v.grid.n, v.grid.N) != (grid.n, grid.N) or v.q != config.q:
-            raise ValueError("base trajectory does not match the configuration")
+            raise ValueError(f"base state {m} with q={v.q} on {v.grid} does not match q={config.q} on {grid}")
         base.append(v.on(grid.band, f"base state {m}").to_fourier())
     return _run_loop(config, u0, _EtdHeun(config, grid, base), cfl=False)
 

@@ -192,7 +192,7 @@ class FormField:
 
     def _check_compatible(self, other: "FormField"):
         if self.grid != other.grid:
-            raise ValueError("grid mismatch")
+            raise ValueError(f"grid mismatch: {self.grid} vs {other.grid}")
         if self.q != other.q:
             raise ValueError(f"bidegree mismatch: {self.q} vs {other.q}")
         if self.rep != other.rep:
@@ -474,11 +474,11 @@ def apply_m1(spec: BilinearSpec, omega: FormField, u: FormField, k: int | None =
     component's samples: out when given, else a new one.  With k the
     arguments may hold the samples of one slab (FormField.slab)."""
     if omega.grid != u.grid:
-        raise ValueError("grid mismatch")
+        raise ValueError(f"grid mismatch: {omega.grid} vs {u.grid}")
     if omega.q != u.q + 1:
         raise ValueError(f"M1 needs bidegrees (q+1, q), got ({omega.q}, {u.q})")
     if omega.rep != PHYSICAL or u.rep != PHYSICAL:
-        raise ValueError("apply_m1 requires physical representation")
+        raise ValueError(f"apply_m1 requires physical representation, got {omega.rep} and {u.rep}")
     return _apply(spec._compile(u.grid.n, u.q)[1][0], omega.data, u.data, u.grid, u.q, k, out)
 
 
@@ -489,7 +489,7 @@ def apply_m2(spec: BilinearSpec, u: FormField, w: FormField, k: int | None = Non
     if u.q < 1:
         raise ValueError("M2 requires bidegree q >= 1")
     if u.rep != PHYSICAL:
-        raise ValueError("apply_m2 requires physical representation")
+        raise ValueError(f"apply_m2 requires physical representation, got {u.rep}")
     return _apply(spec._compile(u.grid.n, u.q)[1][1], u.data, w.data, u.grid, u.q - 1, k, out)
 
 

@@ -286,10 +286,10 @@ def load_field(path, grid: SpectralGrid | None = None) -> FormField:
         raise FieldFormatError(f"stored grid (n={n}, N={N}) does not match {grid}")
     expected = [list(J) for J in multi_indices(n, q)]
     if _json_value(manifest, "components", list, where) != expected:
-        raise FieldFormatError("component list does not match the canonical enumeration")
+        raise FieldFormatError(f"component list {manifest['components']} is not the canonical {expected}")
     nbytes = _json_value(manifest, "bytes_per_component", int, where)
     if nbytes != grid.size * 16:
-        raise FieldFormatError("byte layout does not match the grid size")
+        raise FieldFormatError(f"{nbytes} bytes per component do not match the grid size ({grid.size * 16})")
     blobs = _json_value(manifest, "blobs", list, where)
     if len(blobs) != len(expected):
         raise FieldFormatError(f"{where} lists {len(blobs)} blobs for {len(expected)} components")

@@ -142,10 +142,10 @@ def _alpha_indices(dim: int, max_order: int):
 
 def _uniform_spacing(stamps: np.ndarray) -> float:
     if len(stamps) < 2:
-        raise ValueError("need at least two snapshots")
+        raise ValueError(f"need at least two snapshots, got {len(stamps)}")
     spacing = np.diff(stamps)
     if not np.allclose(spacing, spacing[0], rtol=1e-9, atol=0.0):
-        raise ValueError("snapshots are not uniformly spaced in time")
+        raise ValueError(f"snapshots are not uniformly spaced in time: spacings {spacing}")
     return float(spacing[0])
 
 
@@ -176,7 +176,7 @@ def _mixed_norm_sq(stamps, fields, k: int, s: int, l2_weight: float, apply=None)
     fills the (snapshots x S) density matrix a row at a time.
     """
     if k < 0 or s < 0:
-        raise ValueError("k and s must be nonnegative")
+        raise ValueError(f"k and s must be nonnegative, got k={k}, s={s}")
     if len(fields) < 2 * s + 1:
         raise ValueError(f"need at least {2 * s + 1} snapshots for s = {s}")
     h = _uniform_spacing(stamps)
@@ -224,7 +224,7 @@ def bochner_vel(traj, k: int, s: int, mu: float | None = None) -> float:
     stamps, fields = _series(traj, "velocities")
     if mu is None:
         if isinstance(traj, tuple):
-            raise ValueError("a bare (stamps, fields) series needs an explicit mu")
+            raise ValueError("a bare (stamps, fields) series needs an explicit mu, got mu=None")
         mu = traj.config.mu
     if not (math.isfinite(mu) and mu >= 0):
         raise ValueError(f"mu must be finite and >= 0, got {mu!r}")

@@ -50,8 +50,11 @@ indices at a time (at most _PASS samples over all of the pass's rows);
 the forward goes axes 0..2n-2 slab by slab into an accumulator, and the
 last axis once at the end.  These are the lines and line orders of the
 whole-array transforms, so streamed samples and coefficients are theirs
-bit for bit.  The 2/3-rule band keeps the last-axis halves, which also
-hold the accumulators, small: (M/N)^(2n-1) of a component, 0.1 at n = 3.
+bit for bit.  A pass of one slab (every pass at n = 2, N <= 16) goes the
+same way: a pass of p parts and f fields over k slabs makes p + k inverse
+calls and k f + 1 forward calls.  The 2/3-rule band keeps the last-axis
+halves, which also hold the accumulators, small: (M/N)^(2n-1) of a
+component, 0.1 at n = 3.
 
 All derivative action is diagonal here.  The one-dimensional Cauchy-Riemann
 operator along the j-th complex direction,
@@ -81,8 +84,8 @@ _SHORT_RUN = 256
 _SLAB = 1 << 16
 
 # most samples over all rows of a slab of a streamed pass (SpectralGrid.slabs):
-# every pass at n = 2, N <= 16 is one slab (no extra calls); at n = 3, N = 8,
-# where whole components would set a run's peak, 2 indices of 3 rows or 1 of 6
+# every pass at n = 2, N <= 16 is one slab; at n = 3, N = 8, where whole
+# components would set a run's peak, 2 indices of 3 rows or 1 of 6
 _PASS = 3 << 16
 
 
@@ -338,39 +341,31 @@ class SlabStream:
     indices (SpectralGrid.slabs of all the rows), and the forward
     transforms of `fields` fields formed on the slabs.
 
-    Iterating yields (slab, samples), the samples of that slab (shape
-    (rows,) + (N,)*(2n-1) + (width,)) in the first places of one flat
-    complex128 buffer, out when given.  forward(row, values) transforms
-    the values of field `row` on the current slab (destroying them), and
-    coefficients() returns every field's band coefficients after the last
-    slab, bit for bit those of the whole-array transforms (module
-    docstring).  Each part's last-axis inverse goes into its rows of one
-    array, whose first rows then hold the fields' accumulators (slab s of
-    every row is read before slab s of any field is written), unless
-    fields outnumber rows.  A pass of one slab (every pass at n = 2,
-    N <= 16) makes the whole-array calls: one ifft of the stacked parts,
-    and one fft per field.
+    Each part's last axis is inverse-transformed into its rows of one
+    array of max(rows, fields) rows, whose first `fields` rows, hat, then
+    hold the fields' accumulators: slab s of every row is read before slab
+    s of any field is written.  Iterating yields (slab, samples), the
+    samples of that slab (shape (rows,) + (N,)*(2n-1) + (width,)) in the
+    first places of one flat complex128 buffer, out when given.
+    forward(row, values) transforms the values of field `row` on the
+    current slab along axes 0..2n-2 (destroying them), and coefficients()
+    transforms the last axis of every field once, after the last slab:
+    bit for bit the whole-array transforms (module docstring).
     """
 
     def __init__(self, grid: SpectralGrid, parts: tuple, fields: int, out: np.ndarray | None = None):
         self.grid = grid
         self.rows = sum(len(part) for part in parts)
         self.slabs = grid.slabs(self.rows)
-        # one slab: whole-array calls; streaming it raised lamb-n2N16's solve peak from 8.18 to 8.52 MB
-        self.whole = len(self.slabs) == 1
         size = self.size(grid, self.rows)
         self.out = np.empty(size, dtype=np.complex128) if out is None else out[:size]
-        if self.whole:
-            self.coeffs = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        else:
-            # the last-axis inverse of the band, shared by every slab
-            self.coeffs = np.empty((self.rows,) + grid.fourier_shape[:-1] + (grid.N,), dtype=np.complex128)
-            start = 0
-            for part in parts:
-                start += len(part)
-                grid.ifft(part, out=self.coeffs[start - len(part) : start], axes=(grid.dim - 1,))
-        self.hat_shape = (fields,) + self.coeffs.shape[1:]
-        self.hat = None if self.whole or fields > self.rows else self.coeffs[:fields]
+        self.coeffs = np.empty((max(self.rows, fields),) + grid.fourier_shape[:-1] + (grid.N,), dtype=np.complex128)
+        start = 0
+        for part in parts:
+            start += len(part)
+            grid.ifft(part, out=self.coeffs[start - len(part) : start], axes=(grid.dim - 1,))
+        self.hat = self.coeffs[:fields]
+        self._rest = tuple(range(grid.dim - 1))
 
     @staticmethod
     def size(grid: SpectralGrid, rows: int) -> int:
@@ -379,34 +374,19 @@ class SlabStream:
         return rows * math.prod(grid.shape[:-1]) * (width.stop - width.start)
 
     def __iter__(self):
-        grid, rest = self.grid, tuple(range(self.grid.dim - 1))
         for s in self.slabs:
             self.slab = s
-            shape = (self.rows,) + grid.shape[:-1] + (s.stop - s.start,)
+            shape = (self.rows,) + self.grid.shape[:-1] + (s.stop - s.start,)
             out = self.out[: math.prod(shape)].reshape(shape)
-            if self.whole:
-                samples = grid.ifft(self.coeffs, out=out)
-            else:
-                samples = grid.ifft(self.coeffs[..., s], out=out, axes=rest)
-            if s is self.slabs[-1]:
-                self.coeffs = None
-            yield s, samples
+            yield s, self.grid.ifft(self.coeffs[: self.rows, ..., s], out=out, axes=self._rest)
 
     def forward(self, row: int, values: np.ndarray):
         """Transform the values of field row on the current slab, which
-        are destroyed; new accumulators are made at the first call."""
-        if self.hat is None:
-            self.hat = np.empty(self.hat_shape, dtype=np.complex128)
-        if self.whole:
-            self.hat[row] = self.grid.fft(values, overwrite=True)
-        else:
-            rest = tuple(range(self.grid.dim - 1))
-            self.grid.fft(values, overwrite=True, axes=rest, out=self.hat[row][..., self.slab])
+        are destroyed, into its accumulator."""
+        self.grid.fft(values, overwrite=True, axes=self._rest, out=self.hat[row][..., self.slab])
 
     def coefficients(self) -> np.ndarray:
         """The fields' band coefficients, shape (fields,) + fourier_shape."""
-        if self.whole:
-            return self.hat
         return self.grid.fft(self.hat, overwrite=True, axes=(self.grid.dim - 1,))
 
 
@@ -466,7 +446,7 @@ def _slabs(shape: tuple, most: int) -> list:
 def heat_multiplier_grid(grid: SpectralGrid, mu: float, dt: float) -> np.ndarray:
     """Diffusion factors over the whole lattice."""
     if mu <= 0 or dt <= 0:
-        raise ValueError("viscosity and time step must be positive")
+        raise ValueError(f"viscosity and time step must be positive, got mu={mu!r}, dt={dt!r}")
     return np.exp(-(mu * dt / 4.0) * grid.zeta_sq)
 
 

@@ -309,3 +309,14 @@ def test_band_operators_equal_full_operators(n, q, rng):
         assert np.array_equal(outb.data, band.gather(out.data)), op.__name__
         assert np.array_equal(band.scatter(outb.data), out.data), op.__name__
     assert l2_norm(ub) == pytest.approx(l2_norm(u), rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(hodge_split, "hodge_split needs 1 <= q <= n, got q=0"),
+     (pressure_recover, "pressure recovery needs 1 <= q <= n, got q=0")],
+    ids=["hodge-split", "pressure-recover"],
+)
+def test_dolbeault_input_checks_name_the_bad_value(grid8, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(random_form(grid8, 0, np.random.default_rng(0)))

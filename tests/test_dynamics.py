@@ -727,3 +727,67 @@ def test_nearby_data_divergence_is_controlled(grid8, rng):
     growth_rate = np.log(dT / d0) / cfg.T
     assert np.isfinite(growth_rate)
     assert growth_rate < 50.0
+
+
+def _mismatched_base():
+    """A stride-1 base trajectory on N = 4 for a run on N = 8."""
+    cfg = SimConfig(n=2, q=1, N=8, mu=0.1, T=0.02, dt=0.01)
+    states = [FormField.zeros(SpectralGrid(2, 4), 1, FOURIER)] * 3
+    base = dynamics.Trajectory(np.array([0.0, 0.01, 0.02]), states, states, {}, cfg)
+    return solve_linearized(base, cfg, u0=FormField.zeros(SpectralGrid(2, 8), 1, FOURIER))
+
+
+def _nan_step():
+    """One Lamb step from a state that is not finite."""
+    band = SpectralGrid(2, 8).band
+    u = FormField(band, 1, np.full((2,) + band.fourier_shape, np.nan + 0j), FOURIER)
+    step_etd_heun(u, 0.0, SimConfig(n=2, q=1, N=8, mu=0.1, T=0.01, dt=0.01, nonlinearity=BilinearSpec.lamb()))
+
+
+def _stored_force(tmp_path, grid):
+    from dolbeault_ns import save_field
+
+    save_field(tmp_path / "F", FormField.zeros(grid, 1, FOURIER))
+    return ForcingSpec(kind="file", path=str(tmp_path / "F"))
+
+
+_G8, _G4 = SpectralGrid(2, 8), SpectralGrid(2, 4)
+_CFG8 = SimConfig(n=2, q=1, N=8, mu=0.1, T=0.02, dt=0.01)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda tmp: replace(_CFG8, cfl_safety=0.0), ValueError, r"cfl_safety .* got 0\.0"),
+        (lambda tmp: replace(_CFG8, cfl_safety=1.5), ValueError, r"cfl_safety .* got 1\.5"),
+        (lambda tmp: replace(_CFG8, cfl_mode="loose"), ValueError, "got 'loose'"),
+        (lambda tmp: ForcingSpec(kind="wind").validate_for(_G8, 1), ValueError, "unknown forcing kind 'wind'"),
+        (lambda tmp: ForcingSpec(kind="wind").evaluate(_G8, 1, 0.0), ValueError, "unknown forcing kind 'wind'"),
+        (lambda tmp: ForcingSpec(kind="file").validate_for(_G8, 1), ValueError, "needs a path, got ''"),
+        (lambda tmp: _stored_force(tmp, _G4).validate_for(_G8, 1), ValueError,
+         r"with q=1 on SpectralGrid\(n=2, N=4\) does not match q=1 on SpectralGrid\(n=2, N=8\)"),
+        (lambda tmp: step_etd_heun(FormField.zeros(_G4, 1, FOURIER), 0.0, _CFG8), ValueError,
+         r"state with q=1 on SpectralGrid\(n=2, N=4\) does not match n=2, N=8, q=1"),
+        (lambda tmp: _nan_step(), BlowUpError, "lost finiteness at t = 0.01"),
+        (lambda tmp: simulate(_CFG8, FormField.zeros(_G4, 1, FOURIER)), ValueError,
+         r"initial data on SpectralGrid\(n=2, N=4\) does not match n=2, N=8"),
+        (lambda tmp: simulate(_CFG8, FormField.zeros(_G8, 2, FOURIER)), ValueError,
+         "initial data with q=2 does not match q=1"),
+        (lambda tmp: solve_linearized(None, _CFG8, u0=FormField.zeros(_G4, 1, FOURIER)), ValueError,
+         r"initial data on SpectralGrid\(n=2, N=4\) does not match n=2, N=8"),
+        (lambda tmp: _mismatched_base(), ValueError,
+         r"base state 0 with q=1 on SpectralGrid\(n=2, N=4\) does not match q=1 on SpectralGrid\(n=2, N=8\)"),
+        (lambda tmp: linearized_b(FormField.zeros(_G4, 1, FOURIER), FormField.zeros(_G8, 1, FOURIER),
+                                  BilinearSpec.lamb()), ValueError,
+         r"q=1 on SpectralGrid\(n=2, N=4\) and q=1 on SpectralGrid\(n=2, N=8\)"),
+        (lambda tmp: frechet_residual(*[FormField.zeros(_G8, 1, FOURIER)] * 2, -0.5, BilinearSpec.lamb()),
+         ValueError, r"eps must be nonnegative, got -0\.5"),
+        (lambda tmp: verify_key1(BilinearSpec.lamb(), _G8, 1, trials=0), ValueError, "at least one trial, got 0"),
+    ],
+    ids=["cfl-safety-0", "cfl-safety-1.5", "cfl-mode", "forcing-kind-validate", "forcing-kind-evaluate",
+         "file-force-no-path", "file-force-grid", "step-grid", "step-blow-up", "simulate-grid", "simulate-q",
+         "linearized-grid", "linearized-base", "b-two-grids", "frechet-eps", "key1-trials"],
+)
+def test_dynamics_input_checks_name_the_bad_value(tmp_path, call, error, message):
+    with pytest.raises(error, match=message):
+        call(tmp_path)

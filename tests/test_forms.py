@@ -355,3 +355,38 @@ def test_contraction_over_several_slabs_equals_whole_table_loop(n, N, slab, monk
         first, second = (FormField.slab(grid, f.q, np.ascontiguousarray(f.data[..., s])) for f in (omega, u))
         for k in range(len(want)):
             assert np.array_equal(apply_m1(spec, first, second, k), want[k][..., s])
+
+
+_G8, _G4 = SpectralGrid(2, 8), SpectralGrid(2, 4)
+
+
+def _form(grid, q, rep=FOURIER):
+    f = random_form(grid, q, np.random.default_rng(q))
+    return f.to_physical() if rep == PHYSICAL else f
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: insert_sign(0, (1,)), "index 0 must be >= 1"),
+        (lambda: _form(_G8, 1) + _form(_G4, 1), r"grid mismatch: SpectralGrid\(n=2, N=8\) vs SpectralGrid\(n=2, N=4\)"),
+        (lambda: _form(_G8, 1) + _form(_G8, 0), "bidegree mismatch: 1 vs 0"),
+        (lambda: _form(_G8, 1) + _form(_G8, 1, PHYSICAL), "representation mismatch: fourier vs physical"),
+        (lambda: apply_m1(BilinearSpec.lamb(), _form(_G4, 2, PHYSICAL), _form(_G8, 1, PHYSICAL)),
+         r"grid mismatch: SpectralGrid\(n=2, N=4\) vs SpectralGrid\(n=2, N=8\)"),
+        (lambda: apply_m1(BilinearSpec.lamb(), _form(_G8, 1, PHYSICAL), _form(_G8, 1, PHYSICAL)),
+         r"got \(1, 1\)"),
+        (lambda: apply_m1(BilinearSpec.lamb(), _form(_G8, 2), _form(_G8, 1)), "got fourier and fourier"),
+        (lambda: apply_m2(BilinearSpec.lamb(), _form(_G8, 1), _form(_G8, 1)), "physical representation, got fourier"),
+        (lambda: FormField.slab(_G8, 1, np.zeros((2, 8, 8, 8, 9), dtype=np.complex128)),
+         r"shape \(2, 8, 8, 8, 9\)"),
+        (lambda: BilinearSpec(kind="wind").validate_for(2, 1), "unknown nonlinearity kind 'wind'"),
+        (lambda: BilinearSpec.custom([CustomTerm(k=(1,), a=(2, 1), b=(1,), coeff=1.0)], []).validate_for(2, 1),
+         r"A=\(2, 1\) is not a strictly increasing multi-index in 1..2"),
+    ],
+    ids=["insert-sign-index", "add-grids", "add-bidegrees", "add-representations", "m1-grids", "m1-bidegrees",
+         "m1-fourier", "m2-fourier", "slab-shape", "nonlinearity-kind", "term-order"],
+)
+def test_forms_input_checks_name_the_bad_value(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

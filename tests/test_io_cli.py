@@ -715,6 +715,49 @@ def test_cli_malformed_field_manifest_exits_2(tmp_path, capsys, grid8, rng, chan
         load_field(tmp_path / "F")
 
 
+def _stored(tmp_path, kind):
+    """A field (kind "field") or a trajectory directory under tmp_path."""
+    if kind == "field":
+        save_field(tmp_path / "F", random_form(SpectralGrid(2, 8), 1, np.random.default_rng(0)))
+        return tmp_path / "F"
+    save_trajectory(tmp_path / "run", _small_run()[1])
+    return tmp_path / "run"
+
+
+def _truncate_fields_bin(run):
+    """Cut the last 16 bytes off fields.bin, and its size in the manifest."""
+    data = (run / "fields.bin").read_bytes()[:-16]
+    (run / "fields.bin").write_bytes(data)
+    _edit_json(run / "manifest.json", lambda d: d.update(bytes=len(data)))
+
+
+@pytest.mark.parametrize(
+    "kind, change, load, message",
+    [
+        ("field", lambda path: (path / "manifest.json").write_text("{"), load_field, r"manifest .* is not JSON"),
+        ("trajectory", _truncate_fields_bin, load_trajectory, r"is truncated \(9984 of 10000 bytes\)"),
+        ("field", None, lambda path: load_field(path, SpectralGrid(2, 4)),
+         r"stored grid \(n=2, N=8\) does not match SpectralGrid\(n=2, N=4\)"),
+        ("field", lambda path: _edit_json(path / "manifest.json", lambda d: d.update(components=[[2], [1]])),
+         load_field, r"component list \[\[2\], \[1\]\] is not the canonical \[\[1\], \[2\]\]"),
+        ("field", lambda path: _edit_json(path / "manifest.json", lambda d: d.update(bytes_per_component=16)),
+         load_field, r"16 bytes per component do not match the grid size \(65536\)"),
+        ("trajectory", lambda path: _edit_json(path / "manifest.json", lambda d: d.update(schema="x/9")),
+         load_trajectory, "unsupported trajectory schema 'x/9'"),
+        ("trajectory", lambda path: _edit_json(path / "manifest.json", lambda d: d.update(snapshots=2)),
+         load_trajectory, "has 3 stamps for 2 snapshots"),
+    ],
+    ids=["manifest-not-json", "truncated-blob", "field-grid", "component-list", "byte-layout", "schema",
+         "stamp-count"],
+)
+def test_io_input_checks_name_the_bad_value(tmp_path, kind, change, load, message):
+    path = _stored(tmp_path, kind)
+    if change is not None:
+        change(path)
+    with pytest.raises(FieldFormatError, match=message):
+        load(path)
+
+
 # -- command line -----------------------------------------------------------------------
 
 
@@ -753,6 +796,13 @@ def test_cli_verify_usage_error(capsys):
         assert main(["verify", "--op", op, "--n", "2", "--q", "1", "--N", "4", "--trials", trials]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "--trials" in captured.err
+
+
+@pytest.mark.parametrize("q", [0, 2])
+def test_cli_verify_rejects_q_outside_the_range(capsys, q):
+    assert main(["verify", "--n", "2", "--q", str(q), "--N", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"q={q} outside 1..1" in captured.err
 
 
 @pytest.mark.parametrize("op", ["laplacian", "leray", "frechet", "key1"])

@@ -628,3 +628,26 @@ def test_norm_report_serialization():
     assert doc["values"]["a"] == 1.0
     assert doc["stencil_order"] == 2
     assert "a" in rep.dumps()
+
+
+def _bare_series(stamps):
+    band = SpectralGrid(2, 8).band
+    rng = np.random.default_rng(1)
+    return np.asarray(stamps), [random_form(band, 1, rng) for _ in stamps]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: bochner_vel(_bare_series([0.0]), 0, 0, mu=0.1), "at least two snapshots, got 1"),
+        (lambda: bochner_vel(_bare_series([0.0, 0.1, 0.3]), 0, 0, mu=0.1),
+         r"not uniformly spaced in time: spacings \[0\.1 0\.2\]"),
+        (lambda: bochner_vel(_bare_series([0.0, 0.1, 0.2]), -1, 0, mu=0.1), "got k=-1, s=0"),
+        (lambda: bochner_vel(_bare_series([0.0, 0.1, 0.2]), 0, -2, mu=0.1), "got k=0, s=-2"),
+        (lambda: bochner_vel(_bare_series([0.0, 0.1, 0.2]), 0, 0), "needs an explicit mu, got mu=None"),
+    ],
+    ids=["one-snapshot", "uneven-spacing", "negative-k", "negative-s", "bare-series-mu"],
+)
+def test_norms_input_checks_name_the_bad_value(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -257,7 +257,7 @@ def test_band_inverse_moves_its_negative_frequencies_in_slabs():
 def test_pass_slabs_follow_the_rows_of_the_pass():
     # a slab of a streamed pass holds at most _PASS = 3 * 2^16 samples over
     # all of the pass's rows, or one last-axis index: every pass at n = 2,
-    # N <= 16 is one whole-array slab; n = 2, N = 32 goes in 16 slabs of 2
+    # N <= 16 is one slab; n = 2, N = 32 goes in 16 slabs of 2
     # indices (a 2-row pass in slabs of 3); at n = 3, N = 8 a 3-row pass
     # (Stokes) goes in 4 slabs, a 4-row one ([u, dbar u] at q = 2) and a
     # 6-row one ([u, dbar u] at q = 1) in 8, so a 6-row slab buffer is 3 MiB
@@ -287,9 +287,8 @@ def test_streamed_transforms_equal_whole_transforms(n, N, slab, count, monkeypat
     # the accumulated coefficients are theirs bit for bit, on the band and
     # on the full lattice.  The pass has 3 rows in two parts and slab is
     # the budget per row (_PASS / 3); slabs of 3 indices leave a short last
-    # one, and one slab makes the whole-array calls.  Up to 3 fields the
-    # accumulators of a split pass are the first rows of its last-axis
-    # inverse; 4 fields get an array of their own
+    # one, and one slab goes the same way.  The accumulators are the first
+    # rows of the last-axis inverse, which has a fourth row for 4 fields
     if slab is not None:
         monkeypatch.setattr(spectral, "_PASS", 3 * slab)
     calls, fft, ifft = [], SpectralGrid.fft, SpectralGrid.ifft
@@ -326,7 +325,8 @@ def test_streamed_transforms_equal_whole_transforms(n, N, slab, count, monkeypat
             buffer = np.full(spectral.SlabStream.size(grid, 3), np.nan + 0j)
             assert buffer.size == 3 * math.prod(grid.shape[:-1]) * (slabs[0].stop - slabs[0].start)
             stream = spectral.SlabStream(grid, (c[:2], c[2:]), fields, buffer)
-            assert (stream.hat is not None) == (count > 1 and fields <= 3)
+            assert stream.coeffs.shape == (max(3, fields),) + grid.fourier_shape[:-1] + (N,)
+            assert stream.hat.base is stream.coeffs and stream.hat.shape[0] == fields
             seen = []
             for s, part in stream:
                 seen.append(s)
@@ -338,10 +338,22 @@ def test_streamed_transforms_equal_whole_transforms(n, N, slab, count, monkeypat
             assert seen == slabs
             assert np.array_equal(stream.coefficients(), coeffs[:fields])
             assert np.array_equal(c, kept)
-            if count == 1:
-                assert calls == [("ifft", None)] + [("fft", None)] * fields
-            else:
-                per_slab = [("ifft", rest)] + [("fft", rest)] * fields
-                assert calls == [("ifft", last)] * 2 + per_slab * count + [("fft", last)]
+            per_slab = [("ifft", rest)] + [("fft", rest)] * fields
+            assert calls == [("ifft", last)] * 2 + per_slab * count + [("fft", last)]
             monkeypatch.setattr(SpectralGrid, "fft", fft)
             monkeypatch.setattr(SpectralGrid, "ifft", ifft)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda grid: heat_multiplier_grid(grid, 0.0, 0.1), r"got mu=0\.0, dt=0\.1"),
+        (lambda grid: heat_multiplier_grid(grid, 0.1, -1.0), r"got mu=0\.1, dt=-1\.0"),
+        (lambda grid: grid.sigma(0), "direction j=0 outside 1..2"),
+        (lambda grid: grid.delta(3), "direction j=3 outside 1..2"),
+    ],
+    ids=["heat-mu", "heat-dt", "sigma-j", "delta-j"],
+)
+def test_spectral_input_checks_name_the_bad_value(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(SpectralGrid(2, 8))

@@ -2,6 +2,7 @@
 public nonlinearity, linearized_b and leray_project, and the identities and
 shortcuts the kernel rests on."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -29,6 +30,7 @@ from dolbeault_ns import (
     pressure_recover,
     random_form,
     save_field,
+    save_trajectory,
     simulate,
     solve_linearized,
     step_etd_heun,
@@ -325,8 +327,8 @@ def test_zero_source_steps_exactly(monkeypatch):
     traj = simulate(cfg, u0)
     lin = solve_linearized(None, cfg, u0=u0)
     # one projection per run, of the initial data; no forward transform;
-    # one inverse transform of u per recorded state
-    assert counts == {"leray_project": 2, "ifft": 2 * (cfg.steps + 1)}
+    # two inverse calls of u per recorded state, its last axis and its one slab
+    assert counts == {"leray_project": 2, "ifft": 2 * 2 * (cfg.steps + 1)}
 
     E = np.exp(-cfg.mu * grid.zeta_sq * cfg.dt / 4.0)
     expect = _lattice(traj.velocities[0]).data
@@ -354,16 +356,23 @@ def test_lamb_step_counts_inverse_calls_and_forward_field_transforms(monkeypatch
 
     monkeypatch.setattr(SpectralGrid, "fft", counted_fft)
     simulate(cfg, u0)
-    # the initial projection, 2 per step; 1 inverse transform of the initial
-    # state and 2 per step; forward transforms go one field at a time: M1's
-    # 2 components per stage, and M1's and M2's 3 at each of the 2
-    # snapshots, which reuse the samples the diagnostics made; the snapshot
+    # the initial projection, 2 per step; 1 pass of the initial state and 2
+    # per step, each 3 inverse calls: the last axis of u and of dbar u, then
+    # its one slab; forward transforms go one field at a time along the
+    # other axes, M1's 2 components per stage and M1's and M2's 3 at each
+    # of the 2 snapshots, which reuse the samples the diagnostics made, and
+    # then once along the last axis of all of a pass's fields; the snapshot
     # at t = 0 also gives the first step its stage-1 source, which saves
-    # that stage's 2
+    # that stage's pass
     m1, m2 = 2, 1
+
+    def passes(fields, count=1):
+        return ([()] * fields + [(fields,)]) * count
+
+    expect = passes(m1 + m2) + passes(m1, 2 * cfg.steps - 1) + passes(m1 + m2)
     assert counts["leray_project"] == 1 + 2 * cfg.steps
-    assert counts["ifft"] == 1 + 2 * cfg.steps
-    assert forward == [()] * (m1 * (2 * cfg.steps - 1) + 2 * (m1 + m2))
+    assert counts["ifft"] == 3 * (1 + 2 * cfg.steps)
+    assert forward == expect
 
     # linearized around a stride-1 Lamb run: the samples of w_m are made once
     # per step index and shared by the stage and the snapshot at that index
@@ -371,8 +380,8 @@ def test_lamb_step_counts_inverse_calls_and_forward_field_transforms(monkeypatch
     counts.clear()
     forward.clear()
     solve_linearized(base, cfg, u0=u0)
-    assert counts["ifft"] == 2 + 3 * cfg.steps
-    assert forward == [()] * (m1 * (2 * cfg.steps - 1) + 2 * (m1 + m2))
+    assert counts["ifft"] == 3 * (1 + 2 * cfg.steps) + cfg.steps + 1
+    assert forward == expect
 
 
 @pytest.mark.parametrize("case", ["lamb", "linearized", "stokes"])
@@ -455,14 +464,13 @@ def test_quadratic_scratch_stays_within_a_few_components(case, bound):
 
 @pytest.mark.parametrize("case", ["lamb-short-last-slab", "q2-fields-outnumber-rows"])
 def test_split_pass_equals_one_slab_pass(case, monkeypatch):
-    # a split pass keeps its forward accumulators in the first rows of its
-    # last-axis inverse when its fields do not outnumber its rows: Lamb's 4
-    # exact fields at n = 3 and the 6 rows of [v, dbar v], here in slabs of
-    # 3 indices with a short last one.  The q = 2 table at n = 3 has 4 rows
-    # (3 of v, 1 of dbar v) and 6 fields (3 of M1, 3 of M2), so its 8
-    # slabs accumulate into an array of their own.  N and B, and their M1
-    # parts, equal those of the one-slab pass bit for bit; so does max |u|,
-    # while the power sum regroups with the slabs
+    # a pass keeps its forward accumulators in the first rows of its
+    # last-axis inverse, which has max(rows, fields) rows: Lamb's 4 exact
+    # fields at n = 3 share the 6 rows of [v, dbar v], here in slabs of 3
+    # indices with a short last one.  The q = 2 table at n = 3 has 4 rows
+    # (3 of v, 1 of dbar v) and 6 fields (3 of M1, 3 of M2), so its last-axis
+    # inverse has 6 rows, in 8 slabs.  N and B, their M1 parts, max |u| and
+    # the power sum equal those of the one-slab pass bit for bit
     q, spec, budget = (1, LAMB, 6 * 8**5 * 3) if case.startswith("lamb") else (2, q2_custom(), spectral._PASS)
     grid = SpectralGrid(3, 8).band
     rng = np.random.default_rng(7)
@@ -472,7 +480,8 @@ def test_split_pass_equals_one_slab_pass(case, monkeypatch):
 
     def recorded(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        made.append((len(self.slabs), self.hat is not None))
+        assert self.hat.base is self.coeffs
+        made.append((len(self.slabs), len(self.coeffs)))
 
     monkeypatch.setattr(spectral.SlabStream, "__init__", recorded)
     results = {}
@@ -480,10 +489,26 @@ def test_split_pass_equals_one_slab_pass(case, monkeypatch):
         monkeypatch.setattr(spectral, "_PASS", most)
         made.clear()
         results[label] = [dynamics._quadratic(spec, v, w=base, r=7) for base in (None, w)]
-        assert made == ([(1, False)] * 2 if label == "whole" else [(3, True)] * 2 if q == 1 else [(8, False)] * 2)
+        assert made == [(1 if label == "whole" else 3 if q == 1 else 8, 6)] * 2
     for (Q, Q1, (top, power)), (want, want1, (want_top, want_power)) in zip(results["split"], results["whole"]):
         assert np.array_equal(Q, want) and np.array_equal(Q1, want1)
-        assert top == want_top and abs(power - want_power) <= 1e-14 * want_power
+        assert top == want_top and power == want_power
+
+
+def test_run_files_do_not_depend_on_the_slab_budget(tmp_path, monkeypatch):
+    # an n = 3, N = 8 Lamb run writes the same bytes whatever the slabs of
+    # its passes: one slab, slabs of 3 indices (6 rows) or 6 (3 rows), and
+    # the default 8 and 4; lps_accum adds up its power sums per last-axis
+    # index, so it does not regroup with the slabs either
+    grid = SpectralGrid(3, 8)
+    cfg = SimConfig(n=3, q=1, N=8, mu=0.2, T=0.02, dt=0.01, nonlinearity=LAMB, output_stride=1)
+    u0 = _initial(grid, 1, seed=2)  # whose lps_accum regrouped with per-slab power sums
+    files = []
+    for budget in (1 << 30, 6 * 8**5 * 3, spectral._PASS):
+        monkeypatch.setattr(spectral, "_PASS", budget)
+        save_trajectory(tmp_path / str(budget), simulate(cfg, u0))
+        files.append([(tmp_path / str(budget) / name).read_bytes() for name in ("diagnostics.csv", "fields.bin")])
+    assert files[0] == files[1] == files[2]
 
 
 def test_streamed_run_peak_stays_within_three_components():
@@ -519,34 +544,39 @@ def test_streamed_run_peak_stays_within_three_components():
 )
 def test_sample_diagnostics_equal_whole_array_arithmetic(n, N, slab, monkeypatch):
     # max |u| sums the squared moduli in component order, bit for bit as
-    # np.sum(axis=0) does; the power sum only regroups a sum.  Both hold on
-    # whole samples and in a streamed pass (_quadratic with r), which takes
-    # them slab by slab of last-axis indices: at n = 3, N = 8 a pass of 1
-    # row goes in slabs of 6 indices and one of 3 rows in 4 slabs, and the
-    # cut budgets (slab samples per pass) put a 1-row pass in slabs of 3
-    # indices, with a short last one
+    # np.sum(axis=0) does; the power sum of each last-axis index is that of
+    # its own samples, added in component order, whatever slab holds the
+    # index.  Both hold on whole samples and in a streamed pass (_quadratic
+    # with r), which takes them slab by slab of last-axis indices and adds
+    # the N index sums exactly: at n = 3, N = 8 a pass of 1 row goes in
+    # slabs of 6 indices and one of 3 rows in 4 slabs, and the cut budgets
+    # (slab samples per pass) put a 1-row pass in slabs of 3 indices, with
+    # a short last one
     if slab is not None:
         monkeypatch.setattr(spectral, "_PASS", slab)
     grid = SpectralGrid(n, N)
     rng = np.random.default_rng(10 * n + N)
+
+    def index_sums(u, r):
+        sums = np.zeros(N)
+        for component in u:
+            sums += [np.sum(np.abs(component[..., i]) ** r) for i in range(N)]
+        return sums
+
     for a in (1, 2, 3):
         u = rng.standard_normal((a,) + grid.shape) + 1j * rng.standard_normal((a,) + grid.shape)
         want_max = np.sqrt(np.max(np.sum(np.abs(u) ** 2, axis=0)))
         for r in (2 * n + 1, 7.5):
             mx, power = dynamics._sample_diagnostics(u, r)
-            assert mx == want_max
-            want = np.sum(np.abs(u) ** r)
-            assert abs(power - want) <= 1e-14 * want
-        assert dynamics._sample_diagnostics(u) == (want_max, 0.0)
+            assert mx == want_max and np.array_equal(power, index_sums(u, r))
+        assert dynamics._sample_diagnostics(u) == (want_max, None)
     for q in (0, 1, 2):  # 1, n and n(n-1)/2 components
         v = random_form(grid.band, q, rng, decay=1.0)
         u = grid.band.ifft(v.data)
         want_max = np.sqrt(np.max(np.sum(np.abs(u) ** 2, axis=0)))
         for r in (2 * n + 1, 7.5):
             mx, power = dynamics._quadratic(STOKES, v, exact=False, r=r)[2]
-            assert mx == want_max
-            want = np.sum(np.abs(u) ** r)
-            assert abs(power - want) <= 1e-14 * want
+            assert mx == want_max and power == math.fsum(index_sums(u, r))
 
 
 def test_max_abs_column_matches_stored_velocities():
