@@ -16,6 +16,7 @@ from .dynamics import (
     CFLError,
     ForcingSpec,
     SimConfig,
+    SnapshotSink,
     Trajectory,
     frechet_residual,
     linearized_b,
@@ -38,7 +39,16 @@ from .forms import (
     multi_indices,
     random_form,
 )
-from .io import FieldFormatError, InitialSpec, gen_initial, load_field, load_trajectory, save_field, save_trajectory
+from .io import (
+    FieldFormatError,
+    InitialSpec,
+    TrajectoryWriter,
+    gen_initial,
+    load_field,
+    load_trajectory,
+    save_field,
+    save_trajectory,
+)
 from .norms import NormReport, bochner_for, bochner_pre, bochner_vel, energy_report, lps_integral, lr_norm, sobolev_hs
 from .spectral import FOURIER, PHYSICAL, SpectralGrid
 

@@ -54,12 +54,14 @@ its state, its stored velocities and pressures and the trajectory files
 hold the 2/3-rule modes only, with the per-mode arithmetic of a full-grid
 run.  The initial data may be given on the full lattice; it is dealiased
 (and rejected if that moves it).  Every other field enters the band
-through FormField.on, which rejects a mode outside it: forcing files and
-linearization bases (once, at entry), the state of step_etd_heun and the
-arguments of the public N and B, which answer on their argument's grid.
+through FormField.on, which rejects a mode outside it: forcing files (once,
+at entry), linearization bases (all checked at entry, each moved when the
+step that needs it reads it), the state of step_etd_heun and the arguments
+of the public N and B, which answer on their argument's grid.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -279,13 +281,33 @@ class Trajectory:
     """Velocity/pressure snapshots at uniform output stamps plus per-step
     diagnostics (columns as in DIAGNOSTIC_COLUMNS; energy = ||u||^2 / 2,
     dbar_star_residual = ||dbar* u||).  A run stores its snapshots as
-    Fourier fields on the band view of its grid (SimConfig.make_grid)."""
+    Fourier fields on the band view of its grid (SimConfig.make_grid).
+    velocities and pressures are sequences: lists for a run kept in
+    memory, sequences that read each snapshot from disk when it is used
+    for a stored one (io.load_trajectory, io.TrajectoryWriter)."""
 
     stamps: np.ndarray
-    velocities: list
-    pressures: list
+    velocities: Sequence
+    pressures: Sequence
     diagnostics: dict
     config: SimConfig
+
+
+class SnapshotSink:
+    """Where a run hands its recorded snapshots: append(velocity, pressure)
+    once per snapshot, in order, then finish(stamps, diagnostics, config)
+    once, which returns the run's Trajectory.  This sink keeps them in
+    memory; io.TrajectoryWriter writes them to disk as they come."""
+
+    def __init__(self):
+        self.velocities, self.pressures = [], []
+
+    def append(self, velocity: FormField, pressure: FormField):
+        self.velocities.append(velocity)
+        self.pressures.append(pressure)
+
+    def finish(self, stamps: np.ndarray, diagnostics: dict, config: SimConfig) -> Trajectory:
+        return Trajectory(stamps, self.velocities, self.pressures, diagnostics, config)
 
 
 # -- nonlinearity and linearization ---------------------------------------------
@@ -293,10 +315,17 @@ class Trajectory:
 
 def _samples(u: FormField, with_dbar: bool, out: np.ndarray | None = None) -> np.ndarray:
     """Physical samples of u (Fourier), stacked over those of dbar u when
-    with_dbar, from one inverse FFT (into out when given)."""
-    if with_dbar:
-        return u.grid.ifft(np.concatenate((u.data, dbar(u).data)), out=out)
-    return u.grid.ifft(u.data, out=out)
+    with_dbar, each inverse-transformed into its rows of out (a new array
+    when not given)."""
+    if not with_dbar:
+        return u.grid.ifft(u.data, out=out)
+    a = len(u.data)
+    du = dbar(u).data
+    if out is None:
+        out = np.empty((a + len(du),) + u.grid.shape, dtype=np.complex128)
+    u.grid.ifft(u.data, out=out[:a])
+    u.grid.ifft(du, out=out[a:])
+    return out
 
 
 def _quadratic(
@@ -483,8 +512,9 @@ class _EtdHeun:
 
     with base[m] the linearization point w at step m (base None: the
     nonlinear source; solve_linearized steps w = 0 with the Stokes table).
-    States, sources, multipliers and base[m] (moved there once, at entry)
-    live on the band view of the run's grid.
+    States, sources, multipliers and base[m] (moved there when it is read,
+    once per step) live on the band view of the run's grid; base is read
+    one state at a time, so a stored base is never held whole.
 
     source() evaluates g in one streamed pass of _quadratic over the
     samples of [v, dbar v].  The run loop hands each recorded state to
@@ -518,7 +548,8 @@ class _EtdHeun:
         m = int(round(t / self.dt_base))
         if self._base_m != m:
             self._base_m = None
-            _samples(self.base[m], self.m1, out=self._base_phys)
+            w = self.base[m].on(self.grid, f"base state {m}").to_fourier()
+            _samples(w, self.m1, out=self._base_phys)
             self._base_m = m
         return self._base_phys
 
@@ -619,12 +650,14 @@ def _prepare_initial(config: SimConfig, u0: FormField) -> FormField:
     return u
 
 
-def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool) -> Trajectory:
+def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool, sink=None) -> Trajectory:
     """Shared integration loop: per-step diagnostics, interval snapshots,
     optional CFL check before every step.  In shrink mode a violation
     refines dt by an integer factor and restarts the current interval from
     its start state, so output stamps never move.  Stepping, diagnostics,
-    pressures and the stored snapshots all live on the kernel's band view."""
+    pressures and the stored snapshots all live on the kernel's band view.
+    Each snapshot goes to sink (a SnapshotSink by default) as soon as it is
+    recorded, and the sink's finish() makes the returned Trajectory."""
     r_lps, s_lps = config.lps_exponents
     band = kernel.grid
     cell = band.cell_volume
@@ -639,8 +672,7 @@ def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool) -> 
     # the lps_accum column holds ||u||_{L^r}^s of each recorded state until
     # the loop ends, and then its integral
     diag = {name: [] for name in DIAGNOSTIC_COLUMNS}
-
-    velocities, pressures = [], []
+    sink = SnapshotSink() if sink is None else sink
 
     def record(t, state, t_source, snapshot):
         """Append the diagnostics of state at t and hand its source at
@@ -661,8 +693,7 @@ def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool) -> 
         if snapshot:
             # dbar* annihilates the solenoidal part of F, so recovering p
             # from F itself equals recovering it from F - P F
-            velocities.append(state)
-            pressures.append(pressure_recover(FormField(band, config.q, F, FOURIER), check=False))
+            sink.append(state, pressure_recover(FormField(band, config.q, F, FOURIER), check=False))
         return mx
 
     umax = record(0.0, u, 0.0, True)
@@ -703,7 +734,7 @@ def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool) -> 
     # the trapezoid rule, one interval after another
     g = diagnostics["lps_accum"]
     diagnostics["lps_accum"] = np.concatenate(([0.0], np.cumsum(0.5 * (g[:-1] + g[1:]) * np.diff(diagnostics["t"]))))
-    return Trajectory(stamps, velocities, pressures, diagnostics, config)
+    return sink.finish(stamps, diagnostics, config)
 
 
 # most |sum of a monomial's coefficients| / sum |c| that _pairing_cancels takes for zero
@@ -727,8 +758,9 @@ def _pairing_cancels(m1_terms: tuple) -> bool:
     return all(abs(s) <= _PAIRING_TOL * total for s in sums.values())
 
 
-def simulate(config: SimConfig, u0: FormField) -> Trajectory:
-    """Integrate the nonlinear problem from u0 to T.
+def simulate(config: SimConfig, u0: FormField, sink=None) -> Trajectory:
+    """Integrate the nonlinear problem from u0 to T, handing each snapshot
+    to sink (see SnapshotSink; default: kept in memory).
 
     The nonlinearity is admitted only if it satisfies the
     energy-cancellation hypothesis: exactly, when the M1 coefficients of
@@ -747,14 +779,18 @@ def simulate(config: SimConfig, u0: FormField) -> Trajectory:
                 "nonlinearity violates the energy-cancellation hypothesis: "
                 f"max normalized pairing {gate['max_normalized_pairing']:.3e}"
             )
-    return _run_loop(config, u0, _EtdHeun(config, grid), cfl=True)
+    return _run_loop(config, u0, _EtdHeun(config, grid), cfl=True, sink=sink)
 
 
-def solve_linearized(w: Trajectory | None, config: SimConfig, u0: FormField) -> Trajectory:
-    """Integrate the problem linearized around the trajectory w.
+def solve_linearized(w: Trajectory | None, config: SimConfig, u0: FormField, sink=None) -> Trajectory:
+    """Integrate the problem linearized around the trajectory w, handing
+    each snapshot to sink (see SnapshotSink; default: kept in memory).
 
     B(w(t), u) replaces N(u); w must be stored at every step of this run
-    (stamp spacing equal to dt), or be None for w = 0.  No advective CFL
+    (stamp spacing equal to dt), or be None for w = 0.  Every base state's
+    grid, bidegree and band membership is checked at entry, one state at a
+    time, and the kernel reads w.velocities[m] again at step m, so a base
+    read from disk on demand is never held whole.  No advective CFL
     adaptation is applied: the problem is linear in u.
     """
     grid = u0.grid
@@ -764,14 +800,14 @@ def solve_linearized(w: Trajectory | None, config: SimConfig, u0: FormField) -> 
 
     if w is None:
         # B(0, .) = 0: the kernel steps the Stokes problem
-        return _run_loop(config, u0, _EtdHeun(replace(config, nonlinearity=BilinearSpec.stokes()), grid), cfl=False)
+        stokes = replace(config, nonlinearity=BilinearSpec.stokes())
+        return _run_loop(config, u0, _EtdHeun(stokes, grid), cfl=False, sink=sink)
     spacing = np.diff(w.stamps)
     if len(w.velocities) < config.steps + 1 or not np.allclose(spacing, config.dt, rtol=0, atol=1e-9 * config.dt):
         raise ValueError("base trajectory must be stored at every step (stamp spacing == dt)")
-    base = []
     for m, v in enumerate(w.velocities):
         if (v.grid.n, v.grid.N) != (grid.n, grid.N) or v.q != config.q:
             raise ValueError(f"base state {m} with q={v.q} on {v.grid} does not match q={config.q} on {grid}")
-        base.append(v.on(grid.band, f"base state {m}").to_fourier())
-    return _run_loop(config, u0, _EtdHeun(config, grid, base), cfl=False)
+        v.on(grid.band, f"base state {m}")
+    return _run_loop(config, u0, _EtdHeun(config, grid, w.velocities), cfl=False, sink=sink)
 

@@ -33,18 +33,34 @@ written in this order:
 In both kinds of directory the manifest is written last, to a temporary
 file renamed into place, after any old manifest is removed, so a directory
 with a manifest holds a complete field or trajectory; what a power loss
-could leave behind fails the size or checksum checks.  Loads also check the
-config echo against its hash.  Trajectories of schema
-dolbeault-ns.trajectory/2 (the same files with full-lattice records) and
-dolbeault-ns.trajectory/1 (one field directory per snapshot, u_000000/,
-p_000000/, ...) are still read: each record moves onto the band with
+could leave behind fails the size or checksum checks.  A trajectory is
+written as its run goes (TrajectoryWriter, the run's snapshot sink):
+records are appended to fields.bin as they are recorded, and
+save_trajectory is the same writer run over a trajectory in memory.
+
+A trajectory is verified when it is opened and read on demand.
+load_trajectory checks the manifest keys, the config echo against its
+hash, the size of fields.bin and, in one streaming pass through one
+record-sized buffer, every index entry, checksum, value and the band rule,
+so every fault it can find raises FieldFormatError at load.  Its velocities
+and pressures are then sequences that read a record from the open file
+when it is used, checking its checksums and values again; so a series is
+never held whole, and damage done after the load raises FieldFormatError
+when the record is read.  Trajectories of schema dolbeault-ns.trajectory/2
+(the same files with full-lattice records) and dolbeault-ns.trajectory/1
+(one field directory per snapshot, u_000000/, p_000000/, ...) are still
+read, through the same sequences: each record moves onto the band with
 FormField.on, and one with a mode outside it is rejected.
 """
 
 import hashlib
 import json
+import math
+import operator
 import os
+import weakref
 import zlib
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -222,34 +238,38 @@ def _read_component(fh, dest: np.ndarray, crc, what: str):
         raise FieldFormatError(f"non-finite values in {what}")
 
 
-def _save_directory(path, write_data):
-    """Write a directory whose manifest.json is written last: remove a
-    manifest already there, let write_data(out) write the data files and
-    return the manifest, then write it to a temporary file and rename that
-    into place.  So an interrupted write never leaves a manifest beside
-    partial data, and a directory with a manifest holds complete data."""
+def _open_directory(path) -> Path:
+    """The first half of writing a directory whose manifest.json comes last:
+    make the directory and remove a manifest already there, so an
+    interrupted write never leaves a manifest beside partial data."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    manifest_path = out / "manifest.json"
-    manifest_path.unlink(missing_ok=True)
-    manifest = write_data(out)
+    (out / "manifest.json").unlink(missing_ok=True)
+    return out
+
+
+def _write_manifest(out: Path, manifest: dict):
+    """The second half, once the data files are complete: write the manifest
+    to a temporary file and rename that into place, so a directory with a
+    manifest holds complete data."""
     staged = out / "manifest.json.tmp"
     staged.write_text(json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
-    os.replace(staged, manifest_path)
+    os.replace(staged, out / "manifest.json")
 
 
 def save_field(path, field: FormField, sim_time: float = 0.0, seed=None, cfg_hash=None):
     """Write a field directory: one blob per component, then manifest.json
-    (see _save_directory), on the full lattice."""
+    (_open_directory, _write_manifest), on the full lattice."""
     field = field.on(field.grid.full)
-
-    def write(out: Path) -> dict:
-        blobs = []
-        for ci, component in enumerate(field.data):
-            name = f"comp_{ci:03d}.bin"
-            with open(out / name, "wb") as fh:
-                blobs.append({"file": name, "crc32": _write_component(fh, component)})
-        return {
+    out = _open_directory(path)
+    blobs = []
+    for ci, component in enumerate(field.data):
+        name = f"comp_{ci:03d}.bin"
+        with open(out / name, "wb") as fh:
+            blobs.append({"file": name, "crc32": _write_component(fh, component)})
+    _write_manifest(
+        out,
+        {
             "schema": FIELD_SCHEMA,
             "n": field.grid.n,
             "N": field.grid.N,
@@ -261,9 +281,8 @@ def save_field(path, field: FormField, sim_time: float = 0.0, seed=None, cfg_has
             "sim_time": sim_time,
             "seed": seed,
             "config_hash": cfg_hash,
-        }
-
-    _save_directory(path, write)
+        },
+    )
 
 
 @_stored_data()
@@ -312,88 +331,214 @@ def load_field(path, grid: SpectralGrid | None = None) -> FormField:
 # -- trajectory persistence --------------------------------------------------------------
 
 
+class TrajectoryWriter:
+    """A run's snapshot sink that writes it to a trajectory directory of
+    schema /3 as it goes; simulate and solve_linearized take it as sink.
+    append() adds one snapshot's records to fields.bin, and finish() writes
+    diagnostics.csv and then the manifest (_open_directory, _write_manifest)
+    and returns the run's Trajectory, its series read back from fields.bin
+    on demand.  The directory is opened at the first snapshot, so a run
+    that fails its input checks leaves it as it was, and one that fails
+    later leaves no manifest.  Use it in a with statement, which closes
+    fields.bin when the run fails."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self._fh = None
+        self._index = []
+
+    def __enter__(self) -> "TrajectoryWriter":
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self):
+        """Close fields.bin; finish() does, and a with statement."""
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+    def _start(self):
+        if self._fh is None:
+            out = _open_directory(self.path)
+            # a new file: a trajectory loaded from this directory reads on from the old one
+            (out / FIELDS_FILE).unlink(missing_ok=True)
+            self._fh = open(out / FIELDS_FILE, "wb")
+
+    def append(self, velocity: FormField, pressure: FormField):
+        self._start()
+        m = len(self._index) // len(KINDS)
+        for kind, field in zip(KINDS, (velocity, pressure)):
+            offset = self._fh.tell()
+            crcs = [_write_component(self._fh, component) for component in field.data]
+            self._index.append(
+                {"kind": kind, "snapshot": m, "q": field.q, "representation": field.rep,
+                 "offset": offset, "crc32": crcs}
+            )
+
+    def finish(self, stamps: np.ndarray, diagnostics: dict, config: SimConfig) -> Trajectory:
+        self._start()
+        total = self._fh.tell()
+        self.close()
+        lines = [",".join(DIAGNOSTIC_COLUMNS)]
+        for row in range(len(diagnostics["t"])):
+            lines.append(",".join(repr(float(diagnostics[c][row])) for c in DIAGNOSTIC_COLUMNS))
+        (self.path / "diagnostics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        manifest = {
+            "schema": TRAJECTORY_SCHEMA,
+            "config": config.to_json(),
+            "config_hash": config_hash(config),
+            "stamps": [float(t) for t in stamps],
+            "snapshots": len(self._index) // len(KINDS),
+            "bytes": total,
+            "fields": self._index,
+        }
+        _write_manifest(self.path, manifest)
+        records = _Records(self.path / FIELDS_FILE, config.make_grid(), total)
+        records.entries = self._index
+        return Trajectory(np.asarray(stamps), *records.series(), diagnostics, config)
+
+
 def save_trajectory(path, traj: Trajectory):
-    """Write a trajectory directory of schema /3: fields.bin, diagnostics.csv,
-    then manifest.json (see _save_directory).  Every field must lie on the
-    band view of the run's grid, as a run stores them."""
+    """Write a trajectory directory of schema /3 through TrajectoryWriter.
+    Every field must lie on the band view of the run's grid, as a run
+    stores them; this is checked before anything is written."""
     grid = traj.config.make_grid()
     for field in traj.velocities + traj.pressures:
         if field.grid != grid:
             raise ValueError(f"trajectory field on {field.grid}, expected the run's band view {grid}")
-
-    def write(out: Path) -> dict:
-        cfg = traj.config
-        index = []
-        with open(out / FIELDS_FILE, "wb") as fh:
-            for m, snapshot in enumerate(zip(traj.velocities, traj.pressures)):
-                for kind, field in zip(KINDS, snapshot):
-                    offset = fh.tell()
-                    crcs = [_write_component(fh, component) for component in field.data]
-                    index.append(
-                        {"kind": kind, "snapshot": m, "q": field.q, "representation": field.rep,
-                         "offset": offset, "crc32": crcs}
-                    )
-            total = fh.tell()
-        lines = [",".join(DIAGNOSTIC_COLUMNS)]
-        for row in range(len(traj.diagnostics["t"])):
-            lines.append(",".join(repr(float(traj.diagnostics[c][row])) for c in DIAGNOSTIC_COLUMNS))
-        (out / "diagnostics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return {
-            "schema": TRAJECTORY_SCHEMA,
-            "config": cfg.to_json(),
-            "config_hash": config_hash(cfg),
-            "stamps": [float(t) for t in traj.stamps],
-            "snapshots": len(traj.velocities),
-            "bytes": total,
-            "fields": index,
-        }
-
-    _save_directory(path, write)
+    with TrajectoryWriter(path) as writer:
+        for velocity, pressure in zip(traj.velocities, traj.pressures):
+            writer.append(velocity, pressure)
+        writer.finish(traj.stamps, traj.diagnostics, traj.config)
 
 
-def _load_packed(root: Path, manifest: dict, cfg: SimConfig, count: int, where: str, grid: SpectralGrid) -> tuple:
-    """The velocities and pressures of a /3 trajectory (grid the band view)
-    or a /2 one (grid the full lattice), checked against its fields index,
-    read from fields.bin in one pass, on the band view."""
+class _Series(Sequence):
+    """A sequence whose item i is read(i), made each time it is used: the
+    snapshots of a stored trajectory.  + with another sequence chains the
+    two, as lazily."""
+
+    def __init__(self, length: int, read):
+        self._length, self._read = length, read
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, i: int):
+        i = operator.index(i)
+        if i < 0:
+            i += self._length
+        if not 0 <= i < self._length:
+            raise IndexError(f"snapshot {i} out of range for {self._length} snapshots")
+        return self._read(i)
+
+    def __add__(self, other: Sequence) -> "_Series":
+        head = len(self)
+        return _Series(head + len(other), lambda i: self[i] if i < head else other[i - head])
+
+
+class _Records:
+    """The records of a fields.bin of total bytes, read one at a time from a
+    handle that stays open until close() or until the object is collected.
+    entries holds each record's checked index entry, in file order; grid is
+    the view its records are stored on (the band view for /3, the full
+    lattice for /2)."""
+
+    def __init__(self, path: Path, grid: SpectralGrid, total: int):
+        self.grid = grid
+        self.entries = []
+        self._fh = open(path, "rb")
+        # close() closes the file once, and so does collecting self
+        self.close = weakref.finalize(self, self._fh.close)
+        size = os.fstat(self._fh.fileno()).st_size
+        if size != total:
+            self.close()
+            raise FieldFormatError(f"{FIELDS_FILE} size mismatch: {size} bytes, the manifest says {total}")
+
+    def shape(self, i: int) -> tuple:
+        """The stored shape of record i."""
+        entry = self.entries[i]
+        return (len(entry["crc32"]),) + (self.grid.fourier_shape if entry["representation"] == FOURIER else self.grid.shape)
+
+    def read(self, i: int, buffer: np.ndarray | None = None) -> FormField:
+        """Record i on the band view, its checksums and values checked, read
+        into a new array (or into the first values of the flat "<c16"
+        buffer)."""
+        entry = self.entries[i]
+        m, k = divmod(i, len(KINDS))
+        what = f"{FIELDS_FILE} record {i} ({KINDS[k]}_{m})"
+        shape = self.shape(i)
+        data = np.empty(shape, dtype="<c16") if buffer is None else buffer[: math.prod(shape)].reshape(shape)
+        self._fh.seek(entry["offset"])
+        for ci, crc in enumerate(entry["crc32"]):
+            _read_component(self._fh, data[ci], crc, f"{what} component {ci}")
+        with _stored_data():
+            return FormField(self.grid, entry["q"], data, entry["representation"]).on(self.grid.band, what)
+
+    def series(self) -> tuple:
+        """The velocities and pressures, read on demand."""
+        count = len(self.entries) // len(KINDS)
+        return tuple(_Series(count, lambda m, k=k: self.read(len(KINDS) * m + k)) for k in range(len(KINDS)))
+
+
+def _open_packed(root: Path, manifest: dict, cfg: SimConfig, count: int, where: str, grid: SpectralGrid) -> _Records:
+    """fields.bin of a /3 trajectory (grid the band view) or a /2 one (grid
+    the full lattice), verified against its fields index in one streaming
+    pass through one record-sized buffer."""
     index = _json_value(manifest, "fields", list, where)
     total = _json_value(manifest, "bytes", int, where)
     if len(index) != len(KINDS) * count:
         raise FieldFormatError(f"{where} indexes {len(index)} fields for {count} snapshots")
-    band = grid.band
-    fields = tuple([] for _ in KINDS)
-    with open(root / FIELDS_FILE, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size != total:
-            raise FieldFormatError(f"{FIELDS_FILE} size mismatch: {size} bytes, the manifest says {total}")
+    records = _Records(root / FIELDS_FILE, grid, total)
+    buffer, offset = np.empty(0, dtype="<c16"), 0
+    try:
         for i, record in enumerate(index):
             m, k = divmod(i, len(KINDS))
             at = f"{where} fields[{i}]"
             q = cfg.q - k
             _json_object(record, at)
-            for key, want in (("kind", KINDS[k]), ("snapshot", m), ("q", q), ("offset", fh.tell())):
+            for key, want in (("kind", KINDS[k]), ("snapshot", m), ("q", q), ("offset", offset)):
                 got = _json_value(record, key, type(want), at)
                 if got != want:
                     raise FieldFormatError(f"{at} has {key} {got!r}, expected {want!r}")
-            rep = _json_value(record, "representation", str, at)
+            _json_value(record, "representation", str, at)
             crcs = _json_value(record, "crc32", list, at)
-            shape = grid.fourier_shape if rep == FOURIER else grid.shape
-            data = np.empty((num_components(grid.n, q),) + shape, dtype="<c16")
-            if len(crcs) != len(data):
-                raise FieldFormatError(f"{at} lists {len(crcs)} checksums for {len(data)} components")
-            what = f"{FIELDS_FILE} record {i} ({KINDS[k]}_{m})"
-            for ci, crc in enumerate(crcs):
-                _read_component(fh, data[ci], crc, f"{what} component {ci}")
-            fields[k].append(FormField(grid, q, data, rep).on(band, what))
-        if fh.tell() != total:
-            raise FieldFormatError(f"{FIELDS_FILE} size mismatch: records end at byte {fh.tell()} of {total}")
-    return fields
+            if len(crcs) != num_components(grid.n, q):
+                raise FieldFormatError(f"{at} lists {len(crcs)} checksums for {num_components(grid.n, q)} components")
+            records.entries.append(record)
+            values = math.prod(records.shape(i))
+            if buffer.size < values:
+                buffer = np.empty(values, dtype="<c16")
+            records.read(i, buffer)
+            offset += 16 * values
+        if offset != total:
+            raise FieldFormatError(f"{FIELDS_FILE} size mismatch: records end at byte {offset} of {total}")
+    except BaseException:
+        records.close()
+        raise
+    return records
+
+
+def _open_directories(root: Path, grid: SpectralGrid, count: int) -> tuple:
+    """The velocities and pressures of a /1 trajectory, one field directory
+    per snapshot, each verified now and read again on demand."""
+    series = tuple(
+        _Series(count, lambda m, kind=kind: load_field(root / f"{kind}_{m:06d}", grid=grid)) for kind in KINDS
+    )
+    for fields in series:
+        for _ in fields:
+            pass
+    return series
 
 
 @_stored_data()
 def load_trajectory(path) -> Trajectory:
-    """Read a trajectory directory of schema /3 (or /2, /1) onto the band
-    view of its run's grid; verifies the manifest keys, the config hash
-    and every stored field."""
+    """Open a trajectory directory of schema /3 (or /2, /1) on the band view
+    of its run's grid: verifies the manifest keys, the config hash and
+    every stored field now, and returns velocities and pressures that read
+    each field again, checked again, when it is used (see the module
+    docstring)."""
     root = Path(path)
     where = f"trajectory manifest {root / 'manifest.json'}"
     manifest = _read_manifest(root / "manifest.json", "trajectory")
@@ -411,12 +556,11 @@ def load_trajectory(path) -> Trajectory:
         raise FieldFormatError(f"{where} has {stamps.size} stamps for {count} snapshots")
     grid = cfg.make_grid()
     if schema == TRAJECTORY_SCHEMA:
-        velocities, pressures = _load_packed(root, manifest, cfg, count, where, grid)
+        velocities, pressures = _open_packed(root, manifest, cfg, count, where, grid).series()
     elif schema == TRAJECTORY_SCHEMA_V2:
-        velocities, pressures = _load_packed(root, manifest, cfg, count, where, grid.full)
+        velocities, pressures = _open_packed(root, manifest, cfg, count, where, grid.full).series()
     else:
-        velocities = [load_field(root / f"u_{m:06d}", grid=grid) for m in range(count)]
-        pressures = [load_field(root / f"p_{m:06d}", grid=grid) for m in range(count)]
+        velocities, pressures = _open_directories(root, grid, count)
 
     text = (root / "diagnostics.csv").read_text(encoding="utf-8").strip()
     table = [line.split(",") for line in text.splitlines()]

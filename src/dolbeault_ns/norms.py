@@ -150,21 +150,29 @@ def _uniform_spacing(stamps: np.ndarray) -> float:
 
 
 def _series(traj_like, attr: str):
-    """Accept a Trajectory (using the named snapshot list) or (stamps, fields);
-    one stamp per snapshot, all snapshots on one grid and of one bidegree."""
+    """Accept a Trajectory (using the named snapshot sequence) or (stamps,
+    fields), one stamp per snapshot.  The sequence is not copied: a stored
+    trajectory's reads each snapshot when it is used."""
     if isinstance(traj_like, tuple):
         stamps, fields = traj_like
     else:
         stamps, fields = traj_like.stamps, getattr(traj_like, attr)
-    stamps, fields = np.asarray(stamps, dtype=float), list(fields)
+    stamps = np.asarray(stamps, dtype=float)
     if stamps.shape != (len(fields),):
         raise ValueError(f"need one time stamp per snapshot, got {stamps.size} stamps for {len(fields)} snapshots")
-    for f in fields[1:]:
-        if f.grid != fields[0].grid:
-            raise ValueError(f"snapshots lie on different grids: {fields[0].grid} and {f.grid}")
-        if f.q != fields[0].q:
-            raise ValueError(f"snapshots have different bidegrees: (0,{fields[0].q}) and (0,{f.q})")
     return stamps, fields
+
+
+def _checked(fields):
+    """The snapshots of fields one at a time, each checked to lie on the
+    grid of the first and to have its bidegree."""
+    first = fields[0]
+    for f in fields:
+        if f.grid != first.grid:
+            raise ValueError(f"snapshots lie on different grids: {first.grid} and {f.grid}")
+        if f.q != first.q:
+            raise ValueError(f"snapshots have different bidegrees: (0,{first.q}) and (0,{f.q})")
+        yield f
 
 
 def _mixed_norm_sq(stamps, fields, k: int, s: int, l2_weight: float, apply=None) -> float:
@@ -173,7 +181,8 @@ def _mixed_norm_sq(stamps, fields, k: int, s: int, l2_weight: float, apply=None)
     Each term is ||grad^i da dt^j u||_C^2 + l2_weight * ||grad^{i+1} da dt^j u||_L2^2,
     summed over the modes of the fields' grid; apply (bochner_pre passes
     dbar) maps each snapshot first.  Per j, one pass over the snapshots
-    fills the (snapshots x S) density matrix a row at a time.
+    fills the (snapshots x S) density matrix a row at a time; the first
+    pass checks the snapshots against the first (_checked).
     """
     if k < 0 or s < 0:
         raise ValueError(f"k and s must be nonnegative, got k={k}, s={s}")
@@ -184,7 +193,7 @@ def _mixed_norm_sq(stamps, fields, k: int, s: int, l2_weight: float, apply=None)
 
     def coefficients():
         # (components, S) coefficients of one snapshot at a time
-        for f in fields:
+        for f in _checked(fields):
             f = (f if apply is None else apply(f)).to_fourier()
             yield f.data.reshape(f.data.shape[0], -1)
 

@@ -21,6 +21,7 @@ from dolbeault_ns import (
     FormField,
     InitialSpec,
     SimConfig,
+    bochner_vel,
     dbar_star,
     gen_initial,
     l2_norm,
@@ -648,6 +649,200 @@ def test_packed_index_disagreement_detected(tmp_path, change):
         load_trajectory(tmp_path / "run")
 
 
+def test_loaded_series_read_on_demand(tmp_path):
+    # len, integer indexes (negative too), iteration and a lazy +, each
+    # item a fresh read equal to what was saved
+    _, traj = _small_run()
+    save_trajectory(tmp_path / "run", traj)
+    back = load_trajectory(tmp_path / "run")
+    assert len(back.velocities) == len(back.pressures) == 3
+    assert np.array_equal(back.velocities[-1].data, traj.velocities[-1].data)
+    assert back.velocities[1] is not back.velocities[1]
+    both = back.velocities + back.pressures
+    assert len(both) == 6 and np.array_equal(both[4].data, traj.pressures[1].data)
+    assert [f.q for f in both] == [1, 1, 1, 0, 0, 0]
+    for i in (3, -4):
+        with pytest.raises(IndexError):
+            back.pressures[i]
+
+
+def _flip_record_byte(run, record):
+    """Flip one byte inside record `record` of run's fields.bin, in place."""
+    entry = json.loads((run / "manifest.json").read_text())["fields"][record]
+    with open(run / "fields.bin", "r+b") as fh:
+        fh.seek(entry["offset"] + 40)
+        byte = fh.read(1)[0]
+        fh.seek(entry["offset"] + 40)
+        fh.write(bytes([byte ^ 0x10]))
+
+
+def test_record_damaged_after_load_fails_when_read(tmp_path):
+    _, traj = _small_run()
+    save_trajectory(tmp_path / "run", traj)
+    back = load_trajectory(tmp_path / "run")
+    _flip_record_byte(tmp_path / "run", 3)  # p_1
+    assert np.array_equal(back.pressures[0].data, traj.pressures[0].data)
+    with pytest.raises(FieldFormatError, match=r"checksum failure in fields.bin record 3 \(p_1\) component 0"):
+        back.pressures[1]
+    with pytest.raises(FieldFormatError, match="checksum"):
+        list(back.velocities + back.pressures)
+
+
+@pytest.mark.parametrize("command", ["norms", "linearize"])
+def test_cli_record_damaged_after_load_exits_2(tmp_path, capsys, monkeypatch, command):
+    import dolbeault_ns.io as dio
+
+    cfg_path = _write_cfg(tmp_path, output_stride=1)
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(run)]) == 0
+    capsys.readouterr()
+    load = dio.load_trajectory
+
+    def load_then_damage(path):
+        loaded = load(path)
+        _flip_record_byte(Path(path), 8)  # u_4
+        return loaded
+
+    monkeypatch.setattr(dio, "load_trajectory", load_then_damage)
+    if command == "norms":
+        argv = ["norms", "--traj", str(run), "--k", "0", "--s", "1"]
+    else:
+        argv = ["linearize", "--base-traj", str(run), "--config", str(cfg_path), "--out", str(tmp_path / "lin")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: checksum failure in fields.bin record 8 (u_4)"), captured.err
+    assert not (tmp_path / "lin").exists()
+
+
+def test_streamed_run_directories_equal_saved_ones(tmp_path):
+    # a run written as it goes, by simulate/solve_linearized with the disk
+    # sink and by the CLI, is byte for byte the save of the run in memory
+    from dolbeault_ns.io import TrajectoryWriter
+
+    cfg = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.05, dt=0.01, nonlinearity=BilinearSpec.lamb(), seed=3)
+    u0 = gen_initial(InitialSpec(), cfg)
+    v0 = gen_initial(InitialSpec(), replace(cfg, seed=4))
+    base = simulate(cfg, u0)
+    lin = solve_linearized(base, cfg, u0=v0)
+    save_trajectory(tmp_path / "base", base)
+    save_trajectory(tmp_path / "lin", lin)
+    with TrajectoryWriter(tmp_path / "base_streamed") as sink:
+        streamed = simulate(cfg, u0, sink)
+    with TrajectoryWriter(tmp_path / "lin_streamed") as sink:
+        lin_streamed = solve_linearized(load_trajectory(tmp_path / "base_streamed"), cfg, u0=v0, sink=sink)
+    for name, memory, disk in (("base", base, streamed), ("lin", lin, lin_streamed)):
+        assert _tree_digest(tmp_path / f"{name}_streamed") == _tree_digest(tmp_path / name)
+        assert np.array_equal(disk.stamps, memory.stamps)
+        for a, b in zip(disk.velocities + disk.pressures, memory.velocities + memory.pressures, strict=True):
+            assert np.array_equal(a.data, b.data) and (a.grid, a.q, a.rep) == (b.grid, b.q, b.rep)
+    cfg_path = tmp_path / "cfg.json"
+    save_config(cfg_path, cfg)
+    save_field(tmp_path / "u0", u0)
+    save_field(tmp_path / "v0", v0)
+    assert main(["simulate", "--config", str(cfg_path), "--u0", str(tmp_path / "u0"), "--out", str(tmp_path / "cli")]) == 0
+    assert main(["linearize", "--base-traj", str(tmp_path / "cli"), "--config", str(cfg_path),
+                 "--u0", str(tmp_path / "v0"), "--out", str(tmp_path / "cli_lin")]) == 0
+    assert _tree_digest(tmp_path / "cli") == _tree_digest(tmp_path / "base")
+    assert _tree_digest(tmp_path / "cli_lin") == _tree_digest(tmp_path / "lin")
+
+
+def test_streamed_run_over_its_own_base(tmp_path):
+    # the writer makes a new fields.bin, so a base loaded from the output
+    # directory reads on from its own file
+    from dolbeault_ns.io import TrajectoryWriter
+
+    cfg = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.05, dt=0.01, nonlinearity=BilinearSpec.lamb(), seed=3)
+    base = simulate(cfg, gen_initial(InitialSpec(), cfg))
+    v0 = gen_initial(InitialSpec(), replace(cfg, seed=4))
+    save_trajectory(tmp_path / "run", base)
+    save_trajectory(tmp_path / "lin", solve_linearized(base, cfg, u0=v0))
+    with TrajectoryWriter(tmp_path / "run") as sink:
+        solve_linearized(load_trajectory(tmp_path / "run"), cfg, u0=v0, sink=sink)
+    assert _tree_digest(tmp_path / "run") == _tree_digest(tmp_path / "lin")
+
+
+@pytest.mark.parametrize("existing", [False, True])
+def test_run_failing_midway_leaves_no_manifest(tmp_path, monkeypatch, existing):
+    import dolbeault_ns.dynamics as dynamics
+    from dolbeault_ns.io import TrajectoryWriter
+
+    cfg = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.05, dt=0.01, nonlinearity=BilinearSpec.lamb(), seed=3)
+    u0 = gen_initial(InitialSpec(), cfg)
+    run = tmp_path / "run"
+    if existing:  # a complete trajectory from an earlier run in the same directory
+        save_trajectory(run, simulate(cfg, u0))
+    step, steps = dynamics._EtdHeun.step, []
+
+    def failing(self, *args):
+        if len(steps) == 3:
+            raise RuntimeError("interrupted")
+        steps.append(args)
+        return step(self, *args)
+
+    monkeypatch.setattr(dynamics._EtdHeun, "step", failing)
+    with pytest.raises(RuntimeError, match="interrupted"), TrajectoryWriter(run) as sink:
+        simulate(cfg, u0, sink)
+    assert sink._fh is None  # the with statement closed fields.bin
+    # u_0, p_0 .. u_3, p_3 were written before the fourth step failed
+    assert (run / "fields.bin").stat().st_size == 4 * (2 + 1) * 5**4 * 16
+    assert {p.name for p in run.iterdir()} == {"fields.bin"} | ({"diagnostics.csv"} if existing else set())
+    with pytest.raises(FieldFormatError, match="no trajectory manifest"):
+        load_trajectory(run)
+
+
+def test_run_failing_its_input_checks_leaves_the_directory_alone(tmp_path):
+    from dolbeault_ns.io import TrajectoryWriter
+
+    cfg = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.05, dt=0.01, nonlinearity=BilinearSpec.lamb(), seed=3)
+    with pytest.raises(ValueError, match="initial data with q=2"), TrajectoryWriter(tmp_path / "run") as sink:
+        simulate(cfg, FormField.zeros(cfg.make_grid(), 2, FOURIER), sink)
+    assert not (tmp_path / "run").exists()
+
+
+def test_stored_series_are_read_a_record_at_a_time(tmp_path):
+    # 101 snapshots at n = 2, N = 8 (a 20 kB velocity record, 10 kB of
+    # pressure, 3.0 MB in all): loading them holds the manifest and one
+    # record's buffer, bochner_vel over them the norms' one (snapshots x S)
+    # density matrix beside that, and a linearization around them, written
+    # as it goes, its own scratch and its manifest's index: 100 steps peak
+    # about 2 kB per snapshot above 10 (0.19 MB), and neither holds the
+    # base series (or its own)
+    import tracemalloc
+
+    from dolbeault_ns.io import TrajectoryWriter
+
+    cfg = SimConfig(n=2, q=1, N=8, mu=0.1, T=0.1, dt=1e-3, nonlinearity=BilinearSpec.lamb(), seed=2)
+    save_trajectory(tmp_path / "run", simulate(cfg, gen_initial(InitialSpec(), cfg)))
+    series = (tmp_path / "run" / "fields.bin").stat().st_size
+    record = (2 + 1) * 5**4 * 16  # one snapshot, u and p
+    assert series == 101 * record
+    v0 = gen_initial(InitialSpec(), replace(cfg, seed=3))
+    short = replace(cfg, T=0.01)
+    bochner_vel(load_trajectory(tmp_path / "run"), 0, 1)  # the grid's cached arrays are not the load's
+
+    def peak(work):
+        tracemalloc.start()
+        try:
+            work(load_trajectory(tmp_path / "run"))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def linearize(config):
+        def work(traj):
+            with TrajectoryWriter(tmp_path / "lin") as sink:
+                solve_linearized(traj, config, u0=v0, sink=sink)
+        return work
+
+    load = peak(lambda traj: None)
+    norm = peak(lambda traj: bochner_vel(traj, 0, 1))
+    long, brief = peak(linearize(cfg)), peak(linearize(short))
+    assert load <= 0.1 * series, load
+    assert norm <= 101 * 5**4 * 8 + 0.1 * series, norm
+    assert long - brief <= 0.1 * 90 * record and long <= 0.5 * series, (long, brief)
+
+
 def _mistype_config_echo(doc):
     """n = 2.5 in the config echo, under a matching config_hash."""
     doc["config"]["n"] = 2.5
@@ -803,6 +998,16 @@ def test_cli_verify_rejects_q_outside_the_range(capsys, q):
     assert main(["verify", "--n", "2", "--q", str(q), "--N", "4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and f"q={q} outside 1..1" in captured.err
+
+
+def test_cli_key1_check_judges_by_the_gate_tolerance():
+    # verify's key1 check and simulate's gate read one tolerance
+    import dolbeault_ns.cli as cli
+    import dolbeault_ns.dynamics as dynamics
+    from dolbeault_ns import verify_key1
+
+    report = verify_key1(BilinearSpec.lamb(), SpectralGrid(2, 4), 1, trials=1)
+    assert cli.CHECKS["key1"][0] is dynamics._KEY1_TOL == report["tol"]
 
 
 @pytest.mark.parametrize("op", ["laplacian", "leray", "frechet", "key1"])

@@ -375,12 +375,13 @@ def test_lamb_step_counts_inverse_calls_and_forward_field_transforms(monkeypatch
     assert forward == expect
 
     # linearized around a stride-1 Lamb run: the samples of w_m are made once
-    # per step index and shared by the stage and the snapshot at that index
+    # per step index, by one inverse call for w and one for dbar w, and
+    # shared by the stage and the snapshot at that index
     base = simulate(replace(cfg, output_stride=1), u0)
     counts.clear()
     forward.clear()
     solve_linearized(base, cfg, u0=u0)
-    assert counts["ifft"] == 3 * (1 + 2 * cfg.steps) + cfg.steps + 1
+    assert counts["ifft"] == 3 * (1 + 2 * cfg.steps) + 2 * (cfg.steps + 1)
     assert forward == expect
 
 
@@ -418,11 +419,26 @@ def test_kernel_reuses_its_sample_buffers(case, monkeypatch):
         assert len(in_slab) == passes * slabs
         assert all(x.shape[0] == rows and x.size == kernel._slab.size for x in in_slab)
         in_base = [x for x in samples if base is not None and np.shares_memory(x, kernel._base_phys)]
-        assert len(in_base) == (cfg.steps + 1 if base is not None else 0)
+        # w and dbar w, each inverse-transformed into its rows of the base buffer
+        assert len(in_base) == (2 * (cfg.steps + 1) if base is not None else 0)
         assert len(in_slab) + len(in_base) == len(samples)
         # and keeps none of them in the trajectory
         for f in traj.velocities + traj.pressures:
             assert f.grid is kernel.grid and not np.shares_memory(f.data, kernel._slab)
+
+
+@pytest.mark.parametrize("n, N", [(2, 8), (3, 8)])
+def test_samples_fill_their_rows_as_one_stacked_inverse_does(n, N):
+    # _samples inverse-transforms u and dbar u each into its own rows, with
+    # no stacked copy of their coefficients, and gives bit for bit the
+    # samples of one inverse of the stack
+    grid = SpectralGrid(n, N).band
+    u = leray_project(random_form(grid, 1, np.random.default_rng(n)))
+    want = grid.ifft(np.concatenate((u.data, dbar(u).data)))
+    out = np.empty_like(want)
+    assert dynamics._samples(u, True, out=out) is out
+    for got in (out, dynamics._samples(u, True)):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
