@@ -25,8 +25,9 @@ from .io import FieldFormatError, InitialSpec
 from .spectral import FOURIER, SpectralGrid
 
 
-# default --trials of verify; key1 samples a cancellation, so it draws more
-VERIFY_TRIALS, KEY1_TRIALS = 20, 100
+# default --trials of verify; key1 samples a cancellation, so it draws more:
+# verify_key1's default
+VERIFY_TRIALS = 20
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -43,9 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--n", type=int, required=True)
     ver.add_argument("--q", type=int, required=True)
     ver.add_argument("--N", type=int, required=True)
-    ver.add_argument(
-        "--trials", type=int, default=None, help=f"trials per check (default {VERIFY_TRIALS}, key1 {KEY1_TRIALS})"
-    )
+    key1 = dynamics._KEY1_TRIALS
+    ver.add_argument("--trials", type=int, default=None, help=f"trials per check (default {VERIFY_TRIALS}, key1 {key1})")
     ver.add_argument("--seed", type=int, default=0)
 
     nrm = sub.add_parser("norms", help="evaluate trajectory norms")
@@ -128,7 +128,7 @@ def _pressure(grid, p, rng, args):
 
 
 def _key1(grid, p, rng, args):
-    trials = KEY1_TRIALS if args.trials is None else args.trials
+    trials = dynamics._KEY1_TRIALS if args.trials is None else args.trials
     report = verify_key1(BilinearSpec.lamb(), grid, p, trials=trials, seed=args.seed)
     return report["max_normalized_pairing"]
 

@@ -54,10 +54,11 @@ its state, its stored velocities and pressures and the trajectory files
 hold the 2/3-rule modes only, with the per-mode arithmetic of a full-grid
 run.  The initial data may be given on the full lattice; it is dealiased
 (and rejected if that moves it).  Every other field enters the band
-through FormField.on, which rejects a mode outside it: forcing files (once,
-at entry), linearization bases (all checked at entry, each moved when the
-step that needs it reads it), the state of step_etd_heun and the arguments
-of the public N and B, which answer on their argument's grid.
+through FormField.on, which rejects a mode outside it: forcing files (once
+per run, when its kernel is made), linearization bases (all checked at
+entry, each moved when the step that needs it reads it), the state of
+step_etd_heun and the arguments of the public N and B, which answer on
+their argument's grid.
 """
 
 import math
@@ -116,12 +117,14 @@ def lps_exponent(n: int, r: float) -> float:
 
 @dataclass
 class ForcingSpec:
-    """External force, evaluated to a (0,q) Fourier field at any time.
+    """External force, as plain data: prepare() checks it against a run
+    and gives f(t), its (0,q) Fourier field at time t.
 
     kinds:
       zero         - no forcing
       single_mode  - amplitude * e^{i zeta.x} e^{i omega t} in one component
-      file         - a saved field used as a time-independent force
+      file         - a saved field used as a time-independent force; each
+                     prepare() reads it, so each run reads it when it starts
     """
 
     kind: str = "zero"
@@ -130,49 +133,38 @@ class ForcingSpec:
     amplitude: complex = 0.0
     omega: float = 0.0
     path: str = ""
-    _loaded: FormField | None = field(default=None, init=False, repr=False, compare=False)
 
-    def validate_for(self, grid: SpectralGrid, q: int):
-        """Check the force against the run; it must be band-limited, since
-        the 2/3 rule dealiases the quadratic term only for band-limited
-        states."""
+    def prepare(self, grid: SpectralGrid, q: int):
+        """The force of a run at bidegree q on grid, as f(t), its Fourier
+        field on grid at time t.  The force must be band-limited, since the
+        2/3 rule dealiases the quadratic term only for band-limited states;
+        a file force is loaded here, once, and f returns that one field."""
         if self.kind == "zero":
-            return
+            return lambda t: FormField.zeros(grid, q, FOURIER)
         if self.kind == "single_mode":
             grid.band.mode_index(self.zeta)
-            index_of(grid.n, tuple(self.component))
+            idx = (index_of(grid.n, tuple(self.component)),) + grid.mode_index(self.zeta)
             if len(tuple(self.component)) != q:
                 raise ValueError(f"forcing component {self.component} is not a (0,{q}) index")
-            return
+            amplitude, omega = complex(self.amplitude), self.omega
+
+            def single_mode(t: float) -> FormField:
+                f = FormField.zeros(grid, q, FOURIER)
+                f.data[idx] = amplitude * np.exp(1j * omega * t)
+                return f
+
+            return single_mode
         if self.kind == "file":
             if not self.path:
                 raise ValueError(f"file forcing needs a path, got {self.path!r}")
-            self._stored(grid, q)
-            return
-        raise ValueError(f"unknown forcing kind {self.kind!r}")
-
-    def _stored(self, grid: SpectralGrid, q: int) -> FormField:
-        """The file force on the band view of grid, loaded once."""
-        if self._loaded is None:
             from .io import load_field
 
             f = load_field(self.path)
-            self._loaded = f.on(f.grid.band, "forcing file").to_fourier()
-        f = self._loaded
-        if f.q != q or (f.grid.n, f.grid.N) != (grid.n, grid.N):
-            raise ValueError(f"forcing file with q={f.q} on {f.grid.full} does not match q={q} on {grid.full}")
-        return f
-
-    def evaluate(self, grid: SpectralGrid, q: int, t: float) -> FormField:
-        if self.kind == "zero":
-            return FormField.zeros(grid, q, FOURIER)
-        if self.kind == "single_mode":
-            f = FormField.zeros(grid, q, FOURIER)
-            idx = (index_of(grid.n, tuple(self.component)),) + grid.mode_index(self.zeta)
-            f.data[idx] = complex(self.amplitude) * np.exp(1j * self.omega * t)
-            return f
-        if self.kind == "file":
-            return self._stored(grid, q).on(grid)
+            f = f.on(f.grid.band, "forcing file").to_fourier()
+            if f.q != q or (f.grid.n, f.grid.N) != (grid.n, grid.N):
+                raise ValueError(f"forcing file with q={f.q} on {f.grid.full} does not match q={q} on {grid.full}")
+            f = f.on(grid)
+            return lambda t: f
         raise ValueError(f"unknown forcing kind {self.kind!r}")
 
     def to_json(self) -> dict:
@@ -442,11 +434,11 @@ def frechet_residual(w: FormField, v: FormField, eps: float, spec: BilinearSpec)
     return l2_norm(lhs)
 
 
-# most normalized pairing verify_key1 passes
-_KEY1_TOL = 1e-10
+# most normalized pairing verify_key1 passes, and its default number of draws
+_KEY1_TOL, _KEY1_TRIALS = 1e-10, 100
 
 
-def verify_key1(spec: BilinearSpec, grid: SpectralGrid, q: int, trials: int = 100, seed: int = 0) -> dict:
+def verify_key1(spec: BilinearSpec, grid: SpectralGrid, q: int, trials: int = _KEY1_TRIALS, seed: int = 0) -> dict:
     """Empirical check of the energy-cancellation hypothesis.
 
     Draws random band-limited w and random solenoidal v and measures the
@@ -514,7 +506,8 @@ class _EtdHeun:
     nonlinear source; solve_linearized steps w = 0 with the Stokes table).
     States, sources, multipliers and base[m] (moved there when it is read,
     once per step) live on the band view of the run's grid; base is read
-    one state at a time, so a stored base is never held whole.
+    one state at a time, so a stored base is never held whole.  A kernel
+    checks grid, its initial data's, and prepares the run's force once.
 
     source() evaluates g in one streamed pass of _quadratic over the
     samples of [v, dbar v].  The run loop hands each recorded state to
@@ -528,14 +521,16 @@ class _EtdHeun:
     """
 
     def __init__(self, config: SimConfig, grid: SpectralGrid, base=None):
+        if (grid.n, grid.N) != (config.n, config.N):
+            raise ValueError(f"initial data on {grid} does not match n={config.n}, N={config.N}")
         self.grid = grid.band
         self.q = config.q
         self.spec = config.nonlinearity
-        self.forcing = config.forcing
+        self.force = config.forcing.prepare(self.grid, self.q)
+        self.forced = config.forcing.kind != "zero"
         self.dt_base = config.dt
         self.base = base
         self.m1, self.m2 = (bool(terms) for terms in self.spec.tables(self.grid.n, self.q))
-        self.forced = self.forcing.kind != "zero"
         self.g1 = None
         rows = num_components(self.grid.n, self.q) + (num_components(self.grid.n, self.q + 1) if self.m1 else 0)
         # reused by every pass: a fresh one each faulted its pages in (custom-n3N8 1.033x slower, 2-vCPU host)
@@ -563,7 +558,6 @@ class _EtdHeun:
         of v with r, else None.  v (and du = dbar v, when given) is read
         only for those.  A pass for the diagnostics alone (r, no products,
         not exact) gives g None."""
-        grid = self.grid
         products = self.m1 or (exact and self.m2)
         g = g1 = diagnostics = None
         if products or r is not None:
@@ -572,9 +566,9 @@ class _EtdHeun:
         if not products:
             # f alone, unless the pass was for the diagnostics only
             if exact or r is None:
-                g = self.forcing.evaluate(grid, self.q, t).data.copy()
+                g = self.force(t).data.copy()
             return g, None, diagnostics
-        f = self.forcing.evaluate(grid, self.q, t).data if self.forced else None
+        f = self.force(t).data if self.forced else None
         for part in (g,) if g1 is None or g1 is g else (g, g1):
             np.negative(part, out=part)
             if f is not None:
@@ -767,19 +761,16 @@ def simulate(config: SimConfig, u0: FormField, sink=None) -> Trajectory:
     every monomial of the pairing cancel (as they do for the Lamb and
     Stokes tables), otherwise empirically through verify_key1.
     """
-    grid = u0.grid
-    if (grid.n, grid.N) != (config.n, config.N):
-        raise ValueError(f"initial data on {grid} does not match n={config.n}, N={config.N}")
-    config.forcing.validate_for(grid, config.q)
+    kernel = _EtdHeun(config, u0.grid)
     spec = config.nonlinearity
     if not _pairing_cancels(spec.tables(config.n, config.q)[0]):
-        gate = verify_key1(spec, grid.full, config.q, trials=20, seed=config.seed)
+        gate = verify_key1(spec, u0.grid.full, config.q, trials=20, seed=config.seed)
         if not gate["pass"]:
             raise ValueError(
                 "nonlinearity violates the energy-cancellation hypothesis: "
                 f"max normalized pairing {gate['max_normalized_pairing']:.3e}"
             )
-    return _run_loop(config, u0, _EtdHeun(config, grid), cfl=True, sink=sink)
+    return _run_loop(config, u0, kernel, cfl=True, sink=sink)
 
 
 def solve_linearized(w: Trajectory | None, config: SimConfig, u0: FormField, sink=None) -> Trajectory:
@@ -794,14 +785,11 @@ def solve_linearized(w: Trajectory | None, config: SimConfig, u0: FormField, sin
     adaptation is applied: the problem is linear in u.
     """
     grid = u0.grid
-    if (grid.n, grid.N) != (config.n, config.N):
-        raise ValueError(f"initial data on {grid} does not match n={config.n}, N={config.N}")
-    config.forcing.validate_for(grid, config.q)
-
     if w is None:
         # B(0, .) = 0: the kernel steps the Stokes problem
         stokes = replace(config, nonlinearity=BilinearSpec.stokes())
         return _run_loop(config, u0, _EtdHeun(stokes, grid), cfl=False, sink=sink)
+    kernel = _EtdHeun(config, grid, w.velocities)
     spacing = np.diff(w.stamps)
     if len(w.velocities) < config.steps + 1 or not np.allclose(spacing, config.dt, rtol=0, atol=1e-9 * config.dt):
         raise ValueError("base trajectory must be stored at every step (stamp spacing == dt)")
@@ -809,5 +797,5 @@ def solve_linearized(w: Trajectory | None, config: SimConfig, u0: FormField, sin
         if (v.grid.n, v.grid.N) != (grid.n, grid.N) or v.q != config.q:
             raise ValueError(f"base state {m} with q={v.q} on {v.grid} does not match q={config.q} on {grid}")
         v.on(grid.band, f"base state {m}")
-    return _run_loop(config, u0, _EtdHeun(config, grid, w.velocities), cfl=False, sink=sink)
+    return _run_loop(config, u0, kernel, cfl=False, sink=sink)
 

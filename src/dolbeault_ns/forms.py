@@ -533,12 +533,9 @@ def _json_fields(cls, doc: dict, where: str, required: tuple = ()) -> dict:
     of integers, a complex number as a number or [re, im], an optional type
     as null or that type, and a type with from_json as a JSON object handed
     to it.  A missing key keeps its field's default; a field without one,
-    or one named in required, raises ValueError naming the key.  Fields
-    outside __init__ are not read."""
+    or one named in required, raises ValueError naming the key."""
     kwargs = {}
     for f in dataclasses.fields(cls):
-        if not f.init:
-            continue
         if f.name in doc:
             kwargs[f.name] = _json_typed(doc, f.name, f.type, where)
         elif f.name in required or (f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING):

@@ -24,7 +24,8 @@ written in this order:
                          Fourier field (M = 2 (N // 3) + 1, the 2/3-rule
                          modes), binom(n, q) x N^{2n} for physical samples
     diagnostics.csv      t, energy, dbar_norm_sq, dbar_star_residual,
-                         max_abs_u, lps_accum (one row per time step)
+                         max_abs_u, lps_accum (one row per time step, t
+                         strictly increasing)
     manifest.json        config echo, config hash, stamps, snapshot count,
                          the total byte count of fields.bin and its index:
                          per record kind, snapshot, q, representation, byte
@@ -569,5 +570,7 @@ def load_trajectory(path) -> Trajectory:
     if len(table) < 2 or any(len(row) != len(DIAGNOSTIC_COLUMNS) for row in table[1:]):
         raise FieldFormatError(f"diagnostics.csv needs one or more rows of {len(DIAGNOSTIC_COLUMNS)} values")
     rows = np.array([[float(v) for v in row] for row in table[1:]])
+    if not np.all(np.diff(rows[:, 0]) > 0):
+        raise FieldFormatError("diagnostics.csv column t is not strictly increasing")
     diagnostics = {c: rows[:, i] for i, c in enumerate(DIAGNOSTIC_COLUMNS)}
     return Trajectory(stamps, velocities, pressures, diagnostics, cfg)

@@ -313,6 +313,15 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     return float(result + 0.0)
 
 
+def _nearest_rows(t: np.ndarray, stamps: np.ndarray) -> list:
+    """The row of the strictly increasing t nearest to each stamp, the
+    earlier of two equally near ones (np.argmin's choice)."""
+    i = np.searchsorted(t, stamps)
+    below, above = np.maximum(i - 1, 0), np.minimum(i, len(t) - 1)
+    nearer = np.abs(t[below] - stamps) <= np.abs(t[above] - stamps)
+    return np.where(nearer, below, above).tolist()
+
+
 @dataclass
 class NormReport:
     """Labeled norm values plus the parameters they were evaluated with."""
@@ -320,14 +329,13 @@ class NormReport:
     values: dict
     params: dict = field(default_factory=dict)
     dt: float = 0.0
-    stencil_order: int = 2
 
     def to_json(self) -> dict:
         return {
             "values": {k: float(v) for k, v in self.values.items()},
             "params": self.params,
             "dt": self.dt,
-            "stencil_order": self.stencil_order,
+            "stencil_order": 2,  # of _time_derivative's differences
         }
 
     def dumps(self) -> str:
@@ -349,8 +357,10 @@ def energy_report(traj) -> NormReport:
     refined steps of a cfl_mode="shrink" run, with Cartwright's correction
     of the last interval for an even point count; it gives the bits of
     scipy.integrate.simpson without importing it.  A nonzero forcing's
-    work integral is recomputed from the stored snapshots, so it
-    additionally carries the output-stride quadrature error.
+    work integral is recomputed from the stored snapshots, under the force
+    prepared anew (a file force is read now), so it additionally carries
+    the output-stride quadrature error.  The interval rows are found by
+    binary search, which needs the strictly increasing t every run writes.
 
     u_norm_0qT is the energy-functional norm
 
@@ -372,23 +382,12 @@ def energy_report(traj) -> NormReport:
     if cfg.forcing.kind == "zero":
         work = np.zeros(len(traj.stamps))
     else:
-        grid = traj.velocities[0].grid
-        work = np.array(
-            [
-                float(
-                    np.real(
-                        l2_inner(
-                            cfg.forcing.evaluate(grid, cfg.q, float(tm)).to_physical(),
-                            um.to_physical(),
-                        )
-                    )
-                )
-                for tm, um in zip(traj.stamps, traj.velocities)
-            ]
-        )
+        force = cfg.forcing.prepare(traj.velocities[0].grid, cfg.q)
+        pairs = zip(traj.stamps, traj.velocities)
+        work = np.array([np.real(l2_inner(force(float(tm)).to_physical(), um.to_physical())) for tm, um in pairs])
 
     # per-interval residuals: diagnostics rows nearest to each output stamp
-    boundaries = [int(np.argmin(np.abs(t - stamp))) for stamp in traj.stamps]
+    boundaries = _nearest_rows(t, traj.stamps)
     residuals = []
     for a, b in zip(boundaries[:-1], boundaries[1:]):
         de = energy[b] - energy[a]

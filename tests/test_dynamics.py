@@ -122,10 +122,10 @@ def test_forcing_amplitude_is_a_number_or_re_im():
 def test_forcing_validation(grid8):
     frc = ForcingSpec(kind="single_mode", zeta=(9, 0, 0, 0), component=(1,), amplitude=1.0)
     with pytest.raises(ValueError):
-        frc.validate_for(grid8, 1)
+        frc.prepare(grid8, 1)
     frc = ForcingSpec(kind="single_mode", zeta=(1, 0, 0, 0), component=(1, 2), amplitude=1.0)
     with pytest.raises(ValueError):
-        frc.validate_for(grid8, 1)
+        frc.prepare(grid8, 1)
     with pytest.raises(ValueError, match="singel_mode"):
         ForcingSpec.from_json({"kind": "singel_mode"})
     # on the lattice but outside the 2/3-rule band |zeta_a| <= 8/3: its
@@ -133,8 +133,8 @@ def test_forcing_validation(grid8):
     for zeta in ((3, 0, 0, 0), (0, 0, 0, -3), (0, 4, 0, 0)):
         frc = ForcingSpec(kind="single_mode", zeta=zeta, component=(1,), amplitude=1.0)
         with pytest.raises(ValueError, match="2/3-rule band"):
-            frc.validate_for(grid8, 1)
-    ForcingSpec(kind="single_mode", zeta=(2, 0, -2, 0), component=(1,), amplitude=1.0).validate_for(grid8, 1)
+            frc.prepare(grid8, 1)
+    ForcingSpec(kind="single_mode", zeta=(2, 0, -2, 0), component=(1,), amplitude=1.0).prepare(grid8, 1)
 
 
 def test_file_forcing_must_be_band_limited(grid8, rng, tmp_path):
@@ -144,13 +144,13 @@ def test_file_forcing_must_be_band_limited(grid8, rng, tmp_path):
     f.data[(1,) + grid8.mode_index((0, 0, 3, 0))] = 1e-300
     save_field(tmp_path / "force", f)
     with pytest.raises(ValueError, match="forcing file has nonzero modes outside"):
-        ForcingSpec(kind="file", path=str(tmp_path / "force")).validate_for(grid8, 1)
+        ForcingSpec(kind="file", path=str(tmp_path / "force")).prepare(grid8, 1)
 
 
 def test_forcing_evaluation(grid8):
     frc = ForcingSpec(kind="single_mode", zeta=(0, 1, 0, 0), component=(1,), amplitude=2.0, omega=np.pi)
-    f0 = frc.evaluate(grid8, 1, 0.0)
-    f1 = frc.evaluate(grid8, 1, 1.0)
+    f0 = frc.prepare(grid8, 1)(0.0)
+    f1 = frc.prepare(grid8, 1)(1.0)
     idx = (0,) + grid8.mode_index((0, 1, 0, 0))
     assert f0.data[idx] == pytest.approx(2.0)
     assert f1.data[idx] == pytest.approx(2.0 * np.exp(1j * np.pi))
@@ -162,12 +162,35 @@ def test_forcing_from_file(grid8, rng, tmp_path):
     f = random_form(grid8, 1, rng)
     save_field(tmp_path / "force", f)
     frc = ForcingSpec(kind="file", path=str(tmp_path / "force"))
-    frc.validate_for(grid8, 1)
-    got = frc.evaluate(grid8, 1, 0.0)
+    force = frc.prepare(grid8, 1)
+    got = force(0.0)
     assert l2_norm(got - f) < 1e-14 * l2_norm(f)
     # constant in time
-    again = frc.evaluate(grid8, 1, 3.7)
+    again = force(3.7)
     assert np.array_equal(got.data, again.data)
+
+
+def test_each_run_reads_its_file_force_when_it_starts(grid8, rng, tmp_path):
+    # a run steps the force file as it stands when the run starts: a second
+    # run of one config object, after the file was rewritten, equals a run
+    # of a fresh copy of the config and not the first run
+    from dolbeault_ns import save_field
+
+    path = tmp_path / "force"
+    save_field(path, leray_project(random_form(grid8, 1, rng)))
+    cfg = SimConfig(n=2, q=1, N=8, mu=0.2, T=0.03, dt=0.01, nonlinearity=LAMB,
+                    forcing=ForcingSpec(kind="file", path=str(path)))
+    u0 = _unit_max(_solenoidal(grid8, rng))
+    first = simulate(cfg, u0)
+    save_field(path, leray_project(random_form(grid8, 1, rng)))
+    again = simulate(cfg, u0)
+    fresh = simulate(SimConfig.from_json(cfg.to_json()), u0)
+
+    def same(a, b):
+        return all(np.array_equal(x.data, y.data) for x, y in zip(a.velocities + a.pressures, b.velocities + b.pressures))
+
+    assert same(again, fresh)
+    assert not same(again, first)
 
 
 # -- nonlinearity -----------------------------------------------------------------
@@ -581,7 +604,7 @@ def test_linearized_defect_is_nonlinearity(grid8, rng):
     traj = simulate(cfg, u0)
     worst = 0.0
     for t, us in zip(traj.stamps, map(_lattice, traj.velocities)):
-        f = cfg.forcing.evaluate(grid8, 1, float(t))
+        f = cfg.forcing.prepare(grid8, 1)(float(t))
         g_nl = leray_project(f - nonlinearity(us, LAMB))
         g_lin = leray_project(f - linearized_b(us, us, LAMB))
         defect = g_nl - g_lin - leray_project(nonlinearity(us, LAMB))
@@ -761,10 +784,9 @@ _CFG8 = SimConfig(n=2, q=1, N=8, mu=0.1, T=0.02, dt=0.01)
         (lambda tmp: replace(_CFG8, cfl_safety=0.0), ValueError, r"cfl_safety .* got 0\.0"),
         (lambda tmp: replace(_CFG8, cfl_safety=1.5), ValueError, r"cfl_safety .* got 1\.5"),
         (lambda tmp: replace(_CFG8, cfl_mode="loose"), ValueError, "got 'loose'"),
-        (lambda tmp: ForcingSpec(kind="wind").validate_for(_G8, 1), ValueError, "unknown forcing kind 'wind'"),
-        (lambda tmp: ForcingSpec(kind="wind").evaluate(_G8, 1, 0.0), ValueError, "unknown forcing kind 'wind'"),
-        (lambda tmp: ForcingSpec(kind="file").validate_for(_G8, 1), ValueError, "needs a path, got ''"),
-        (lambda tmp: _stored_force(tmp, _G4).validate_for(_G8, 1), ValueError,
+        (lambda tmp: ForcingSpec(kind="wind").prepare(_G8, 1), ValueError, "unknown forcing kind 'wind'"),
+        (lambda tmp: ForcingSpec(kind="file").prepare(_G8, 1), ValueError, "needs a path, got ''"),
+        (lambda tmp: _stored_force(tmp, _G4).prepare(_G8, 1), ValueError,
          r"with q=1 on SpectralGrid\(n=2, N=4\) does not match q=1 on SpectralGrid\(n=2, N=8\)"),
         (lambda tmp: step_etd_heun(FormField.zeros(_G4, 1, FOURIER), 0.0, _CFG8), ValueError,
          r"state with q=1 on SpectralGrid\(n=2, N=4\) does not match n=2, N=8, q=1"),
@@ -784,7 +806,7 @@ _CFG8 = SimConfig(n=2, q=1, N=8, mu=0.1, T=0.02, dt=0.01)
          ValueError, r"eps must be nonnegative, got -0\.5"),
         (lambda tmp: verify_key1(BilinearSpec.lamb(), _G8, 1, trials=0), ValueError, "at least one trial, got 0"),
     ],
-    ids=["cfl-safety-0", "cfl-safety-1.5", "cfl-mode", "forcing-kind-validate", "forcing-kind-evaluate",
+    ids=["cfl-safety-0", "cfl-safety-1.5", "cfl-mode", "forcing-kind-validate",
          "file-force-no-path", "file-force-grid", "step-grid", "step-blow-up", "simulate-grid", "simulate-q",
          "linearized-grid", "linearized-base", "b-two-grids", "frechet-eps", "key1-trials"],
 )

@@ -808,6 +808,7 @@ def test_stored_series_are_read_a_record_at_a_time(tmp_path):
     # as it goes, its own scratch and its manifest's index: 100 steps peak
     # about 2 kB per snapshot above 10 (0.19 MB), and neither holds the
     # base series (or its own)
+    import gc
     import tracemalloc
 
     from dolbeault_ns.io import TrajectoryWriter
@@ -822,12 +823,18 @@ def test_stored_series_are_read_a_record_at_a_time(tmp_path):
     bochner_vel(load_trajectory(tmp_path / "run"), 0, 1)  # the grid's cached arrays are not the load's
 
     def peak(work):
+        # a full collection empties the interpreter's free lists, and up to
+        # 2000 small tuples refilled in the window read as 0.14 MB held: an
+        # untraced run refills them first, and no collection runs in the window
+        work(load_trajectory(tmp_path / "run"))
+        gc.disable()
         tracemalloc.start()
         try:
             work(load_trajectory(tmp_path / "run"))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+            gc.enable()
 
     def linearize(config):
         def work(traj):
@@ -850,6 +857,13 @@ def _mistype_config_echo(doc):
     doc["config_hash"] = hashlib.sha256(canonical.encode()).hexdigest()
 
 
+def _swap_rows(text):
+    """diagnostics.csv with its second and third rows swapped."""
+    lines = text.splitlines()
+    lines[2], lines[3] = lines[3], lines[2]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize(
     "layout, name, change, word",
     [
@@ -864,9 +878,10 @@ def _mistype_config_echo(doc):
         ("v2", "manifest.json", _mistype_config_echo, "key 'n' must be an integer"),
         ("v2", "diagnostics.csv", lambda text: text.splitlines()[0], "rows"),
         ("v2", "diagnostics.csv", lambda text: text.replace(",", ";", 1), "columns"),
+        ("v2", "diagnostics.csv", _swap_rows, "t is not strictly increasing"),
     ],
     ids=["v2-stamps", "v1-stamps", "v2-snapshots", "v2-crc32", "v1-blobs", "v1-field-n",
-         "v2-config-hash", "v1-config-hash", "v2-config-n", "header-only", "bad-header"],
+         "v2-config-hash", "v1-config-hash", "v2-config-n", "header-only", "bad-header", "swapped-rows"],
 )
 def test_cli_malformed_trajectory_exits_2(tmp_path, capsys, layout, name, change, word):
     _, traj = _small_run()
@@ -1044,10 +1059,16 @@ def test_cli_verify_fails_on_a_nan_draw(op, monkeypatch, capsys):
     assert check["pass"] is False and math.isnan(check["residual"])
 
 
-@pytest.mark.parametrize("flag, want", [([], 100), (["--trials", "5"], 5)])
+@pytest.mark.parametrize("flag, want", [([], 100), (["--trials", "5"], 5), ([], "default")])
 def test_cli_verify_key1_honors_trials(monkeypatch, capsys, flag, want):
-    import dolbeault_ns.cli as cli
+    # without --trials, verify's key1 check draws verify_key1's own default
+    import inspect
 
+    import dolbeault_ns.cli as cli
+    import dolbeault_ns.dynamics as dynamics
+
+    if want == "default":
+        want = inspect.signature(dynamics.verify_key1).parameters["trials"].default
     seen = []
 
     def fake_key1(spec, grid, q, trials, seed):

@@ -606,20 +606,46 @@ def test_simpson_equals_scipy_bitwise(size, spacing, seed):
     assert np.array_equal(_simpson(y, x), simpson(y, x=x))
 
 
-def test_energy_report_of_shrink_run_equals_scipy_simpson(grid8):
-    # the force drives max |u| past the CFL bound at t = 0.02: from there
-    # on the step is refined, so the diagnostics stamps are not uniform
-    from scipy.integrate import simpson
-
+def _shrink_run(grid):
+    """A run whose force drives max |u| past the CFL bound at t = 0.02:
+    from there on the step is refined, so the diagnostics stamps are not
+    uniform."""
     frc = ForcingSpec(kind="single_mode", zeta=(0, 1, 0, 0), component=(1,), amplitude=2e4)
     cfg = SimConfig(n=2, q=1, N=8, mu=0.1, T=0.05, dt=1e-3, forcing=frc, output_stride=5, cfl_mode="shrink")
-    traj = simulate(cfg, FormField.zeros(grid8, 1, FOURIER))
+    traj = simulate(cfg, FormField.zeros(grid, 1, FOURIER))
     spacing = np.diff(traj.diagnostics["t"])
     assert spacing.max() > 1.5 * spacing.min()
+    return traj
+
+
+def test_energy_report_of_shrink_run_equals_scipy_simpson(grid8):
+    from scipy.integrate import simpson
+
+    traj = _shrink_run(grid8)
     got = energy_report(traj).values
     with mock.patch.object(norms, "_simpson", lambda y, x: simpson(y, x=x)):
         want = energy_report(traj).values
     assert got == want
+
+
+def test_interval_rows_are_the_argmin_rows(grid8):
+    # energy_report's binary search finds the rows np.argmin(|t - stamp|)
+    # finds, the earlier of two equally near ones: on a shrink run, and on
+    # long series with stamps on rows, between rows, at midpoints and
+    # outside the series
+    def argmin_rows(t, stamps):
+        return [int(np.argmin(np.abs(t - stamp))) for stamp in stamps]
+
+    traj = _shrink_run(grid8)
+    t = traj.diagnostics["t"]
+    assert norms._nearest_rows(t, traj.stamps) == argmin_rows(t, traj.stamps)
+    rng = np.random.default_rng(3)
+    for spacing in ("uniform", "jittered", "refined"):
+        t = _stamps(spacing, 10_000, rng)
+        stamps = np.concatenate(
+            (t[::9], 0.5 * (t[:-1:11] + t[1::11]), rng.uniform(t[0] - 1.0, t[-1] + 1.0, 500), [t[0], t[-1]])
+        )
+        assert norms._nearest_rows(t, stamps) == argmin_rows(t, stamps)
 
 
 def test_norm_report_serialization():

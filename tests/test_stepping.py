@@ -92,7 +92,7 @@ def _nonlinear_source(config):
     grid = config.make_grid().full
 
     def source(v, t, m):
-        return config.forcing.evaluate(grid, config.q, t) - nonlinearity(v, config.nonlinearity)
+        return config.forcing.prepare(grid, config.q)(t) - nonlinearity(v, config.nonlinearity)
 
     return source
 
@@ -124,7 +124,7 @@ def test_linearized_kernel_matches_reference():
     lin = solve_linearized(base, cfg, u0=v0)
 
     def source(v, t, m):
-        return cfg.forcing.evaluate(grid, 1, t) - linearized_b(_lattice(base.velocities[m]), v, LAMB)
+        return cfg.forcing.prepare(grid, 1)(t) - linearized_b(_lattice(base.velocities[m]), v, LAMB)
 
     _assert_matches(lin, _reference(cfg, v0, source))
 
@@ -154,7 +154,7 @@ def test_band_kernel_equals_full_grid_etd_heun(case):
             return linearized_b(_lattice(base.velocities[m]), v, spec)
 
     def source(v, m, spec):
-        return forcing.evaluate(grid, 1, m * cfg.dt) - quadratic(v, m, spec)
+        return forcing.prepare(grid, 1)(m * cfg.dt) - quadratic(v, m, spec)
 
     dt = cfg.dt
     E = heat_multiplier_grid(grid, cfg.mu, dt)
@@ -257,7 +257,7 @@ def _through(entry, x, tmp_path):
     else:
         save_field(tmp_path / "x", x)
         if entry == "file force":
-            out = ForcingSpec(kind="file", path=str(tmp_path / "x")).evaluate(band, 1, 0.0)
+            out = ForcingSpec(kind="file", path=str(tmp_path / "x")).prepare(band, 1)(0.0)
         else:
             out = load_field(tmp_path / "x", grid=band)
     return _band_coefficients(out)
@@ -634,7 +634,7 @@ def test_snapshot_pressure_matches_recovery_from_scratch(case):
             return nonlinearity(u, spec)
 
     for t, u, p in zip(traj.stamps, map(_lattice, traj.velocities), map(_lattice, traj.pressures)):
-        F = forcing.evaluate(grid, q, float(t)) - quadratic(u, float(t))
+        F = forcing.prepare(grid, q)(float(t)) - quadratic(u, float(t))
         expect = pressure_recover(F - leray_project(F))
         assert l2_norm(expect) > 0.0
         assert l2_norm(p - expect) <= 1e-12 * l2_norm(expect)
