@@ -62,6 +62,7 @@ their argument's grid.
 """
 
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 
@@ -271,12 +272,14 @@ DIAGNOSTIC_COLUMNS = (
 @dataclass
 class Trajectory:
     """Velocity/pressure snapshots at uniform output stamps plus per-step
-    diagnostics (columns as in DIAGNOSTIC_COLUMNS; energy = ||u||^2 / 2,
-    dbar_star_residual = ||dbar* u||).  A run stores its snapshots as
-    Fourier fields on the band view of its grid (SimConfig.make_grid).
-    velocities and pressures are sequences: lists for a run kept in
-    memory, sequences that read each snapshot from disk when it is used
-    for a stored one (io.load_trajectory, io.TrajectoryWriter)."""
+    diagnostics (columns as in DIAGNOSTIC_COLUMNS, which a run and
+    io.load_trajectory give as views of one float64 table of one row per
+    step; energy = ||u||^2 / 2, dbar_star_residual = ||dbar* u||).  A run
+    stores its snapshots as Fourier fields on the band view of its grid
+    (SimConfig.make_grid).  velocities and pressures are sequences: lists
+    for a run kept in memory, sequences that read each snapshot from disk
+    when it is used for a stored one (io.load_trajectory,
+    io.TrajectoryWriter)."""
 
     stamps: np.ndarray
     velocities: Sequence
@@ -307,17 +310,9 @@ class SnapshotSink:
 
 def _samples(u: FormField, with_dbar: bool, out: np.ndarray | None = None) -> np.ndarray:
     """Physical samples of u (Fourier), stacked over those of dbar u when
-    with_dbar, each inverse-transformed into its rows of out (a new array
-    when not given)."""
-    if not with_dbar:
-        return u.grid.ifft(u.data, out=out)
-    a = len(u.data)
-    du = dbar(u).data
-    if out is None:
-        out = np.empty((a + len(du),) + u.grid.shape, dtype=np.complex128)
-    u.grid.ifft(u.data, out=out[:a])
-    u.grid.ifft(du, out=out[a:])
-    return out
+    with_dbar, from one inverse transform (into out when given)."""
+    coeffs = np.concatenate((u.data, dbar(u).data)) if with_dbar else u.data
+    return u.grid.ifft(coeffs, out=out)
 
 
 def _quadratic(
@@ -651,7 +646,9 @@ def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool, sin
     its start state, so output stamps never move.  Stepping, diagnostics,
     pressures and the stored snapshots all live on the kernel's band view.
     Each snapshot goes to sink (a SnapshotSink by default) as soon as it is
-    recorded, and the sink's finish() makes the returned Trajectory."""
+    recorded, and the sink's finish() makes the returned Trajectory.  The
+    diagnostics are one float64 row per recorded state in one buffer, and
+    the returned columns are views of it."""
     r_lps, s_lps = config.lps_exponents
     band = kernel.grid
     cell = band.cell_volume
@@ -663,9 +660,9 @@ def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool, sin
     interval_len = stride * config.dt
     E = heat_multiplier_grid(band, config.mu, dt)
 
-    # the lps_accum column holds ||u||_{L^r}^s of each recorded state until
-    # the loop ends, and then its integral
-    diag = {name: [] for name in DIAGNOSTIC_COLUMNS}
+    # one row per recorded state, in DIAGNOSTIC_COLUMNS order; its lps_accum
+    # holds ||u||_{L^r}^s of that state until the loop ends, and then its integral
+    rows = array("d")
     sink = SnapshotSink() if sink is None else sink
 
     def record(t, state, t_source, snapshot):
@@ -678,12 +675,7 @@ def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool, sin
         dbn = l2_norm(du) ** 2
         dbs = l2_norm(dbar_star(state))
         F, (mx, power) = kernel.load(state, t_source, snapshot, r_lps, du)
-        diag["lps_accum"].append(float((cell * power) ** (1.0 / r_lps)) ** s_lps)
-        diag["t"].append(t)
-        diag["energy"].append(energy)
-        diag["dbar_norm_sq"].append(dbn)
-        diag["dbar_star_residual"].append(dbs)
-        diag["max_abs_u"].append(mx)
+        rows.extend((t, energy, dbn, dbs, mx, float((cell * power) ** (1.0 / r_lps)) ** s_lps))
         if snapshot:
             # dbar* annihilates the solenoidal part of F, so recovering p
             # from F itself equals recovering it from F - P F
@@ -694,7 +686,7 @@ def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool, sin
 
     for k in range(intervals):
         t0 = k * interval_len
-        start = (u, len(diag["t"]))
+        start = (u, len(rows))
         m = 0
         while m < stride:
             t = t0 + m * dt
@@ -709,9 +701,8 @@ def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool, sin
                     stride = stride * factor
                     E = heat_multiplier_grid(band, config.mu, dt)
                     if m > 0:
-                        u, rows = start
-                        for column in diag.values():
-                            del column[rows:]
+                        u, size = start
+                        del rows[size:]
                         kernel.load(u, t0)
                         m, t = 0, t0
             u = kernel.step(u, t, dt, E)
@@ -724,10 +715,12 @@ def _run_loop(config: SimConfig, u0: FormField, kernel: _EtdHeun, cfl: bool, sin
             umax = record(t + dt, u, (k + 1) * interval_len if last else t0 + m * dt, last)
 
     stamps = np.arange(intervals + 1) * interval_len
-    diagnostics = {name: np.asarray(vals) for name, vals in diag.items()}
+    table = np.frombuffer(rows).reshape(-1, len(DIAGNOSTIC_COLUMNS))
+    diagnostics = {name: table[:, i] for i, name in enumerate(DIAGNOSTIC_COLUMNS)}
     # the trapezoid rule, one interval after another
     g = diagnostics["lps_accum"]
-    diagnostics["lps_accum"] = np.concatenate(([0.0], np.cumsum(0.5 * (g[:-1] + g[1:]) * np.diff(diagnostics["t"]))))
+    g[1:] = np.cumsum(0.5 * (g[:-1] + g[1:]) * np.diff(diagnostics["t"]))
+    g[0] = 0.0
     return sink.finish(stamps, diagnostics, config)
 
 

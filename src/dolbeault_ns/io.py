@@ -61,6 +61,7 @@ import operator
 import os
 import weakref
 import zlib
+from array import array
 from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -382,10 +383,10 @@ class TrajectoryWriter:
         self._start()
         total = self._fh.tell()
         self.close()
-        lines = [",".join(DIAGNOSTIC_COLUMNS)]
-        for row in range(len(diagnostics["t"])):
-            lines.append(",".join(repr(float(diagnostics[c][row])) for c in DIAGNOSTIC_COLUMNS))
-        (self.path / "diagnostics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(self.path / "diagnostics.csv", "w", encoding="utf-8") as fh:
+            fh.write(",".join(DIAGNOSTIC_COLUMNS) + "\n")
+            for row in zip(*(diagnostics[c] for c in DIAGNOSTIC_COLUMNS)):
+                fh.write(",".join(repr(float(v)) for v in row) + "\n")
         manifest = {
             "schema": TRAJECTORY_SCHEMA,
             "config": config.to_json(),
@@ -563,13 +564,17 @@ def load_trajectory(path) -> Trajectory:
     else:
         velocities, pressures = _open_directories(root, grid, count)
 
-    text = (root / "diagnostics.csv").read_text(encoding="utf-8").strip()
-    table = [line.split(",") for line in text.splitlines()]
-    if not table or tuple(table[0]) != DIAGNOSTIC_COLUMNS:
-        raise FieldFormatError(f"unexpected diagnostics columns {table[0] if table else []}")
-    if len(table) < 2 or any(len(row) != len(DIAGNOSTIC_COLUMNS) for row in table[1:]):
-        raise FieldFormatError(f"diagnostics.csv needs one or more rows of {len(DIAGNOSTIC_COLUMNS)} values")
-    rows = np.array([[float(v) for v in row] for row in table[1:]])
+    lines = (root / "diagnostics.csv").read_text(encoding="utf-8").strip().splitlines()
+    header = lines.pop(0).split(",") if lines else []
+    if tuple(header) != DIAGNOSTIC_COLUMNS:
+        raise FieldFormatError(f"unexpected diagnostics columns {header}")
+    width = len(DIAGNOSTIC_COLUMNS)
+    if not lines or any(line.count(",") != width - 1 for line in lines):
+        raise FieldFormatError(f"diagnostics.csv needs one or more rows of {width} values")
+    values = array("d")
+    for line in lines:
+        values.extend(map(float, line.split(",")))
+    rows = np.frombuffer(values).reshape(-1, width)
     if not np.all(np.diff(rows[:, 0]) > 0):
         raise FieldFormatError("diagnostics.csv column t is not strictly increasing")
     diagnostics = {c: rows[:, i] for i, c in enumerate(DIAGNOSTIC_COLUMNS)}

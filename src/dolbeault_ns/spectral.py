@@ -68,6 +68,7 @@ delta_j(zeta) = (i/2)(zeta_j - i zeta_{j+n}).  Summing, 4 sum_j |sigma_j|^2
 multiplier |zeta|^2 / 4 (see dolbeault.py).
 """
 
+import functools
 import math
 
 import numpy as np
@@ -142,12 +143,6 @@ class SpectralGrid:
         self._all_axes = tuple(range(self.dim))
         self._band_index = (slice(0, len(freq)),) * self.dim
 
-        self._sigma: dict[int, np.ndarray] = {}
-        self._delta: dict[int, np.ndarray] = {}
-        self._zeta_sq: np.ndarray | None = None
-        self._dealias: np.ndarray | None = None
-        self._inv_lap: np.ndarray | None = None
-
     def __repr__(self):
         return f"SpectralGrid(n={self.n}, N={self.N}{', banded=True' if self.banded else ''})"
 
@@ -182,63 +177,58 @@ class SpectralGrid:
         shape[axis] = len(self.freq)
         return self.freq.reshape(shape)
 
-    @property
+    @functools.cached_property
     def zeta_sq(self) -> np.ndarray:
         """|zeta|^2 over the lattice."""
-        if self._zeta_sq is None:
-            acc = np.zeros(self.fourier_shape, dtype=np.float64)
-            for a in range(self.dim):
-                acc = acc + self.axis_frequency(a).astype(np.float64) ** 2
-            acc.setflags(write=False)
-            self._zeta_sq = acc
-        return self._zeta_sq
+        acc = np.zeros(self.fourier_shape, dtype=np.float64)
+        for a in range(self.dim):
+            acc = acc + self.axis_frequency(a).astype(np.float64) ** 2
+        acc.setflags(write=False)
+        return acc
 
-    @property
+    @functools.cached_property
     def dealias_mask(self) -> np.ndarray:
         """Boolean mask keeping modes with |zeta_a| <= N/3 on every axis."""
-        if self._dealias is None:
-            keep = np.ones(self.fourier_shape, dtype=bool)
-            for a in range(self.dim):
-                keep = keep & (3 * np.abs(self.axis_frequency(a)) <= self.N)
-            keep.setflags(write=False)
-            self._dealias = keep
-        return self._dealias
+        keep = np.ones(self.fourier_shape, dtype=bool)
+        for a in range(self.dim):
+            keep = keep & (3 * np.abs(self.axis_frequency(a)) <= self.N)
+        keep.setflags(write=False)
+        return keep
 
-    @property
+    @functools.cached_property
     def inv_laplacian_multiplier(self) -> np.ndarray:
         """4/|zeta|^2 with the zero mode set to 0 (torus convention)."""
-        if self._inv_lap is None:
-            zsq = self.zeta_sq.copy()
-            zsq.flat[0] = 1.0
-            mult = 4.0 / zsq
-            mult.flat[0] = 0.0
-            mult.setflags(write=False)
-            self._inv_lap = mult
-        return self._inv_lap
+        zsq = self.zeta_sq.copy()
+        zsq.flat[0] = 1.0
+        mult = 4.0 / zsq
+        mult.flat[0] = 0.0
+        mult.setflags(write=False)
+        return mult
+
+    @functools.cached_property
+    def _symbols(self) -> tuple:
+        """(sigma_j, delta_j) for j = 1..n, at index j - 1."""
+        table = []
+        for j in range(self.n):
+            zj = self.axis_frequency(j).astype(np.float64)
+            zjn = self.axis_frequency(j + self.n).astype(np.float64)
+            pair = (0.5 * (-zjn + 1j * zj), 0.5 * (zjn + 1j * zj))
+            for symbol in pair:
+                symbol.setflags(write=False)
+            table.append(pair)
+        return tuple(table)
 
     def sigma(self, j: int) -> np.ndarray:
         """Symbol of dbar_j on the lattice, 1 <= j <= n; broadcastable."""
         if not 1 <= j <= self.n:
             raise ValueError(f"direction j={j} outside 1..{self.n}")
-        if j not in self._sigma:
-            zj = self.axis_frequency(j - 1).astype(np.float64)
-            zjn = self.axis_frequency(j - 1 + self.n).astype(np.float64)
-            s = 0.5 * (-zjn + 1j * zj)
-            s.setflags(write=False)
-            self._sigma[j] = s
-        return self._sigma[j]
+        return self._symbols[j - 1][0]
 
     def delta(self, j: int) -> np.ndarray:
         """Symbol of del_j on the lattice, 1 <= j <= n; broadcastable."""
         if not 1 <= j <= self.n:
             raise ValueError(f"direction j={j} outside 1..{self.n}")
-        if j not in self._delta:
-            zj = self.axis_frequency(j - 1).astype(np.float64)
-            zjn = self.axis_frequency(j - 1 + self.n).astype(np.float64)
-            d = 0.5 * (zjn + 1j * zj)
-            d.setflags(write=False)
-            self._delta[j] = d
-        return self._delta[j]
+        return self._symbols[j - 1][1]
 
     def mode_index(self, zeta) -> tuple:
         """Array index of a lattice point given as integer frequencies."""

@@ -850,6 +850,47 @@ def test_stored_series_are_read_a_record_at_a_time(tmp_path):
     assert long - brief <= 0.1 * 90 * record and long <= 0.5 * series, (long, brief)
 
 
+def test_diagnostics_take_one_float64_row_per_step(tmp_path):
+    # a run keeps its diagnostics as one float64 row per step (48 bytes) and
+    # writes diagnostics.csv a row at a time, and a load parses it into one
+    # such buffer: 3000 more steps of a one-snapshot Stokes run at n = 2,
+    # N = 4 add at most 128 bytes per step to the traced peak of a run
+    # through TrajectoryWriter, and 400 per row to a load's (566 and 1006
+    # bytes when they went through Python lists of floats, lines and fields)
+    import gc
+    import tracemalloc
+
+    from dolbeault_ns.io import TrajectoryWriter
+
+    def peak(work):
+        # no collection in the window, as in the test above
+        gc.disable()
+        tracemalloc.start()
+        try:
+            work()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+
+    def run(steps):
+        cfg = SimConfig(
+            n=2, q=1, N=4, mu=0.2, T=steps * 1e-3, dt=1e-3, nonlinearity=BilinearSpec.stokes(), output_stride=steps
+        )
+        u0 = gen_initial(InitialSpec(), cfg)
+
+        def work():
+            with TrajectoryWriter(tmp_path / f"run{steps}") as sink:
+                simulate(cfg, u0, sink)
+        return work
+
+    run(10)()  # the grid's cached arrays and the free lists are not the runs'
+    short, long = peak(run(1000)), peak(run(4000))
+    loaded = [peak(lambda steps=steps: load_trajectory(tmp_path / f"run{steps}")) for steps in (1000, 4000)]
+    assert long - short <= 128 * 3000, (short, long)
+    assert loaded[1] - loaded[0] <= 400 * 3000, loaded
+
+
 def _mistype_config_echo(doc):
     """n = 2.5 in the config echo, under a matching config_hash."""
     doc["config"]["n"] = 2.5
